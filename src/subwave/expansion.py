@@ -6,6 +6,12 @@ Index convention: the truncated expansion keeps the scaling band
 Coefficient order is always: scaling k = -k0'..k0', then per level j
 ascending, k = -k_j..k_j.
 
+Coefficients, reconstruction and the Lp([0,T]) error integral have one
+batched implementation over a matrix of paths [grid node, path]
+(``batch_coefficients``, ``batch_reconstruct``, ``batch_lp_errors``, with
+the [0, T] node window of ``interval_window``); ``compute_coefficients``,
+``reconstruct`` and ``lp_error`` run it on a single path.
+
 Second moments of detail coefficients come in three flavors: direct tensor
 quadrature of the covariance against the dilated wavelet (any model), the
 frequency-side integral (stationary models; this is also the proof-side
@@ -27,7 +33,7 @@ from .errors import (
     ValidationError,
 )
 from .processes import ProcessModel, SamplePath
-from .quad import gauss_nodes, piecewise_simpson_nodes, simpson_nodes, trapezoid_weights
+from .quad import gauss_nodes, piecewise_simpson_nodes, trapezoid_weights
 from .wavelets import WaveletPair, eval_dilated
 
 _TAIL_MASS = 1e-6  # relative envelope tail mass defining effective supports
@@ -162,25 +168,65 @@ def basis_matrix(basis: WaveletPair, scheme: TruncationScheme, t) -> np.ndarray:
 # Coefficients, reconstruction, Lp error
 
 
+def interval_window(grid, T: float):
+    """The nodes of ``grid`` in [0, T], as a slice, and their trapezoid weights.
+
+    0 and T must be grid nodes (to within 1e-9 of the first step), so the
+    trapezoid rule covers the whole of [0, T].
+    """
+    grid = np.asarray(grid, dtype=float)
+    tol = 1e-9 * (grid[1] - grid[0])
+    if not T > 0 or grid[0] > tol or grid[-1] < T - tol:
+        raise ValidationError("[0, T] must be a nonempty interval inside the path grid")
+    i0, i1 = np.searchsorted(grid, [-tol, T - tol])
+    if grid[i0] > tol or grid[i1] > T + tol:
+        raise ValidationError(f"0 and T = {T:g} must be nodes of the path grid")
+    window = slice(int(i0), int(i1) + 1)
+    return window, trapezoid_weights(grid[window])
+
+
+def batch_coefficients(basis: WaveletPair, scheme: TruncationScheme, grid, X) -> np.ndarray:
+    """Trapezoid inner products [coefficient, path] of the columns of X with
+    the indexed (real-valued) basis functions, whose effective supports
+    (envelope tail mass 1e-6) the grid must cover.
+    """
+    check_support_coverage(basis, scheme, grid)
+    return (basis_matrix(basis, scheme, grid) * trapezoid_weights(grid)) @ X
+
+
+def batch_reconstruct(basis: WaveletPair, scheme: TruncationScheme, coefs, t) -> np.ndarray:
+    """Truncated expansions [point, path] of the coefficient columns at ``t``."""
+    return basis_matrix(basis, scheme, t).T @ coefs
+
+
+def _window_integral(values, recon, w, p: float):
+    """w @ |values - recon|^p: the Lp error integral over a node window."""
+    if p < 1:
+        raise ValidationError("p must be >= 1")
+    return w @ (np.abs(values - recon) ** p)
+
+
+def batch_lp_errors(
+    basis: WaveletPair, scheme: TruncationScheme, grid, X, p: float, T: float
+) -> np.ndarray:
+    """Per-path int_0^T |X(t) - X_n(t)|^p dt for the columns of X.
+
+    The expansion is reconstructed only on the nodes in [0, T].
+    """
+    window, w = interval_window(grid, T)
+    coefs = batch_coefficients(basis, scheme, grid, X)
+    recon = batch_reconstruct(basis, scheme, coefs, np.asarray(grid)[window])
+    return _window_integral(X[window], recon, w, p)
+
+
 def compute_coefficients(
     path: SamplePath, basis: WaveletPair, scheme: TruncationScheme
 ) -> CoefficientSet:
-    """Trapezoid inner products of the path against each indexed basis
-    function (all shipped bases are real-valued, so conjugation is trivial).
-
-    The path grid must cover the effective support (envelope tail mass
-    1e-6) of every indexed function.
-    """
-    check_support_coverage(basis, scheme, path.grid)
-    w = trapezoid_weights(path.grid)
-    B = basis_matrix(basis, scheme, path.grid)
-    vals = B @ (w * path.values)
-    xi, eta = {}, {}
-    for (kind, j, k), v in zip(scheme.indices(), vals):
-        if kind == "f":
-            xi[k] = float(v)
-        else:
-            eta[(j, k)] = float(v)
+    """The coefficients of one path (``batch_coefficients`` on a batch of one)."""
+    vals = batch_coefficients(basis, scheme, path.grid, path.values[:, None])[:, 0]
+    idx = list(zip(scheme.indices(), vals.tolist()))
+    xi = {k: v for (kind, _, k), v in idx if kind == "f"}
+    eta = {(j, k): v for (kind, j, k), v in idx if kind == "m"}
     return CoefficientSet(xi=xi, eta=eta, scheme=scheme)
 
 
@@ -198,27 +244,20 @@ def coefficients_csv(coeffs: CoefficientSet) -> str:
 def reconstruct(coeffs: CoefficientSet, basis: WaveletPair, t_grid) -> np.ndarray:
     """Evaluate the truncated expansion at the given points."""
     t_grid = np.asarray(t_grid, dtype=float)
-    B = basis_matrix(basis, coeffs.scheme, t_grid)
-    if B.shape[0] == 0:
-        return np.zeros_like(t_grid)
-    return coeffs.vector() @ B
+    recon = batch_reconstruct(basis, coeffs.scheme, coeffs.vector()[:, None], t_grid.reshape(-1))
+    return recon.reshape(t_grid.shape)
 
 
 def lp_error(path: SamplePath, recon, p: float, T: float) -> float:
-    """int_0^T |X(t) - recon(t)|^p dt by trapezoid on the restricted grid.
+    """int_0^T |X(t) - recon(t)|^p dt by trapezoid over the grid nodes in
+    [0, T]; ``recon`` holds values on the whole path grid.
 
-    Returns the integral itself (not its p-th root), which is the quantity
-    the exceedance bounds refer to.
+    0 and T must be nodes of the path grid (``interval_window``).  Returns
+    the integral itself (not its p-th root), which is the quantity the
+    exceedance bounds refer to.
     """
-    if p < 1:
-        raise ValidationError("p must be >= 1")
-    grid = path.grid
-    if grid[0] > 1e-9 or grid[-1] < T - 1e-9:
-        raise ValidationError("[0, T] must lie inside the path grid")
-    mask = (grid >= -1e-12) & (grid <= T + 1e-12)
-    sub = grid[mask]
-    diff = np.abs(path.values[mask] - np.asarray(recon)[mask]) ** p
-    return float(np.sum(trapezoid_weights(sub) * diff))
+    window, w = interval_window(path.grid, T)
+    return float(_window_integral(path.values[window], np.asarray(recon)[window], w, p))
 
 
 # ---------------------------------------------------------------------------
@@ -260,16 +299,13 @@ def _scaled_nodes(basis: WaveletPair, which: str, fine: bool):
             _even((s - core) / tail_h),
         ]
     which_fn = basis.f_wavelet if which == "f" else basis.m_wavelet
-    xs, ws, vs = [], [], []
-    for (a, b), n in zip(zip(breaks[:-1], breaks[1:]), panels):
-        x, w = simpson_nodes(a, b, n)
-        # evaluate strictly inside the segment so jump nodes take the
-        # one-sided value belonging to this segment
-        nudge = 1e-9 * (b - a)
-        vs.append(np.asarray(which_fn(np.clip(x, a + nudge, b - nudge)), dtype=float))
-        xs.append(x)
-        ws.append(w)
-    return np.concatenate(xs), np.concatenate(ws), np.concatenate(vs)
+    x, w = piecewise_simpson_nodes(breaks, panels)
+    # evaluate strictly inside each node's segment so jump nodes take the
+    # one-sided value belonging to that segment
+    seg = np.repeat(np.arange(len(panels)), np.asarray(panels) + 1)
+    a, b = np.asarray(breaks[:-1])[seg], np.asarray(breaks[1:])[seg]
+    nudge = 1e-9 * (b - a)
+    return x, w, np.asarray(which_fn(np.clip(x, a + nudge, b - nudge)), dtype=float)
 
 
 def _separable_coef_integral(model, basis, kind, j, k) -> float:

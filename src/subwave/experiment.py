@@ -1,10 +1,13 @@
 """Monte Carlo experiment harness: reconstruction-error boxplot data and
 bound-tightness comparison, with CSV/JSON emission.
 
-A run simulates Gaussian paths, expands each against a list of nested
-truncation schemes, measures the Lp([0,T]) error integral per (scheme,
-path), and compares empirical exceedance frequencies against the
-theoretical bounds computed from the integral-route rate constant.
+A run simulates Gaussian paths, expands them all at once against each of a
+list of nested truncation schemes with the batched pipeline of
+``expansion`` (``batch_lp_errors``), which gives the Lp([0,T]) error
+integral per (scheme, path), and compares empirical exceedance frequencies
+against the theoretical bounds computed from the integral-route rate
+constant.  0 and T must be nodes of the simulation grid; configs where they
+are not are rejected.
 
 All randomness is keyed by the config seed through counter-based per-path
 streams, so a config maps to byte-identical outputs.
@@ -12,40 +15,27 @@ streams, so a config maps to byte-identical outputs.
 
 import json
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 from pathlib import Path
-from typing import Dict, List, Tuple
+from typing import Dict, List, Tuple, get_args, get_origin
 
 import numpy as np
 
 from .bounds import TailBoundReport, c_n_infty_integral, tail_probability_bound
 from .errors import ValidationError
-from .expansion import (
-    TruncationScheme,
-    basis_matrix,
-    check_support_coverage,
-    parse_scheme_spec,
-)
+from .expansion import TruncationScheme, batch_lp_errors, interval_window, parse_scheme_spec
+# Not called here, but kept importable from this module: the benchmark's
+# traced run (bench/layers.py) wraps them by module attribute.
+from .expansion import basis_matrix, check_support_coverage  # noqa: F401
 from .orlicz import parse_nfunction_spec
-from .processes import parse_model_spec, simulate_paths
-from .quad import trapezoid_weights
+from .processes import parse_model_spec, simulate_paths, simulation_grid
 from .wavelets import make_basis
 
-_CONFIG_FIELDS = {
-    "model_spec": str,
-    "basis_spec": str,
-    "nfunction_spec": str,
-    "schemes": list,
-    "p": (int, float),
-    "T": (int, float),
-    "grid_L": (int, float),
-    "grid_h": (int, float),
-    "n_paths": int,
-    "epsilons": list,
-    "seed": int,
-}
-
 _MIN_PATHS = 100
+
+# JSON types accepted for each config field type; tuple fields are JSON
+# lists of their item type, and schemes are spec strings.
+_JSON_TYPES = {str: (str,), float: (int, float), int: (int,), TruncationScheme: (str,)}
 
 
 @dataclass(frozen=True)
@@ -79,47 +69,46 @@ class ExperimentConfig:
             raise ValidationError("grid [-L, L] must cover [0, T]")
         if self.p < 1:
             raise ValidationError("p must be >= 1")
+        # 0 and T must be nodes of the simulation grid
+        interval_window(simulation_grid(self.grid_L, self.grid_h), self.T)
 
     def to_json_dict(self) -> dict:
-        return {
-            "model_spec": self.model_spec,
-            "basis_spec": self.basis_spec,
-            "nfunction_spec": self.nfunction_spec,
-            "schemes": [s.spec_string() for s in self.schemes],
-            "p": self.p,
-            "T": self.T,
-            "grid_L": self.grid_L,
-            "grid_h": self.grid_h,
-            "n_paths": self.n_paths,
-            "epsilons": list(self.epsilons),
-            "seed": self.seed,
-        }
+        return {f.name: _to_json(getattr(self, f.name)) for f in fields(self)}
+
+
+def _to_json(value):
+    if isinstance(value, tuple):
+        return [v.spec_string() if isinstance(v, TruncationScheme) else v for v in value]
+    return value
+
+
+def _from_json(tp, value):
+    """The value of a config field of type ``tp``; TypeError on a wrong JSON type."""
+    if get_origin(tp) is tuple:
+        if not isinstance(value, list):
+            raise TypeError
+        return tuple(_from_json(get_args(tp)[0], v) for v in value)
+    if not isinstance(value, _JSON_TYPES[tp]):
+        raise TypeError
+    return parse_scheme_spec(value) if tp is TruncationScheme else tp(value)
 
 
 def config_from_dict(doc: dict) -> ExperimentConfig:
     """Strict config parsing: unknown keys and missing fields are errors."""
-    unknown = set(doc) - set(_CONFIG_FIELDS)
+    schema = {f.name: f.type for f in fields(ExperimentConfig)}
+    unknown = set(doc) - set(schema)
     if unknown:
         raise ValidationError(f"unknown config keys: {sorted(unknown)}")
-    missing = set(_CONFIG_FIELDS) - set(doc)
+    missing = set(schema) - set(doc)
     if missing:
         raise ValidationError(f"missing config keys: {sorted(missing)}")
-    for key, types in _CONFIG_FIELDS.items():
-        if not isinstance(doc[key], types):
-            raise ValidationError(f"config field {key!r} has the wrong type")
-    return ExperimentConfig(
-        model_spec=doc["model_spec"],
-        basis_spec=doc["basis_spec"],
-        nfunction_spec=doc["nfunction_spec"],
-        schemes=tuple(parse_scheme_spec(s) for s in doc["schemes"]),
-        p=float(doc["p"]),
-        T=float(doc["T"]),
-        grid_L=float(doc["grid_L"]),
-        grid_h=float(doc["grid_h"]),
-        n_paths=int(doc["n_paths"]),
-        epsilons=tuple(float(e) for e in doc["epsilons"]),
-        seed=int(doc["seed"]),
-    )
+    values = {}
+    for key, tp in schema.items():
+        try:
+            values[key] = _from_json(tp, doc[key])
+        except TypeError:
+            raise ValidationError(f"config field {key!r} has the wrong type") from None
+    return ExperimentConfig(**values)
 
 
 def load_config(path) -> ExperimentConfig:
@@ -162,25 +151,15 @@ def run_experiment(cfg: ExperimentConfig) -> ExperimentResult:
 
     paths = simulate_paths(model, cfg.grid_L, cfg.grid_h, cfg.n_paths, cfg.seed)
     grid = paths[0].grid
-    for scheme in cfg.schemes:
-        check_support_coverage(basis, scheme, grid)
     X = np.column_stack([p.values for p in paths])
-    w_full = trapezoid_weights(grid)
-    mask = (grid >= -1e-12) & (grid <= cfg.T + 1e-12)
-    sub = grid[mask]
-    w_sub = trapezoid_weights(sub)
+    errors = np.array(
+        [batch_lp_errors(basis, scheme, grid, X, cfg.p, cfg.T) for scheme in cfg.schemes]
+    )
 
-    errors = np.empty((len(cfg.schemes), cfg.n_paths))
     bounds: Dict[Tuple[int, float], TailBoundReport] = {}
     tails: Dict[Tuple[int, float], float] = {}
     summary = []
     for s_idx, scheme in enumerate(cfg.schemes):
-        B = basis_matrix(basis, scheme, grid)
-        coefs = (B * w_full) @ X
-        recon = basis_matrix(basis, scheme, sub).T @ coefs
-        diff = np.abs(X[mask, :] - recon) ** cfg.p
-        errors[s_idx] = w_sub @ diff
-
         c_const = c_n_infty_integral(model, basis, scheme, cfg.p, cfg.T)
         for eps in cfg.epsilons:
             tails[(s_idx, eps)] = float(np.mean(errors[s_idx] > eps))

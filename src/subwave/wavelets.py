@@ -29,7 +29,7 @@ Shipped families:
 import math
 from dataclasses import dataclass
 from functools import lru_cache
-from typing import Callable, Optional, Tuple
+from typing import Callable, Tuple
 
 import numpy as np
 
@@ -132,11 +132,11 @@ class _TableFunc:
         self.x0 = x0
         self.dx = dx
         self.values = np.asarray(values, dtype=float)
+        self.grid = x0 + dx * np.arange(len(self.values))
 
     def __call__(self, x):
         x = np.asarray(x, dtype=float)
-        grid = self.x0 + self.dx * np.arange(len(self.values))
-        return np.interp(x, grid, self.values, left=0.0, right=0.0)
+        return np.interp(x, self.grid, self.values, left=0.0, right=0.0)
 
 
 class _StepFunc(_TableFunc):
@@ -154,8 +154,6 @@ class _StepFunc(_TableFunc):
 class WaveletPair:
     """A scaling-function / wavelet pair with Fourier evaluators and envelopes.
 
-    ``lipschitz`` caches a fitted (order, constant) pair for the wavelet's
-    Fourier transform near zero; it is populated lazily by ``lipschitz_fit``.
     All fields are immutable and all evaluators pure, so instances are safe
     to share across threads.
     """
@@ -168,20 +166,6 @@ class WaveletPair:
     envelope_f: Envelope
     envelope_m: Envelope
     continuous: bool = True
-    lipschitz: Optional[Tuple[float, float]] = None
-
-    def with_lipschitz(self, order: float, constant: float) -> "WaveletPair":
-        return WaveletPair(
-            family=self.family,
-            f_wavelet=self.f_wavelet,
-            m_wavelet=self.m_wavelet,
-            f_hat=self.f_hat,
-            m_hat=self.m_hat,
-            envelope_f=self.envelope_f,
-            envelope_m=self.envelope_m,
-            continuous=self.continuous,
-            lipschitz=(order, constant),
-        )
 
 
 def _check_domination(pair: WaveletPair) -> None:
@@ -308,7 +292,6 @@ def _make_daubechies(n_moments: int) -> WaveletPair:
     psi_vals = np.zeros(n)
     scale = 2**_CASCADE_LEVELS
     for k, gk in enumerate(g):
-        off = k * (scale // 1)
         # index of (2x - k) in phi table for x = i*step: 2i - k*scale
         idx = 2 * np.arange(n) - k * scale
         ok = (idx >= 0) & (idx < n)
@@ -421,8 +404,7 @@ def _cosine_table(profile, band_hi, center, halfwidth, step, nodes):
 
 def _fit_rational_envelope(table: _TableFunc, center: float, scale: float) -> Envelope:
     """Smallest A with |w(x)| <= A (1 + |x|/scale)^-4 on the table grid."""
-    xs = table.x0 + table.dx * np.arange(len(table.values))
-    amp = float(np.max(np.abs(table.values) * (1.0 + np.abs(xs) / scale) ** 4))
+    amp = float(np.max(np.abs(table.values) * (1.0 + np.abs(table.grid) / scale) ** 4))
     return rational_envelope(amp, scale)
 
 

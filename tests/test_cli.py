@@ -120,6 +120,27 @@ class TestExperimentCommand:
         r = run_cli("experiment", "--config", str(f), "--out", str(tmp_path))
         assert r.returncode == 2
 
+    def test_zero_off_the_grid(self, tmp_path):
+        cfg = {
+            "model_spec": "ou:1",
+            "basis_spec": "haar",
+            "nfunction_spec": "gaussian",
+            "schemes": ["k0'=1;k=1", "k0'=2;k=2,3"],
+            "p": 2,
+            "T": 1,
+            "grid_L": 13.0,
+            "grid_h": 0.4,
+            "n_paths": 100,
+            "epsilons": [0.5, 1.0],
+            "seed": 3,
+        }
+        f = tmp_path / "cfg.json"
+        f.write_text(json.dumps(cfg))
+        r = run_cli("experiment", "--config", str(f), "--out", str(tmp_path / "results"))
+        assert r.returncode == 2
+        assert "must be nodes" in r.stderr
+        assert not (tmp_path / "results").exists()
+
     def test_small_run(self, tmp_path):
         cfg = {
             "model_spec": "ou:1",

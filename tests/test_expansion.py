@@ -13,8 +13,12 @@ from subwave.expansion import (
     CoefficientSet,
     TruncationScheme,
     basis_matrix,
+    batch_coefficients,
+    batch_lp_errors,
+    batch_reconstruct,
     coefficients_csv,
     compute_coefficients,
+    interval_window,
     lp_error,
     parse_scheme_spec,
     reconstruct,
@@ -24,7 +28,7 @@ from subwave.expansion import (
     second_moment_eta_spectral_bound_ns,
     second_moment_xi_bound,
 )
-from subwave.processes import SamplePath, make_ou, simulate_paths
+from subwave.processes import SamplePath, make_ou, simulate_paths, simulation_grid
 from subwave.wavelets import eval_dilated
 
 
@@ -197,6 +201,66 @@ class TestLpError:
     def test_rejects_uncovered_interval(self):
         with pytest.raises(ValidationError):
             lp_error(self._path(), self._path().values, 2.0, 5.0)
+
+    def test_rejects_zero_off_the_grid(self):
+        # nodes at -1.3 + 0.2 i: 0 falls between -0.1 and 0.1, so a window
+        # of nodes would drop the piece [0, 0.1] (and [0.9, 1]) of [0, 1]
+        grid = simulation_grid(1.3, 0.2)
+        p = make_path(grid, np.zeros_like(grid))
+        with pytest.raises(ValidationError, match="must be nodes"):
+            lp_error(p, p.values + 1.0, 2.0, 1.0)
+
+    def test_rejects_window_without_nodes(self):
+        # nodes -0.75, -0.25, 0.25, 0.75: only 0.25 lies in [0, 0.5]
+        grid = simulation_grid(0.75, 0.5)
+        p = make_path(grid, np.zeros_like(grid))
+        with pytest.raises(ValidationError, match="must be nodes"):
+            lp_error(p, p.values + 1.0, 2.0, 0.5)
+
+    def test_rejects_nonpositive_T(self):
+        with pytest.raises(ValidationError):
+            lp_error(self._path(), self._path().values, 2.0, 0.0)
+
+    def test_nodes_off_by_rounding_are_kept(self):
+        # -1.3 + 13 * 0.1 and -1.3 + 23 * 0.1 miss 0 and 1 by rounding only
+        grid = simulation_grid(1.3, 0.1)
+        p = make_path(grid, np.zeros_like(grid))
+        window, w = interval_window(grid, 1.0)
+        assert (window.start, window.stop) == (13, 24)
+        assert np.sum(w) == pytest.approx(1.0, rel=1e-12)
+        assert lp_error(p, p.values + 1.0, 2.0, 1.0) == pytest.approx(1.0, rel=1e-12)
+
+
+class TestBatchOfOne:
+    """The single-path functions run the batched pipeline on one column."""
+
+    def test_columns_match_single_paths(self, db3):
+        paths = simulate_paths(make_ou(1.0), 8.0, 2.0**-5, 4, 5)
+        grid = paths[0].grid
+        X = np.column_stack([p.values for p in paths])
+        scheme = TruncationScheme(2, (2, 3))
+        C = batch_coefficients(db3, scheme, grid, X)
+        R = batch_reconstruct(db3, scheme, C, grid)
+        E = batch_lp_errors(db3, scheme, grid, X, 2.0, 1.0)
+        for i, path in enumerate(paths):
+            coeffs = compute_coefficients(path, db3, scheme)
+            recon = reconstruct(coeffs, db3, grid)
+            assert np.allclose(coeffs.vector(), C[:, i], rtol=1e-12, atol=1e-15)
+            assert np.allclose(recon, R[:, i], rtol=1e-12, atol=1e-15)
+            assert lp_error(path, recon, 2.0, 1.0) == pytest.approx(E[i], rel=1e-12)
+
+    def test_reconstruct_at_a_point(self, db3):
+        path = simulate_paths(make_ou(1.0), 8.0, 2.0**-5, 1, 5)[0]
+        coeffs = compute_coefficients(path, db3, TruncationScheme(2, (2, 3)))
+        at = reconstruct(coeffs, db3, 0.3)
+        assert np.shape(at) == ()
+        assert float(at) == pytest.approx(reconstruct(coeffs, db3, [0.3, 0.5])[0], rel=1e-12)
+
+    def test_empty_scheme_reconstructs_zero(self, db3):
+        path = simulate_paths(make_ou(1.0), 8.0, 2.0**-5, 1, 5)[0]
+        coeffs = compute_coefficients(path, db3, TruncationScheme(-1, ()))
+        assert coeffs.vector().shape == (0,)
+        assert np.all(reconstruct(coeffs, db3, path.grid) == 0.0)
 
 
 class TestSecondMoments:

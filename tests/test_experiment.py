@@ -1,10 +1,14 @@
 import copy
+import importlib
 import json
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+from subwave import experiment
 from subwave.errors import ValidationError
+from subwave.expansion import compute_coefficients, lp_error, reconstruct
 from subwave.experiment import (
     config_from_dict,
     load_config,
@@ -12,6 +16,8 @@ from subwave.experiment import (
     tightness_report,
     write_outputs,
 )
+from subwave.processes import parse_model_spec, simulate_paths
+from subwave.wavelets import make_basis
 
 BASE = {
     "model_spec": "ou:1",
@@ -85,6 +91,26 @@ class TestConfigValidation:
         f.write_text(json.dumps(BASE))
         assert load_config(f) == config_from_dict(BASE)
 
+    def test_json_roundtrip(self):
+        cfg = config_from_dict(BASE)
+        doc = cfg.to_json_dict()
+        assert list(doc) == list(BASE)
+        assert config_from_dict(doc) == cfg
+        assert doc["schemes"] == BASE["schemes"]
+        assert doc["epsilons"] == BASE["epsilons"]
+
+    def test_wrong_item_type_rejected(self):
+        for key, bad in (("schemes", ["k0'=1;k=1", 3]), ("epsilons", [0.4, "1"])):
+            with pytest.raises(ValidationError, match="wrong type"):
+                config_from_dict(dict(BASE, **{key: bad}))
+
+    def test_zero_and_T_must_be_grid_nodes(self):
+        # nodes at -13 + 0.4 i miss 0: the old node mask kept [0.2, 0.6] of [0, 1]
+        with pytest.raises(ValidationError, match="must be nodes"):
+            cfg_with(grid_L=13.0, grid_h=0.4, T=1)
+        with pytest.raises(ValidationError, match="must be nodes"):
+            cfg_with(T=1.0 + 1.0 / 16.0)  # grid step 1/8
+
 
 class TestRunExperiment:
     def test_shapes_and_ranges(self, base_result):
@@ -115,6 +141,45 @@ class TestRunExperiment:
         tails = base_result.tails_csv().splitlines()
         assert tails[0] == "scheme_index,epsilon,empirical,bound,valid,stderr"
         assert len(tails) == 1 + 2 * 3
+
+
+class TestOnePipeline:
+    def test_batch_matches_single_path_functions(self, base_result):
+        cfg = config_from_dict(BASE)
+        basis = make_basis(cfg.basis_spec)
+        paths = simulate_paths(
+            parse_model_spec(cfg.model_spec), cfg.grid_L, cfg.grid_h, cfg.n_paths, cfg.seed
+        )
+        for s, scheme in enumerate(cfg.schemes):
+            single = [
+                lp_error(path, reconstruct(compute_coefficients(path, basis, scheme), basis,
+                                           path.grid), cfg.p, cfg.T)
+                for path in paths
+            ]
+            # BLAS sums a one-column product in another order than an
+            # N-column one, so the two agree to rounding, not bitwise
+            np.testing.assert_allclose(base_result.per_path_errors[s], single, rtol=1e-12)
+
+    def test_paths_come_through_experiment_simulate_paths(self, monkeypatch):
+        calls = []
+        real = experiment.simulate_paths
+
+        def spy(*args, **kwargs):
+            calls.append(args)
+            return real(*args, **kwargs)
+
+        monkeypatch.setattr(experiment, "simulate_paths", spy)
+        run_experiment(config_from_dict(BASE))
+        assert len(calls) == 1
+
+    def test_traced_names_resolve(self, monkeypatch):
+        # the benchmark's traced run wraps these module attributes by name
+        bench = Path(__file__).resolve().parents[1] / "bench"
+        monkeypatch.syspath_prepend(str(bench))
+        layers = importlib.import_module("layers")
+        for module, names in layers.TRACED:
+            for name in names:
+                assert callable(getattr(module, name)), f"{module.__name__}.{name}"
 
 
 class TestTightness:
