@@ -10,14 +10,15 @@ Two routes produce c: the integral route (exact second moments of the
 error, Gaussian-type models, small schemes) and the uniform route (direct
 lattice-sum constants of the tabulated wavelets plus k-independent level
 moments: exact Parseval values for stationary models on a band-limited
-basis, spectral bounds otherwise; the infinite level series is summed
-explicitly until its closed-form spectral-bound remainder is negligible).
+basis, spectral bounds otherwise; the level series is summed explicitly
+to level 480 and closed by its spectral-bound remainder in closed form).
 The planner walks a lattice of schemes on the uniform route.
 """
 
 import math
 from dataclasses import dataclass
 from functools import lru_cache
+from itertools import accumulate
 
 import numpy as np
 
@@ -30,10 +31,9 @@ from .errors import (
 )
 from .expansion import (
     TruncationScheme,
-    _scaled_nodes,
-    _separable_coef_integral,
     band_limited,
     basis_matrix,
+    coefficient_moments,
     second_moment_eta_parseval,
     second_moment_eta_spectral_bound,
     second_moment_eta_spectral_bound_ns,
@@ -43,8 +43,6 @@ from .orlicz import NFunction, conjugate
 from .processes import ProcessModel
 from .quad import simpson_nodes
 from .wavelets import WaveletPair, lattice_constant, lattice_tail_constant
-
-_MAX_SCHEME_COEFFICIENTS = 200
 
 
 @dataclass(frozen=True)
@@ -158,63 +156,20 @@ def tail_probability_bound(
 # Integral route: exact second moments of the reconstruction error
 
 
-@lru_cache(maxsize=None)
-def _scheme_second_moments(model: ProcessModel, basis: WaveletPair, scheme: TruncationScheme):
-    """Coefficient cross-covariance data for a scheme.
-
-    Rank-one models factor exactly; otherwise the Gram matrix comes from
-    pairwise tensor quadrature (coarse nodes) and cross moments with the
-    path kernel use fine nodes.
-    """
-    idx = scheme.indices()
-    if len(idx) > _MAX_SCHEME_COEFFICIENTS:
-        raise ResourceLimitError(
-            f"scheme has {len(idx)} coefficients "
-            f"(limit {_MAX_SCHEME_COEFFICIENTS} for moment quadrature)"
-        )
-    if model.separable_g is not None:
-        gamma = np.array(
-            [_separable_coef_integral(model, basis, kind, j, k) for kind, j, k in idx]
-        )
-        return ("separable", gamma)
-    fine, coarse = {}, {}
-    for which in ("f", "m"):
-        fine[which] = _scaled_nodes(basis, which, True)
-        coarse[which] = _scaled_nodes(basis, which, False)
-    pre_f, pre_c = [], []
-    for kind, j, k in idx:
-        for store, (x, w, v) in ((pre_f, fine[kind]), (pre_c, coarse[kind])):
-            store.append(((x + k) / 2.0**j, w * v * 2.0 ** (-j / 2.0)))
-    C = len(idx)
-    G = np.empty((C, C))
-    for a in range(C):
-        ua, wa = pre_c[a]
-        Ka = model.covariance(ua[:, None], ua[None, :])
-        G[a, a] = wa @ Ka @ wa
-        for b in range(a + 1, C):
-            ub, wb = pre_c[b]
-            K = model.covariance(ua[:, None], ub[None, :])
-            G[a, b] = G[b, a] = wa @ K @ wb
-    return ("general", (pre_f, G))
-
-
 def _ms_error_curve(model, basis, scheme, t):
-    """E (X_n(t) - X(t))^2 on an array of points."""
+    """E (X_n(t) - X(t))^2 on an array of points, from ``coefficient_moments``.
+
+    Rank-one models keep the residual form (g - gamma . B)^2, which stays
+    accurate when the scheme is nearly complete.
+    """
     t = np.asarray(t, dtype=float)
     B = basis_matrix(basis, scheme, t)
-    kind, data = _scheme_second_moments(model, basis, scheme)
-    if kind == "separable":
-        gamma = data
-        g = np.asarray(model.separable_g(t), dtype=float)
-        resid = g - (gamma @ B if len(gamma) else np.zeros_like(t))
-        return resid**2
-    pre_f, G = data
+    idx = tuple(scheme.indices())
+    if model.separable_g is not None:
+        gamma = coefficient_moments(model, basis, idx)
+        return (np.asarray(model.separable_g(t), dtype=float) - gamma @ B) ** 2
+    G, M = coefficient_moments(model, basis, idx, tuple(t.tolist()))
     r_tt = np.asarray(model.covariance(t, t), dtype=float)
-    if not pre_f:
-        return r_tt
-    M = np.empty((len(pre_f), len(t)))
-    for c, (u, w) in enumerate(pre_f):
-        M[c] = w @ model.covariance(u[:, None], t[None, :])
     return r_tt - 2.0 * np.sum(M * B, axis=0) + np.sum((G @ B) * B, axis=0)
 
 
@@ -253,10 +208,8 @@ def c_n_infty_integral(
 # ---------------------------------------------------------------------------
 # Uniform route: direct lattice-sum constants plus k-independent moments
 
-# Explicit levels stop once the closed-form remainder falls below this share
-# of the running sum, and never go past _MAX_LEVEL (at which 4^j still fits
-# in a double, so frequency-side moments stay finite).
-_CLOSURE_RTOL = 1e-13
+# Levels summed explicitly: 0.._MAX_LEVEL (at which 4^j still fits in a
+# double, so frequency-side moments stay finite).
 _MAX_LEVEL = 480
 
 
@@ -287,6 +240,10 @@ class _LevelSeries:
     otherwise.  ``bound_term(j)`` is the same factor built from the spectral
     bound; it decays exactly by ``q`` per level, so
     sum_{i>=j} bound_term(i) = bound_term(j) / (1 - q).
+
+    ``suffix[j]`` = C_psi (sum_{j<=i<=_MAX_LEVEL} terms[i] + sum_{i>_MAX_LEVEL}
+    bound_term(i)), the level series from j on with the lattice constant C_psi;
+    ``suffix[_MAX_LEVEL + 1]`` is the closed-form closure alone.
     """
 
     def __init__(self, model: ProcessModel, basis: WaveletPair, alpha: float):
@@ -302,6 +259,12 @@ class _LevelSeries:
             ]
         else:
             self.terms = [self.bound_term(j) for j in levels]
+        c_psi = lattice_constant(basis, "m")
+        closure = (
+            self.bound_term(_MAX_LEVEL + 1) * c_psi / (1.0 - self.q) if self.q < 1.0 else math.inf
+        )
+        weighted = [term * c_psi for term in self.terms] + [closure]
+        self.suffix = list(accumulate(reversed(weighted)))[::-1]
 
     def bound_term(self, j: int) -> float:
         return self._bound0 * self.q**j
@@ -331,7 +294,6 @@ def c_n_infty_uniform(
     p: float,
     T: float,
     alpha: float,
-    j_max_extra: int = 8,
 ) -> float:
     """Uniform-route rate constant
 
@@ -353,11 +315,10 @@ def c_n_infty_uniform(
     spectral bound (a truncated frequency window would under-estimate the
     moments of Haar and Daubechies wavelets).
 
-    Closure: levels J, J+1, ... are summed explicitly, at least
-    ``j_max_extra`` of them, and on until the remainder is below 1e-13 of
-    the running sum (or level 480 is reached).  The remainder is the
-    spectral-bound series from that level on, summed in closed form; its
-    ratio is 2^(-alpha/2) (stationary) or 2^(-alpha) (double transform).
+    Closure: levels J..480 are summed explicitly (suffix sums computed once
+    per model, basis and alpha, so a call takes O(J) time), and the levels
+    from 481 on are the spectral-bound series in closed form; its ratio is
+    2^(-alpha/2) (stationary) or 2^(-alpha) (double transform).
     """
     if not p >= 1:
         raise ValidationError("p must be >= 1")
@@ -376,15 +337,7 @@ def c_n_infty_uniform(
         total += series.terms[j] * lattice_tail_constant(
             basis, "m", 2.0**j * T, scheme.levels[j]
         )
-    c_psi = lattice_constant(basis, "m")
-    rest = c_psi / (1.0 - series.q)
-    j = J
-    while j < _MAX_LEVEL and (
-        j < J + j_max_extra or series.bound_term(j) * rest > _CLOSURE_RTOL * total
-    ):
-        total += series.terms[j] * c_psi
-        j += 1
-    total += series.bound_term(j) * rest
+    total += series.suffix[J]
     return model.det_constant**p * T * total**p
 
 

@@ -13,7 +13,14 @@ from .errors import SubwaveError, ValidationError
 from .experiment import load_config, run_experiment, write_outputs
 from .orlicz import parse_nfunction_spec
 from .processes import dump_paths, parse_model_spec, simulate_paths
-from .wavelets import envelope_constant, lipschitz_fit, make_basis, tail_constant
+from .wavelets import (
+    envelope_constant,
+    lattice_constant,
+    lattice_tail_constant,
+    lipschitz_fit,
+    make_basis,
+    tail_constant,
+)
 
 _DEFAULT_LIPSCHITZ_ORDERS = (0.25, 0.5, 0.75, 1.0)
 
@@ -53,6 +60,10 @@ def _cmd_basis_info(args) -> int:
         "C_delta_m": envelope_constant(basis.envelope_m),
         "C_delta_T_k1_f": tail_constant(basis.envelope_f, args.T, args.k1),
         "C_delta_T_k1_m": tail_constant(basis.envelope_m, args.T, args.k1),
+        "C_lattice_f": lattice_constant(basis, "f"),
+        "C_lattice_m": lattice_constant(basis, "m"),
+        "C_lattice_T_k1_f": lattice_tail_constant(basis, "f", args.T, args.k1),
+        "C_lattice_T_k1_m": lattice_tail_constant(basis, "m", args.T, args.k1),
         "T": args.T,
         "k1": args.k1,
         "lipschitz": {"order": order, "constant": constant},

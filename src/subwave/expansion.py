@@ -12,11 +12,14 @@ batched implementation over a matrix of paths [grid node, path]
 the [0, T] node window of ``interval_window``); ``compute_coefficients``,
 ``reconstruct`` and ``lp_error`` run it on a single path.
 
-Second moments of detail coefficients come in three flavors: direct tensor
-quadrature of the covariance against the dilated wavelet (any model), the
-frequency-side integral (stationary models; this is also the proof-side
-upper bound for the direct value), and k-independent spectral bounds driven
-by a Lipschitz estimate of the wavelet transform near zero.
+Every time-side second moment of the coefficients comes from one function,
+``coefficient_moments``: the covariance integrated against the dilated
+wavelets over one Simpson node set per wavelet, giving the Gram matrix,
+the cross moments with X(t) and, for rank-one models, the factors
+int g w_a.  The frequency-side integral (stationary models; the proof-side
+upper bound for the time-side value) and k-independent spectral bounds
+driven by a Lipschitz estimate of the wavelet transform near zero serve
+the uniform route.
 """
 
 import math
@@ -29,6 +32,7 @@ import numpy as np
 from .errors import (
     DivergenceError,
     NumericError,
+    ResourceLimitError,
     SupportCoverageError,
     ValidationError,
 )
@@ -38,6 +42,7 @@ from .wavelets import WaveletPair, eval_dilated
 
 _TAIL_MASS = 1e-6  # relative envelope tail mass defining effective supports
 _TWO_PI_3 = 2.0 * math.pi / 3.0
+_MAX_MOMENT_COEFFICIENTS = 200
 
 
 @dataclass(frozen=True)
@@ -270,15 +275,14 @@ def _even(n: int) -> int:
 
 
 @lru_cache(maxsize=None)
-def _scaled_nodes(basis: WaveletPair, which: str, fine: bool):
+def _scaled_nodes(basis: WaveletPair, which: str):
     """Simpson nodes/weights over the effective support in wavelet
     coordinates, plus the wavelet values at the nodes.
 
-    Heavy-tailed envelopes get a dense core plus sparse tails; ``fine``
-    selects the resolution (fine for single-coefficient moments, coarse for
-    large Gram assemblies).  Haar's jump points become segment boundaries
-    and values are taken from segment interiors, which keeps the rule exact
-    for its piecewise-constant factors.
+    Heavy-tailed envelopes (Meyer) get a dense core on [-8, 8] plus sparse
+    tails.  Haar's jump points become segment boundaries and values are
+    taken from segment interiors, which keeps the rule exact for its
+    piecewise-constant factors.
     """
     s = _effective_support(basis, which)
     core_h = 1.0 / 32.0
@@ -290,8 +294,7 @@ def _scaled_nodes(basis: WaveletPair, which: str, fine: bool):
         breaks = [-s, s]
         panels = [_even(2.0 * s / core_h)]
     else:
-        core = 16.0 if fine else 8.0
-        tail_h = 1.0 / 8.0 if fine else 1.0 / 4.0
+        core, tail_h = 8.0, 1.0 / 4.0
         breaks = [-s, -core, core, s]
         panels = [
             _even((s - core) / tail_h),
@@ -308,42 +311,59 @@ def _scaled_nodes(basis: WaveletPair, which: str, fine: bool):
     return x, w, np.asarray(which_fn(np.clip(x, a + nudge, b - nudge)), dtype=float)
 
 
-def _separable_coef_integral(model, basis, kind, j, k) -> float:
-    """int g(t) w_{jk}(t) dt for rank-one models, by 1-D quadrature."""
-    x, w, vals = _scaled_nodes(basis, kind, fine=True)
-    g = np.asarray(model.separable_g((x + k) / 2.0**j), dtype=float)
-    return float(2.0 ** (-j / 2.0) * np.sum(w * g * vals))
-
-
 @lru_cache(maxsize=None)
-def _eta_moment_stationary(model: ProcessModel, basis: WaveletPair, j: int) -> float:
-    """Direct tensor quadrature of E|eta_jk|^2 for stationary models
-    (k-independent: the kernel depends on the lag only)."""
-    x, w, psi = _scaled_nodes(basis, "m", fine=True)
-    lag = (x[:, None] - x[None, :]) / 2.0**j
-    K = model.covariance(lag, np.zeros_like(lag))
-    v = w * psi
-    return float(v @ K @ v) / 2.0**j
+def coefficient_moments(model: ProcessModel, basis: WaveletPair, idx: tuple, t: tuple = ()):
+    """Second moments of the coefficients ``idx``, a tuple of (kind, j, k).
+
+    Coefficient c_a = int X(u) w_a(u) du with w_a = 2^{j/2} w(2^j u - k) is
+    integrated over the Simpson nodes of its wavelet (``_scaled_nodes``),
+    mapped to u = (x + k) / 2^j.  Returns
+
+    * for rank-one models, R(u, v) = g(u) g(v): the vector gamma_a =
+      int g w_a, from which E[c_a c_b] = gamma_a gamma_b and
+      E[c_a X(t)] = gamma_a g(t);
+    * otherwise the pair (G, M): the Gram matrix G = E[c c^T] and the
+      cross moments M[a, i] = E[c_a X(t_i)] at the points ``t`` (a tuple
+      of floats, like ``idx`` hashable for the cache).
+
+    Cached per (model, basis, idx, t), so the arrays are read-only; more
+    than 200 coefficients raise ResourceLimitError.
+    """
+    if len(idx) > _MAX_MOMENT_COEFFICIENTS:
+        raise ResourceLimitError(
+            f"{len(idx)} coefficients (limit {_MAX_MOMENT_COEFFICIENTS} for moment quadrature)"
+        )
+    nodes = []
+    for kind, j, k in idx:
+        x, w, vals = _scaled_nodes(basis, kind)
+        nodes.append(((x + k) / 2.0**j, w, vals, 2.0 ** (-j / 2.0)))
+    if model.separable_g is not None:
+        # summed as w * g * v: near-complete schemes cancel g - gamma . B to
+        # ~1e-7 of g, where another summation order shows at 1e-9 in c
+        gamma = np.array(
+            [s * np.sum(w * np.asarray(model.separable_g(u), dtype=float) * v) for u, w, v, s in nodes]
+        )
+        gamma.setflags(write=False)
+        return gamma
+    nodes = [(u, w * v * s) for u, w, v, s in nodes]
+    t = np.asarray(t, dtype=float)
+    G, M = np.empty((len(nodes), len(nodes))), np.empty((len(nodes), len(t)))
+    for a, (ua, wa) in enumerate(nodes):
+        M[a] = wa @ model.covariance(ua[:, None], t[None, :])
+        for b, (ub, wb) in enumerate(nodes[a:], start=a):
+            G[a, b] = G[b, a] = wa @ model.covariance(ua[:, None], ub[None, :]) @ wb
+    G.setflags(write=False)
+    M.setflags(write=False)
+    return G, M
 
 
 def second_moment_eta(model: ProcessModel, basis: WaveletPair, j: int, k: int) -> float:
-    """E|eta_jk|^2 = int int R(u,v) psi_jk(u) psi_jk(v) du dv.
-
-    Tensor Simpson over the effective support; rank-one models use the
-    exact 1-D factorization, stationary models a k-independent kernel.
-    """
+    """E|eta_jk|^2 = int int R(u,v) psi_jk(u) psi_jk(v) du dv, the 1 x 1 case
+    of ``coefficient_moments``."""
     if j < 0:
         raise ValidationError("level j must be >= 0")
-    if model.separable_g is not None:
-        return _separable_coef_integral(model, basis, "m", j, k) ** 2
-    if model.stationary:
-        val = _eta_moment_stationary(model, basis, j)
-    else:
-        x, w, psi = _scaled_nodes(basis, "m", fine=True)
-        u = (x + k) / 2.0**j
-        K = model.covariance(u[:, None], u[None, :])
-        v = w * psi
-        val = float(v @ K @ v) / 2.0**j
+    moments = coefficient_moments(model, basis, (("m", j, k),))
+    val = float(moments[0] ** 2) if model.separable_g is not None else float(moments[0][0, 0])
     if val < -1e-8:
         raise NumericError(f"second moment quadrature came out negative ({val:.3e})")
     return max(val, 0.0)
@@ -354,37 +374,32 @@ def second_moment_eta(model: ProcessModel, basis: WaveletPair, j: int, k: int) -
 
 
 def band_limited(basis: WaveletPair) -> bool:
-    """True when the frequency-side quadrature window covers the whole
-    support of the transforms, so frequency-side moments are exact rather
-    than truncated (Meyer; Haar and Daubechies transforms decay slowly)."""
+    """True when the transforms vanish outside a finite window, so
+    frequency-side moments are exact (Meyer).  Haar and Daubechies
+    transforms decay slowly; their window ends at +-2^22."""
     return basis.family == "meyer"
 
 
 def _hat_window(basis: WaveletPair, which: str):
-    """Integration segments covering the transform's effective support."""
+    """Integration segments: the transform's support for band-limited bases,
+    otherwise [-64, 64] plus log-spaced segments out to +-2^22."""
     if band_limited(basis):
         if which == "m":
             return [(-4 * _TWO_PI_3, -_TWO_PI_3), (_TWO_PI_3, 4 * _TWO_PI_3)]
         return [(-2 * _TWO_PI_3, 2 * _TWO_PI_3)]
-    return [(-64.0, 64.0)]
-
-
-def _hat_quadrature(basis: WaveletPair, which: str, nodes_per_segment: int = 2048):
-    xs, ws = [], []
-    for a, b in _hat_window(basis, which):
-        x, w = gauss_nodes(a, b, nodes_per_segment)
-        xs.append(x)
-        ws.append(w)
-    return np.concatenate(xs), np.concatenate(ws)
+    edges = [2.0**e for e in range(6, 23)]
+    outer = list(zip(edges[:-1], edges[1:]))
+    return [(-b, -a) for a, b in reversed(outer)] + [(-64.0, 64.0)] + outer
 
 
 @lru_cache(maxsize=None)
-def _hat_power_weights(basis: WaveletPair, which: str):
-    """Window nodes and quadrature weights times |w_hat|^2; shared by every
-    frequency-side moment of the basis."""
-    u, w = _hat_quadrature(basis, which)
+def _hat_nodes(basis: WaveletPair, which: str):
+    """Window nodes (2048 Gauss nodes per segment), quadrature weights and
+    |w_hat| at the nodes; shared by every frequency-side moment of the basis."""
+    u, w = zip(*(gauss_nodes(a, b, 2048) for a, b in _hat_window(basis, which)))
+    u = np.concatenate(u)
     hat = basis.f_hat if which == "f" else basis.m_hat
-    return u, w * np.abs(np.atleast_1d(hat(u))) ** 2
+    return u, np.concatenate(w), np.abs(np.atleast_1d(hat(u)))
 
 
 def second_moment_eta_parseval(model: ProcessModel, basis: WaveletPair, j: int) -> float:
@@ -395,9 +410,9 @@ def second_moment_eta_parseval(model: ProcessModel, basis: WaveletPair, j: int) 
     """
     if model.spectral_density is None:
         raise ValidationError("frequency-side moment needs a spectral density")
-    u, wp = _hat_power_weights(basis, "m")
+    u, w, h = _hat_nodes(basis, "m")
     rh = np.abs(np.asarray(model.spectral_density(2.0**j * u), dtype=float))
-    return float(np.sum(wp * rh)) / (2.0 * math.pi)
+    return float(np.sum(w * h**2 * rh)) / (2.0 * math.pi)
 
 
 @lru_cache(maxsize=None)
@@ -494,14 +509,12 @@ def second_moment_xi_bound(model: ProcessModel, basis: WaveletPair) -> float:
     only the double transform use the analogous double integral (rank-one
     factorization when available).
     """
+    u, w, ph = _hat_nodes(basis, "f")
     if model.stationary and model.spectral_density is not None:
-        u, wp = _hat_power_weights(basis, "f")
         rh = np.abs(np.asarray(model.spectral_density(u), dtype=float))
-        return float(np.sum(wp * rh)) / (2.0 * math.pi)
+        return float(np.sum(w * ph**2 * rh)) / (2.0 * math.pi)
     if model.separable_g_hat is not None:
-        u, w = _hat_quadrature(basis, "f")
         gh = np.abs(np.asarray(model.separable_g_hat(u), dtype=float))
-        ph = np.abs(np.atleast_1d(basis.f_hat(u)))
         val = float(np.sum(w * gh * ph)) / (2.0 * math.pi)
         return val * val
     if model.double_transform is not None:

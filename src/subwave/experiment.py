@@ -22,7 +22,7 @@ from typing import Dict, List, Tuple, get_args, get_origin
 import numpy as np
 
 from .bounds import TailBoundReport, c_n_infty_integral, tail_probability_bound
-from .errors import ValidationError
+from .errors import ResourceLimitError, ValidationError
 from .expansion import TruncationScheme, batch_lp_errors, interval_window, parse_scheme_spec
 # Not called here, but kept importable from this module: the benchmark's
 # traced run (bench/layers.py) wraps them by module attribute.
@@ -69,8 +69,12 @@ class ExperimentConfig:
             raise ValidationError("grid [-L, L] must cover [0, T]")
         if self.p < 1:
             raise ValidationError("p must be >= 1")
+        try:
+            grid = simulation_grid(self.grid_L, self.grid_h)
+        except ResourceLimitError as exc:
+            raise ValidationError(str(exc)) from None
         # 0 and T must be nodes of the simulation grid
-        interval_window(simulation_grid(self.grid_L, self.grid_h), self.T)
+        interval_window(grid, self.T)
 
     def to_json_dict(self) -> dict:
         return {f.name: _to_json(getattr(self, f.name)) for f in fields(self)}

@@ -17,7 +17,6 @@ from typing import Callable, Optional
 import numpy as np
 
 from .errors import NumericError, ResourceLimitError, ValidationError
-from .orlicz import NFunction, make_gaussian
 from .quad import simpson_nodes, trapezoid_weights
 from .wavelets import WaveletPair
 
@@ -28,10 +27,8 @@ _MAX_GRID_POINTS = 10_000
 class ProcessModel:
     """Second-order process with covariance, spectral data and tau-norm."""
 
-    kind: str  # "ou" | "separable" | "custom"
     covariance: Callable[[np.ndarray, np.ndarray], np.ndarray]
     stationary: bool
-    nfunction: NFunction
     det_constant: float
     tau_phi: Callable[[np.ndarray], np.ndarray]
     spectral_density: Optional[Callable[[np.ndarray], np.ndarray]] = None
@@ -100,10 +97,8 @@ def make_ou(lam: float) -> ProcessModel:
     if not lam > 0:
         raise ValidationError("OU rate must be positive")
     return ProcessModel(
-        kind="ou",
         covariance=lambda t, s: np.exp(-lam * np.abs(np.asarray(t) - np.asarray(s))),
         stationary=True,
-        nfunction=make_gaussian(),
         det_constant=1.0,
         tau_phi=lambda t: np.ones_like(np.asarray(t, dtype=float)),
         spectral_density=lambda z: 2.0 * lam / (lam**2 + np.asarray(z, dtype=float) ** 2),
@@ -117,10 +112,8 @@ def make_separable(g: Callable, g_hat: Callable) -> ProcessModel:
     g_hat(z) g_hat(w); tau(t) = |g(t)|.
     """
     return ProcessModel(
-        kind="separable",
         covariance=lambda t, s: np.asarray(g(np.asarray(t))) * np.asarray(g(np.asarray(s))),
         stationary=False,
-        nfunction=make_gaussian(),
         det_constant=1.0,
         tau_phi=lambda t: np.abs(np.asarray(g(np.asarray(t)))),
         double_transform=lambda z, w: np.asarray(g_hat(np.asarray(z)))

@@ -167,14 +167,13 @@ class TestCnInftyUniform:
         assert a == b  # deterministic pipeline
         assert a == pytest.approx(UNIFORM_REGRESSION_VALUE, rel=1e-12)
 
-    def test_tail_closure_independent_of_explicit_levels(self, ou1, meyer):
-        scheme = TruncationScheme(4, (3, 4, 6, 10))
-        vals = [
-            c_n_infty_uniform(ou1, meyer, scheme, 2.0, 1.0, 0.5, j_max_extra=e)
-            for e in (4, 8, 16)
-        ]
-        assert vals[0] == pytest.approx(vals[1], rel=1e-12)
-        assert vals[1] == pytest.approx(vals[2], rel=1e-12)
+    def test_tail_closure_negligible(self, ou1, meyer):
+        # the closed-form remainder past the explicit levels
+        series = _level_series(ou1, meyer, 0.5)
+        c = c_n_infty_uniform(ou1, meyer, TruncationScheme(4, (3, 4, 6, 10)), 2.0, 1.0, 0.5)
+        closure = series.suffix[-1]
+        assert 0.0 < closure < 1e-12 * c
+        assert closure < 1e-12 * series.suffix[0]
 
     def test_refinement_strictly_decreasing(self, ou1, meyer):
         vals = []

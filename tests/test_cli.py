@@ -50,6 +50,20 @@ class TestBasisInfoCommand:
         assert doc["C_delta_T_k1_m"] == 0.0
         assert doc["lipschitz"]["order"] == 1.0
         assert doc["lipschitz"]["constant"] == pytest.approx(0.25, abs=1e-3)
+        # the lattice sums of the unit box and the Haar wavelet
+        assert doc["C_lattice_f"] == doc["C_lattice_m"] == 1.0
+        assert doc["C_lattice_T_k1_f"] == doc["C_lattice_T_k1_m"] == 0.0
+
+    def test_meyer_lattice_constants(self):
+        r = run_cli("basis-info", "--basis", "meyer", "--T", "1", "--k1", "3")
+        assert r.returncode == 0
+        doc = json.loads(r.stdout)
+        # the uniform route's constants, far below the envelope ones
+        assert doc["C_lattice_m"] == pytest.approx(2.082, abs=5e-4)
+        assert doc["C_delta_m"] == pytest.approx(1368.9, abs=0.05)
+        assert doc["C_lattice_f"] == pytest.approx(1.973, abs=5e-4)
+        assert 0.0 < doc["C_lattice_T_k1_m"] < doc["C_lattice_m"]
+        assert 0.0 < doc["C_lattice_T_k1_f"] < doc["C_lattice_f"]
 
     def test_unknown_basis(self):
         r = run_cli("basis-info", "--basis", "coiflet")
@@ -139,6 +153,28 @@ class TestExperimentCommand:
         r = run_cli("experiment", "--config", str(f), "--out", str(tmp_path / "results"))
         assert r.returncode == 2
         assert "must be nodes" in r.stderr
+        assert not (tmp_path / "results").exists()
+
+    def test_grid_too_large(self, tmp_path):
+        # a config error (exit 2), unlike `subwave simulate` on such a grid
+        cfg = {
+            "model_spec": "ou:1",
+            "basis_spec": "haar",
+            "nfunction_spec": "gaussian",
+            "schemes": ["k0'=1;k=1", "k0'=2;k=2,3"],
+            "p": 2,
+            "T": 1,
+            "grid_L": 100.0,
+            "grid_h": 0.01,
+            "n_paths": 100,
+            "epsilons": [0.5, 1.0],
+            "seed": 3,
+        }
+        f = tmp_path / "cfg.json"
+        f.write_text(json.dumps(cfg))
+        r = run_cli("experiment", "--config", str(f), "--out", str(tmp_path / "results"))
+        assert r.returncode == 2
+        assert "20001 points" in r.stderr
         assert not (tmp_path / "results").exists()
 
     def test_small_run(self, tmp_path):

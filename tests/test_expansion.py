@@ -356,7 +356,7 @@ class TestXiBound:
         # for |phi_hat|^2 of the unit box against the OU spectrum the bound
         # equals E|xi_00|^2 = 2(T - 1 + e^-T) at T=1
         val = second_moment_xi_bound(ou1, haar)
-        assert val == pytest.approx(2.0 * math.exp(-1.0), rel=1e-4)
+        assert val == pytest.approx(2.0 * math.exp(-1.0), rel=1e-10)
 
     def test_scaling_in_spectrum(self, ou1, haar):
         import dataclasses
@@ -389,14 +389,11 @@ class TestXiBound:
             assert exact <= val + 1e-9
 
     def test_requires_spectral_data(self, haar):
-        from subwave.orlicz import make_gaussian
         from subwave.processes import ProcessModel
 
         plain = ProcessModel(
-            kind="custom",
             covariance=lambda t, s: np.exp(-np.abs(np.asarray(t) - np.asarray(s))),
             stationary=False,
-            nfunction=make_gaussian(),
             det_constant=1.0,
             tau_phi=lambda t: np.ones_like(np.asarray(t, dtype=float)),
         )

@@ -4,7 +4,6 @@ import numpy as np
 import pytest
 
 from subwave.errors import ResourceLimitError, ValidationError
-from subwave.orlicz import make_gaussian
 from subwave.processes import (
     ProcessModel,
     SamplePath,
@@ -71,10 +70,8 @@ class TestModelValidation:
     def test_asymmetric_covariance_rejected(self):
         with pytest.raises(ValidationError):
             ProcessModel(
-                kind="custom",
                 covariance=lambda t, s: np.asarray(t) - np.asarray(s),
                 stationary=False,
-                nfunction=make_gaussian(),
                 det_constant=1.0,
                 tau_phi=lambda t: np.zeros_like(np.asarray(t, dtype=float)),
                 gaussian=False,
@@ -83,10 +80,8 @@ class TestModelValidation:
     def test_gaussian_tau_mismatch_rejected(self):
         with pytest.raises(ValidationError):
             ProcessModel(
-                kind="custom",
                 covariance=lambda t, s: np.exp(-np.abs(np.asarray(t) - np.asarray(s))),
                 stationary=True,
-                nfunction=make_gaussian(),
                 det_constant=1.0,
                 tau_phi=lambda t: 2.0 * np.ones_like(np.asarray(t, dtype=float)),
             )
@@ -94,17 +89,17 @@ class TestModelValidation:
     def test_stationary_flag_checked(self):
         with pytest.raises(ValidationError):
             ProcessModel(
-                kind="custom",
                 covariance=lambda t, s: np.asarray(t) * np.asarray(s),
                 stationary=True,
-                nfunction=make_gaussian(),
                 det_constant=1.0,
                 tau_phi=lambda t: np.abs(np.asarray(t, dtype=float)),
             )
 
     def test_spec_strings(self):
-        assert parse_model_spec("ou:1.5").kind == "ou"
-        assert parse_model_spec("separable:gauss-bump").kind == "separable"
+        ou = parse_model_spec("ou:1.5")
+        assert ou.spectral_density is not None and ou.separable_g is None
+        bump = parse_model_spec("separable:gauss-bump")
+        assert bump.separable_g is not None and bump.spectral_density is None
         for bad in ("ou:", "ou:x", "separable:other", "wiener"):
             with pytest.raises(ValidationError):
                 parse_model_spec(bad)
@@ -158,10 +153,8 @@ class TestSimulation:
 
     def test_non_gaussian_not_simulatable(self):
         m = ProcessModel(
-            kind="custom",
             covariance=lambda t, s: np.exp(-np.abs(np.asarray(t) - np.asarray(s))),
             stationary=True,
-            nfunction=make_gaussian(),
             det_constant=2.0,
             tau_phi=lambda t: 2.0 * np.ones_like(np.asarray(t, dtype=float)),
             gaussian=False,
