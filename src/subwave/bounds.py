@@ -215,13 +215,13 @@ _MAX_LEVEL = 480
 
 def _sup_moment_route(model: ProcessModel):
     """Pick the k-independent moment-bound route a model supports."""
-    if model.stationary and model.spectral_density is not None:
+    if model.spectral_density is not None:
         return "stationary"
-    if model.double_transform is not None:
-        return "ns"
+    if model.separable_g_hat is not None:
+        return "rank-one"
     raise ValidationError(
         "uniform-route constants need a stationary spectral density "
-        "or a double transform"
+        "or a rank-one g_hat"
     )
 
 
@@ -318,7 +318,7 @@ def c_n_infty_uniform(
     Closure: levels J..480 are summed explicitly (suffix sums computed once
     per model, basis and alpha, so a call takes O(J) time), and the levels
     from 481 on are the spectral-bound series in closed form; its ratio is
-    2^(-alpha/2) (stationary) or 2^(-alpha) (double transform).
+    2^(-alpha/2) (stationary) or 2^(-alpha) (rank-one).
     """
     if not p >= 1:
         raise ValidationError("p must be >= 1")
@@ -349,7 +349,7 @@ def series_condition_check(
     The series sqrt(sup E xi^2) C_phi + sum_j sqrt(b_j) 2^{j/2} C_psi, with
     b_j the spectral moment bound and the direct lattice-sum constants,
     converges iff the term ratio stays below 1; the ratio is exactly
-    2^(-alpha/2) (stationary) or 2^(-alpha) (double transform).  This is the
+    2^(-alpha/2) (stationary) or 2^(-alpha) (rank-one).  This is the
     series whose tail closes the uniform-route constant.
     """
     series = _level_series(model, basis, alpha)

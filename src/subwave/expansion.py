@@ -235,17 +235,6 @@ def compute_coefficients(
     return CoefficientSet(xi=xi, eta=eta, scheme=scheme)
 
 
-def coefficients_csv(coeffs: CoefficientSet) -> str:
-    """CSV dump ``level,j,k,value`` with level in {phi, psi}."""
-    lines = ["level,j,k,value"]
-    for kind, j, k in coeffs.scheme.indices():
-        if kind == "f":
-            lines.append(f"phi,0,{k},{coeffs.xi[k]!r}")
-        else:
-            lines.append(f"psi,{j},{k},{coeffs.eta[(j, k)]!r}")
-    return "\n".join(lines) + "\n"
-
-
 def reconstruct(coeffs: CoefficientSet, basis: WaveletPair, t_grid) -> np.ndarray:
     """Evaluate the truncated expansion at the given points."""
     t_grid = np.asarray(t_grid, dtype=float)
@@ -468,7 +457,7 @@ def second_moment_eta_spectral_bound(
     order/2 (the transform enters squared).  Decays exactly by 2^-(1+order)
     per level.
     """
-    if not model.stationary or model.spectral_density is None:
+    if model.spectral_density is None:
         raise ValidationError("spectral bound needs a stationary model with R_hat")
     if order <= 0:
         raise ValidationError("order must be positive")
@@ -480,46 +469,33 @@ def second_moment_eta_spectral_bound(
 def second_moment_eta_spectral_bound_ns(
     model: ProcessModel, basis: WaveletPair, j: int, order: float
 ) -> float:
-    """Non-stationary analogue via the double transform:
+    """Analogue for rank-one models R(u,v) = g(u) g(v):
 
-        C^2 / ((2 pi)^2 2^{j(1+2 order)}) * int int |R2_hat| |z|^a |w|^a dz dw,
+        C^2 / ((2 pi)^2 2^{j(1+2 order)}) * (int |g_hat(z)| |z|^order dz)^2,
 
-    with C the Lipschitz constant at exponent ``order`` itself.  Rank-one
-    models factor the double integral into a 1-D integral squared.
+    with C the Lipschitz constant at exponent ``order`` itself.
     """
-    if model.double_transform is None:
-        raise ValidationError("non-stationary spectral bound needs the double transform")
+    if model.separable_g_hat is None:
+        raise ValidationError("rank-one spectral bound needs g_hat")
     if order <= 0:
         raise ValidationError("order must be positive")
     C = _lipschitz_constant(basis, order)
-    if model.separable_g_hat is not None:
-        w1 = _abs_weight_integral(model.separable_g_hat, order)
-        W2 = w1 * w1
-    else:
-        z, wz = gauss_nodes(-64.0, 64.0, 1024)
-        F = np.abs(model.double_transform(z[:, None], z[None, :]))
-        W2 = float((wz * np.abs(z) ** order) @ F @ (wz * np.abs(z) ** order))
-    return C * C * W2 / ((2.0 * math.pi) ** 2 * 2.0 ** (j * (1.0 + 2.0 * order)))
+    w1 = _abs_weight_integral(model.separable_g_hat, order)
+    return C * C * (w1 * w1) / ((2.0 * math.pi) ** 2 * 2.0 ** (j * (1.0 + 2.0 * order)))
 
 
 def second_moment_xi_bound(model: ProcessModel, basis: WaveletPair) -> float:
     """k-independent bound on E|xi_0k|^2.
 
-    Stationary: (1/2 pi) int |R_hat(z)| |phi_hat(z)|^2 dz.  Models carrying
-    only the double transform use the analogous double integral (rank-one
-    factorization when available).
+    Stationary: (1/2 pi) int |R_hat(z)| |phi_hat(z)|^2 dz.  Rank-one:
+    ((1/2 pi) int |g_hat(z)| |phi_hat(z)| dz)^2.
     """
     u, w, ph = _hat_nodes(basis, "f")
-    if model.stationary and model.spectral_density is not None:
+    if model.spectral_density is not None:
         rh = np.abs(np.asarray(model.spectral_density(u), dtype=float))
         return float(np.sum(w * ph**2 * rh)) / (2.0 * math.pi)
     if model.separable_g_hat is not None:
         gh = np.abs(np.asarray(model.separable_g_hat(u), dtype=float))
         val = float(np.sum(w * gh * ph)) / (2.0 * math.pi)
         return val * val
-    if model.double_transform is not None:
-        z, wz = gauss_nodes(-64.0, 64.0, 1024)
-        F = np.abs(model.double_transform(z[:, None], z[None, :]))
-        ph = np.abs(np.atleast_1d(basis.f_hat(z)))
-        return float((wz * ph) @ F @ (wz * ph)) / (2.0 * math.pi) ** 2
     raise ValidationError("scaling-coefficient bound needs spectral data")

@@ -22,7 +22,7 @@ from typing import Dict, List, Tuple, get_args, get_origin
 import numpy as np
 
 from .bounds import TailBoundReport, c_n_infty_integral, tail_probability_bound
-from .errors import ResourceLimitError, ValidationError
+from .errors import ValidationError
 from .expansion import TruncationScheme, batch_lp_errors, interval_window, parse_scheme_spec
 # Not called here, but kept importable from this module: the benchmark's
 # traced run (bench/layers.py) wraps them by module attribute.
@@ -69,12 +69,8 @@ class ExperimentConfig:
             raise ValidationError("grid [-L, L] must cover [0, T]")
         if self.p < 1:
             raise ValidationError("p must be >= 1")
-        try:
-            grid = simulation_grid(self.grid_L, self.grid_h)
-        except ResourceLimitError as exc:
-            raise ValidationError(str(exc)) from None
         # 0 and T must be nodes of the simulation grid
-        interval_window(grid, self.T)
+        interval_window(simulation_grid(self.grid_L, self.grid_h), self.T)
 
     def to_json_dict(self) -> dict:
         return {f.name: _to_json(getattr(self, f.name)) for f in fields(self)}
@@ -155,7 +151,9 @@ def run_experiment(cfg: ExperimentConfig) -> ExperimentResult:
 
     paths = simulate_paths(model, cfg.grid_L, cfg.grid_h, cfg.n_paths, cfg.seed)
     grid = paths[0].grid
-    X = np.column_stack([p.values for p in paths])
+    X = paths[0].values.base  # the paths are the columns of one batch
+    if X is None or X.shape != (grid.size, len(paths)):
+        raise ValueError("simulate_paths must return the columns of one batch")
     errors = np.array(
         [batch_lp_errors(basis, scheme, grid, X, cfg.p, cfg.T) for scheme in cfg.schemes]
     )

@@ -1,22 +1,27 @@
 """Zero-mean second-order process models and exact Gaussian path simulation.
 
-A model bundles the covariance R(t,s), optional spectral data (the Fourier
-transform of R for stationary models, the double transform for non-stationary
-ones), the sub-Gaussian norm function tau(t), and the determinative constant
-C_X relating tau to the second moment.  Gaussian models have tau = sqrt(R(t,t))
-and C_X = 1 exactly; only Gaussian models are simulated, but every bound
-computation accepts a general C_X.
+A model bundles the covariance R(t,s), one spectral description (the
+spectral density R_hat of a stationary model, or g and g_hat of a rank-one
+model X(t) = g(t) Z), the sub-Gaussian norm function tau(t), and the
+determinative constant C_X relating tau to the second moment.  Gaussian
+models have tau = sqrt(R(t,t)) and C_X = 1 exactly; only Gaussian models
+are simulated, but every bound computation accepts a general C_X.
+
+The constructors the model specs call are memoised, so one spec always
+gives the same model object: a process that parses a spec again (a loop
+of runs, not a single CLI call) reuses the moment caches keyed on it.
 """
 
 import csv
 import math
 from dataclasses import dataclass
+from functools import lru_cache
 from pathlib import Path
 from typing import Callable, Optional
 
 import numpy as np
 
-from .errors import NumericError, ResourceLimitError, ValidationError
+from .errors import NumericError, ValidationError
 from .quad import simpson_nodes, trapezoid_weights
 from .wavelets import WaveletPair
 
@@ -25,14 +30,17 @@ _MAX_GRID_POINTS = 10_000
 
 @dataclass(frozen=True)
 class ProcessModel:
-    """Second-order process with covariance, spectral data and tau-norm."""
+    """Second-order process with covariance, spectral data and tau-norm.
+
+    The model is stationary exactly when it carries ``spectral_density``
+    (R_hat, with R(t,s) a function of t - s), and rank-one exactly when it
+    carries ``separable_g`` and ``separable_g_hat`` (R(t,s) = g(t) g(s)).
+    """
 
     covariance: Callable[[np.ndarray, np.ndarray], np.ndarray]
-    stationary: bool
     det_constant: float
     tau_phi: Callable[[np.ndarray], np.ndarray]
     spectral_density: Optional[Callable[[np.ndarray], np.ndarray]] = None
-    double_transform: Optional[Callable] = None
     separable_g: Optional[Callable[[np.ndarray], np.ndarray]] = None
     separable_g_hat: Optional[Callable[[np.ndarray], np.ndarray]] = None
     gaussian: bool = True
@@ -62,17 +70,24 @@ def _validate_covariance(model: ProcessModel) -> None:
             raise ValidationError("Gaussian model must have tau(t) = sqrt(R(t,t))")
         if abs(model.det_constant - 1.0) > 1e-12:
             raise ValidationError("Gaussian model must have C_X = 1")
-    if model.stationary:
+    if (model.separable_g is None) != (model.separable_g_hat is None):
+        raise ValidationError("a rank-one model needs both g and g_hat")
+    if model.spectral_density is not None:
         s = np.linspace(-3.0, 3.0, 7)
         lag = model.covariance(s + 1.25, s * 0 + 1.25)
         lag2 = model.covariance(s - 0.75, s * 0 - 0.75)
         if np.max(np.abs(lag - lag2)) > 1e-10 * (1.0 + np.max(np.abs(lag))):
-            raise ValidationError("stationary flag set but R(t,s) is not a lag function")
+            raise ValidationError("model carries R_hat but R(t,s) is not a lag function")
 
 
 @dataclass(frozen=True)
 class SamplePath:
-    """One simulated realization on a uniform grid."""
+    """One simulated realization on a uniform grid.
+
+    The paths of one ``simulate_paths`` call are the columns of one
+    grid x path matrix: ``values`` is column ``path_index`` of
+    ``values.base``.
+    """
 
     grid: np.ndarray
     values: np.ndarray
@@ -92,13 +107,18 @@ def make_ou(lam: float) -> ProcessModel:
     """Stationary Gaussian Ornstein-Uhlenbeck model.
 
     R(t,s) = exp(-lam |t-s|), spectral density 2 lam / (lam^2 + z^2),
-    unit variance so tau(t) = 1.
+    unit variance so tau(t) = 1.  Equal rates give the same model object.
     """
     if not lam > 0:
         raise ValidationError("OU rate must be positive")
+    # keyed on the float: lru_cache keys an int argument apart from its float
+    return _ou_model(float(lam))
+
+
+@lru_cache(maxsize=None)
+def _ou_model(lam: float) -> ProcessModel:
     return ProcessModel(
         covariance=lambda t, s: np.exp(-lam * np.abs(np.asarray(t) - np.asarray(s))),
-        stationary=True,
         det_constant=1.0,
         tau_phi=lambda t: np.ones_like(np.asarray(t, dtype=float)),
         spectral_density=lambda z: 2.0 * lam / (lam**2 + np.asarray(z, dtype=float) ** 2),
@@ -108,23 +128,20 @@ def make_ou(lam: float) -> ProcessModel:
 def make_separable(g: Callable, g_hat: Callable) -> ProcessModel:
     """Rank-one Gaussian model X(t) = g(t) Z with Z standard normal.
 
-    R(u,v) = g(u) g(v); the double Fourier transform factorizes as
-    g_hat(z) g_hat(w); tau(t) = |g(t)|.
+    R(u,v) = g(u) g(v), so the spectral data is g_hat alone; tau(t) = |g(t)|.
     """
     return ProcessModel(
         covariance=lambda t, s: np.asarray(g(np.asarray(t))) * np.asarray(g(np.asarray(s))),
-        stationary=False,
         det_constant=1.0,
         tau_phi=lambda t: np.abs(np.asarray(g(np.asarray(t)))),
-        double_transform=lambda z, w: np.asarray(g_hat(np.asarray(z)))
-        * np.asarray(g_hat(np.asarray(w))),
         separable_g=g,
         separable_g_hat=g_hat,
     )
 
 
+@lru_cache(maxsize=None)
 def make_gauss_bump() -> ProcessModel:
-    """The shipped separable example: g(t) = exp(-t^2/2)."""
+    """The shipped separable example: g(t) = exp(-t^2/2); one model object."""
     root_two_pi = math.sqrt(2.0 * math.pi)
     return make_separable(
         g=lambda t: np.exp(-0.5 * np.asarray(t, dtype=float) ** 2),
@@ -153,7 +170,7 @@ def simulation_grid(L: float, h: float) -> np.ndarray:
     if abs(n_steps * h - 2.0 * L) > 1e-9 * L:
         raise ValidationError("step h must divide the interval [-L, L]")
     if n_steps + 1 > _MAX_GRID_POINTS:
-        raise ResourceLimitError(
+        raise ValidationError(
             f"grid would have {n_steps + 1} points (limit {_MAX_GRID_POINTS})"
         )
     return -L + h * np.arange(n_steps + 1)
@@ -189,7 +206,9 @@ def simulate_paths(
 
     Path i draws its normals from an independent counter-based stream keyed
     by (seed, i), so the output is deterministic given (model, grid, seed)
-    and independent of any parallel execution order.
+    and independent of any parallel execution order.  The paths' values are
+    the columns of one grid x path matrix, so a retained path keeps the
+    whole batch alive.
     """
     if not model.gaussian:
         raise ValidationError("only Gaussian models can be simulated")
@@ -202,8 +221,9 @@ def simulate_paths(
     for i in range(n_paths):
         Z[:, i] = _path_rng(seed, i).standard_normal(n)
     X = F @ Z
+    del Z
     return [
-        SamplePath(grid=grid, values=X[:, i].copy(), seed=seed, path_index=i)
+        SamplePath(grid=grid, values=X[:, i], seed=seed, path_index=i)
         for i in range(n_paths)
     ]
 

@@ -295,6 +295,6 @@ def test_criterion_10_planner_soundness():
         eps, delta, exc = failures[0]
         pytest.fail(
             f"planner infeasible for (eps={eps}, delta={delta}): {exc} "
-            "[analytically unreachable at this desk-scale lattice; "
-            "see the criterion docstring]"
+            "[the uniform-route constant no longer reaches this target on "
+            "the n <= 12 lattice; see the criterion docstring]"
         )

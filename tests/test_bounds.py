@@ -10,12 +10,14 @@ from subwave.errors import (
 )
 from subwave.expansion import (
     TruncationScheme,
+    coefficient_moments,
     parse_scheme_spec,
     second_moment_eta,
     second_moment_eta_parseval,
     second_moment_eta_spectral_bound,
 )
 from subwave.orlicz import make_gaussian, make_power_family
+from subwave.processes import parse_model_spec
 from subwave.bounds import (
     _level_series,
     c_n_infty_integral,
@@ -150,6 +152,23 @@ class TestCnInftyIntegral:
     def test_rejects_bad_p(self, ou1, meyer):
         with pytest.raises(ValidationError):
             c_n_infty_integral(ou1, meyer, TruncationScheme(2, (2,)), 0.5, 1.0)
+
+    def test_fresh_parses_share_moment_caches(self, haar):
+        # one spec gives one model, so the moment caches hit across parses
+        coefficient_moments.cache_clear()
+        _level_series.cache_clear()
+        scheme = parse_scheme_spec("k0'=2;k=2,3")
+        vals = [
+            c_n_infty_integral(parse_model_spec("ou:1"), haar, scheme, 2.0, 0.75)
+            for _ in range(3)
+        ]
+        info = coefficient_moments.cache_info()
+        assert vals[0] == vals[1] == vals[2]
+        assert (info.misses, info.hits, info.currsize) == (1, 2, 1)
+        for _ in range(3):
+            c_n_infty_uniform(parse_model_spec("ou:1"), haar, scheme, 2.0, 0.75, 0.7)
+        info = _level_series.cache_info()
+        assert (info.misses, info.hits, info.currsize) == (1, 2, 1)
 
 
 class TestCnInftyUniform:

@@ -120,7 +120,7 @@ class TestSimulateCommand:
             "simulate", "--model", "ou:1", "--L", "100", "--h", "0.001",
             "--paths", "1", "--seed", "1", "--out", str(tmp_path / "x"),
         )
-        assert r.returncode == 1
+        assert r.returncode == 2
 
 
 class TestExperimentCommand:
@@ -156,7 +156,7 @@ class TestExperimentCommand:
         assert not (tmp_path / "results").exists()
 
     def test_grid_too_large(self, tmp_path):
-        # a config error (exit 2), unlike `subwave simulate` on such a grid
+        # a config error (exit 2), as for `subwave simulate` on such a grid
         cfg = {
             "model_spec": "ou:1",
             "basis_spec": "haar",

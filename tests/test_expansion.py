@@ -16,7 +16,6 @@ from subwave.expansion import (
     batch_coefficients,
     batch_lp_errors,
     batch_reconstruct,
-    coefficients_csv,
     compute_coefficients,
     interval_window,
     lp_error,
@@ -115,17 +114,6 @@ class TestCoefficients:
         with pytest.raises(SupportCoverageError) as err:
             compute_coefficients(path, meyer, TruncationScheme(1, (1,)))
         assert err.value.level in ("f", "m")
-
-    def test_csv_dump(self, haar):
-        grid = np.arange(-4.0, 4.0 + 2.0**-6, 2.0**-6)
-        path = make_path(grid, np.zeros_like(grid))
-        coeffs = compute_coefficients(path, haar, TruncationScheme(0, (1,)))
-        text = coefficients_csv(coeffs)
-        lines = text.splitlines()
-        assert lines[0] == "level,j,k,value"
-        assert lines[1] == "phi,0,0,0.0"
-        assert len(lines) == 1 + coeffs.scheme.count()
-        assert lines[2].startswith("psi,0,-1,")
 
 
 class TestReconstruct:
@@ -393,7 +381,6 @@ class TestXiBound:
 
         plain = ProcessModel(
             covariance=lambda t, s: np.exp(-np.abs(np.asarray(t) - np.asarray(s))),
-            stationary=False,
             det_constant=1.0,
             tau_phi=lambda t: np.ones_like(np.asarray(t, dtype=float)),
         )

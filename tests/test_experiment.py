@@ -16,7 +16,7 @@ from subwave.experiment import (
     tightness_report,
     write_outputs,
 )
-from subwave.processes import parse_model_spec, simulate_paths
+from subwave.processes import SamplePath, parse_model_spec, simulate_paths
 from subwave.wavelets import make_basis
 
 BASE = {
@@ -171,6 +171,19 @@ class TestOnePipeline:
         monkeypatch.setattr(experiment, "simulate_paths", spy)
         run_experiment(config_from_dict(BASE))
         assert len(calls) == 1
+
+    def test_paths_must_share_one_batch(self, monkeypatch):
+        real = experiment.simulate_paths
+
+        def copied(*args, **kwargs):
+            return [
+                SamplePath(p.grid, p.values.copy(), p.seed, p.path_index)
+                for p in real(*args, **kwargs)
+            ]
+
+        monkeypatch.setattr(experiment, "simulate_paths", copied)
+        with pytest.raises(ValueError, match="one batch"):
+            run_experiment(config_from_dict(BASE))
 
     def test_traced_names_resolve(self, monkeypatch):
         # the benchmark's traced run wraps these module attributes by name

@@ -3,7 +3,7 @@ import math
 import numpy as np
 import pytest
 
-from subwave.errors import ResourceLimitError, ValidationError
+from subwave.errors import ValidationError
 from subwave.processes import (
     ProcessModel,
     SamplePath,
@@ -50,8 +50,9 @@ class TestSeparable:
     def test_covariance_value(self, gauss_bump):
         assert gauss_bump.covariance(1.0, 1.0) == pytest.approx(math.exp(-1.0))
 
-    def test_double_transform_origin(self, gauss_bump):
-        assert gauss_bump.double_transform(0.0, 0.0) == pytest.approx(2.0 * math.pi)
+    def test_g_hat_origin(self, gauss_bump):
+        # the double transform g_hat(z) g_hat(w) at the origin
+        assert gauss_bump.separable_g_hat(0.0) ** 2 == pytest.approx(2.0 * math.pi)
 
     def test_g_hat_matches_numeric_transform(self, gauss_bump):
         t = np.linspace(-20.0, 20.0, 40001)
@@ -71,7 +72,6 @@ class TestModelValidation:
         with pytest.raises(ValidationError):
             ProcessModel(
                 covariance=lambda t, s: np.asarray(t) - np.asarray(s),
-                stationary=False,
                 det_constant=1.0,
                 tau_phi=lambda t: np.zeros_like(np.asarray(t, dtype=float)),
                 gaussian=False,
@@ -81,19 +81,30 @@ class TestModelValidation:
         with pytest.raises(ValidationError):
             ProcessModel(
                 covariance=lambda t, s: np.exp(-np.abs(np.asarray(t) - np.asarray(s))),
-                stationary=True,
                 det_constant=1.0,
                 tau_phi=lambda t: 2.0 * np.ones_like(np.asarray(t, dtype=float)),
             )
 
-    def test_stationary_flag_checked(self):
-        with pytest.raises(ValidationError):
+    def test_spectral_density_needs_lag_covariance(self):
+        # a model with R_hat is stationary, so R(t,s) must depend on t - s only
+        with pytest.raises(ValidationError, match="lag"):
             ProcessModel(
                 covariance=lambda t, s: np.asarray(t) * np.asarray(s),
-                stationary=True,
                 det_constant=1.0,
                 tau_phi=lambda t: np.abs(np.asarray(t, dtype=float)),
+                spectral_density=lambda z: np.ones_like(np.asarray(z, dtype=float)),
             )
+
+    def test_rank_one_needs_g_and_g_hat(self):
+        g = lambda t: np.exp(-0.5 * np.asarray(t, dtype=float) ** 2)
+        for half in ({"separable_g": g}, {"separable_g_hat": g}):
+            with pytest.raises(ValidationError, match="both g and g_hat"):
+                ProcessModel(
+                    covariance=lambda t, s: g(t) * g(s),
+                    det_constant=1.0,
+                    tau_phi=g,
+                    **half,
+                )
 
     def test_spec_strings(self):
         ou = parse_model_spec("ou:1.5")
@@ -104,10 +115,18 @@ class TestModelValidation:
             with pytest.raises(ValidationError):
                 parse_model_spec(bad)
 
+    def test_spec_models_are_values(self):
+        assert parse_model_spec("ou:1") is parse_model_spec("ou:1")
+        assert parse_model_spec("ou:1") is parse_model_spec("ou:1.0")
+        assert make_ou(1) is make_ou(1.0)
+        assert make_ou(1.0) is not make_ou(2.0)
+        bump = parse_model_spec("separable:gauss-bump")
+        assert bump is parse_model_spec("separable:gauss-bump") is make_gauss_bump()
+
 
 class TestSimulation:
     def test_grid_limits(self):
-        with pytest.raises(ResourceLimitError):
+        with pytest.raises(ValidationError, match="limit 10000"):
             simulation_grid(100.0, 0.01)
         with pytest.raises(ValidationError):
             simulation_grid(1.0, 0.3)  # 0.3 does not divide [-1, 1]
@@ -151,10 +170,17 @@ class TestSimulation:
             z = p.values[np.argmax(g)]  # value at t=0, where g=1
             assert np.allclose(p.values, z * g, atol=1e-10)
 
+    def test_paths_are_columns_of_one_batch(self, ou1):
+        paths = simulate_paths(ou1, 2.0, 0.25, 5, seed=2)
+        batch = paths[0].values.base
+        assert batch is not None and batch.shape == (17, 5)
+        for i, p in enumerate(paths):
+            assert p.values.base is batch
+            assert np.array_equal(p.values, batch[:, i])
+
     def test_non_gaussian_not_simulatable(self):
         m = ProcessModel(
             covariance=lambda t, s: np.exp(-np.abs(np.asarray(t) - np.asarray(s))),
-            stationary=True,
             det_constant=2.0,
             tau_phi=lambda t: 2.0 * np.ones_like(np.asarray(t, dtype=float)),
             gaussian=False,
