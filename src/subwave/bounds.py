@@ -11,8 +11,9 @@ error, Gaussian-type models, small schemes) and the uniform route (direct
 lattice-sum constants of the tabulated wavelets plus k-independent level
 moments: exact Parseval values for stationary models on a band-limited
 basis, spectral bounds otherwise; the level series is summed explicitly
-to level 480 and closed by its spectral-bound remainder in closed form).
-The planner walks a lattice of schemes on the uniform route.
+to level 480 and closed by its spectral-bound remainder in closed form;
+tail constants run over the omitted shifts |k| >= k_j + 1).  The planner
+walks a lattice of schemes on the uniform route.
 """
 
 import math
@@ -211,28 +212,12 @@ def c_n_infty_integral(
 # Levels summed explicitly: 0.._MAX_LEVEL (at which 4^j still fits in a
 # double, so frequency-side moments stay finite).
 _MAX_LEVEL = 480
-
-
-def _sup_moment_route(model: ProcessModel):
-    """Pick the k-independent moment-bound route a model supports."""
-    if model.spectral_density is not None:
-        return "stationary"
-    if model.separable_g_hat is not None:
-        return "rank-one"
-    raise ValidationError(
-        "uniform-route constants need a stationary spectral density "
-        "or a rank-one g_hat"
-    )
-
-
-def _eta_sup_bound(model, basis, j, alpha, route):
-    if route == "stationary":
-        return second_moment_eta_spectral_bound(model, basis, j, alpha)
-    return second_moment_eta_spectral_bound_ns(model, basis, j, alpha)
+_CONVERGENCE_TOL = 1e-9  # the level series converges iff its ratio q < 1 - _CONVERGENCE_TOL
 
 
 class _LevelSeries:
-    """Level factors of the uniform-route series for one (model, basis, alpha).
+    """Level factors of the uniform-route series for one (model, basis, alpha):
+    the one place that reads the route, ``q`` and ``convergent`` off the model.
 
     ``terms[j]`` = sqrt(sup_k E eta_j^2) 2^{j/2} for j <= _MAX_LEVEL, with the
     moment the route evaluates at explicit levels: the exact Parseval value
@@ -242,15 +227,25 @@ class _LevelSeries:
     sum_{i>=j} bound_term(i) = bound_term(j) / (1 - q).
 
     ``suffix[j]`` = C_psi (sum_{j<=i<=_MAX_LEVEL} terms[i] + sum_{i>_MAX_LEVEL}
-    bound_term(i)), the level series from j on with the lattice constant C_psi;
-    ``suffix[_MAX_LEVEL + 1]`` is the closed-form closure alone.
+    bound_term(i)), the level series from j on with the lattice constant ``c_psi``;
+    ``suffix[_MAX_LEVEL + 1]`` is the closed-form closure alone (inf if divergent).
     """
 
     def __init__(self, model: ProcessModel, basis: WaveletPair, alpha: float):
-        self.route = _sup_moment_route(model)
-        self.q = 2.0 ** (-alpha / 2.0) if self.route == "stationary" else 2.0 ** (-alpha)
+        if model.spectral_density is not None:
+            self.route, self.q = "stationary", 2.0 ** (-alpha / 2.0)
+            spectral_bound = second_moment_eta_spectral_bound
+        elif model.separable_g_hat is not None:
+            self.route, self.q = "rank-one", 2.0 ** (-alpha)
+            spectral_bound = second_moment_eta_spectral_bound_ns
+        else:
+            raise ValidationError(
+                "uniform-route constants need a stationary spectral density "
+                "or a rank-one g_hat"
+            )
+        self.convergent = self.q < 1.0 - _CONVERGENCE_TOL
         self.xi_moment = second_moment_xi_bound(model, basis)
-        self._bound0 = math.sqrt(_eta_sup_bound(model, basis, 0, alpha, self.route))
+        self._bound0 = math.sqrt(spectral_bound(model, basis, 0, alpha))
         levels = range(_MAX_LEVEL + 1)
         if self.route == "stationary" and band_limited(basis):
             self.terms = [
@@ -259,20 +254,18 @@ class _LevelSeries:
             ]
         else:
             self.terms = [self.bound_term(j) for j in levels]
-        c_psi = lattice_constant(basis, "m")
-        closure = (
-            self.bound_term(_MAX_LEVEL + 1) * c_psi / (1.0 - self.q) if self.q < 1.0 else math.inf
-        )
-        weighted = [term * c_psi for term in self.terms] + [closure]
+        self.c_psi = lattice_constant(basis, "m")
+        closure = math.inf
+        if self.convergent:
+            closure = self.bound_term(_MAX_LEVEL + 1) * self.c_psi / (1.0 - self.q)
+        weighted = [term * self.c_psi for term in self.terms] + [closure]
         self.suffix = list(accumulate(reversed(weighted)))[::-1]
 
     def bound_term(self, j: int) -> float:
         return self._bound0 * self.q**j
 
 
-@lru_cache(maxsize=None)
-def _level_series(model: ProcessModel, basis: WaveletPair, alpha: float) -> _LevelSeries:
-    return _LevelSeries(model, basis, alpha)
+_level_series = lru_cache(maxsize=None)(_LevelSeries)
 
 
 def level_cutoff(scheme: TruncationScheme, T: float) -> int:
@@ -308,6 +301,8 @@ def c_n_infty_uniform(
     Constants: C_phi(T, k0'), C_psi(2^j T, k_j) and C_psi are the direct
     lattice sums (``lattice_tail_constant`` / ``lattice_constant``) of the
     tabulated functions the code evaluates, not the envelope constants.
+    The scheme keeps |k| <= k_j, so the tail constants run over the omitted
+    shifts |k| >= k_j + 1 (and |k| >= k0' + 1).
 
     Moments: sup_k E xi^2 is the frequency-side value.  For stationary
     models on a band-limited basis (Meyer) sup_k E eta_j^2 is the exact
@@ -317,25 +312,25 @@ def c_n_infty_uniform(
 
     Closure: levels J..480 are summed explicitly (suffix sums computed once
     per model, basis and alpha, so a call takes O(J) time), and the levels
-    from 481 on are the spectral-bound series in closed form; its ratio is
-    2^(-alpha/2) (stationary) or 2^(-alpha) (rank-one).
+    from 481 on are the spectral-bound series in closed form; its ratio q is
+    2^(-alpha/2) (stationary) or 2^(-alpha) (rank-one); q >= 1 - 1e-9 raises DivergenceError.
     """
     if not p >= 1:
         raise ValidationError("p must be >= 1")
     if scheme.k0_prime < T + 1:
         raise ValidationError("C_phi(T, k0') needs k0' >= T + 1")
     series = _level_series(model, basis, alpha)
-    if series.q >= 1.0 - 1e-12:
-        raise DivergenceError("level series does not decay (ratio >= 1)")
+    if not series.convergent:
+        raise DivergenceError(f"level series does not converge (ratio {series.q!r})")
     J = level_cutoff(scheme, T)
     if J > _MAX_LEVEL:
         raise ResourceLimitError(f"level cutoff {J} exceeds {_MAX_LEVEL} levels")
     total = math.sqrt(series.xi_moment) * lattice_tail_constant(
-        basis, "f", T, scheme.k0_prime
+        basis, "f", T, scheme.k0_prime + 1
     )
     for j in range(J):
         total += series.terms[j] * lattice_tail_constant(
-            basis, "m", 2.0**j * T, scheme.levels[j]
+            basis, "m", 2.0**j * T, scheme.levels[j] + 1
         )
     total += series.suffix[J]
     return model.det_constant**p * T * total**p
@@ -348,25 +343,25 @@ def series_condition_check(
 
     The series sqrt(sup E xi^2) C_phi + sum_j sqrt(b_j) 2^{j/2} C_psi, with
     b_j the spectral moment bound and the direct lattice-sum constants,
-    converges iff the term ratio stays below 1; the ratio is exactly
-    2^(-alpha/2) (stationary) or 2^(-alpha) (rank-one).  This is the
-    series whose tail closes the uniform-route constant.
+    has the exact ratio q = 2^(-alpha/2) (stationary) or 2^(-alpha)
+    (rank-one); its tail closes the uniform-route constant.  The verdict is
+    the series' single convergence test, the one ``c_n_infty_uniform``
+    raises on; ``ratios`` are the numeric term ratios up to j_probe >= 0.
     """
+    if j_probe < 0:
+        raise ValidationError("j_probe must be >= 0")
     series = _level_series(model, basis, alpha)
-    q = series.q
-    c_psi = lattice_constant(basis, "m")
     xi_term = math.sqrt(series.xi_moment) * lattice_constant(basis, "f")
-    terms = [series.bound_term(j) * c_psi for j in range(j_probe + 1)]
+    terms = [series.bound_term(j) * series.c_psi for j in range(j_probe + 1)]
     ratios = [b / a for a, b in zip(terms[:-1], terms[1:])]
-    convergent = bool(ratios and max(ratios) < 1.0 - 1e-9)
-    tail = terms[-1] * q / (1.0 - q) if convergent else math.inf
+    tail = terms[-1] * series.q / (1.0 - series.q) if series.convergent else math.inf
     return {
         "route": series.route,
         "xi_term": xi_term,
         "terms": terms,
         "ratios": ratios,
-        "limit_ratio": q,
-        "verdict": "convergent" if convergent else "divergent",
+        "limit_ratio": series.q,
+        "verdict": "convergent" if series.convergent else "divergent",
         "partial_sum": xi_term + sum(terms),
         "geometric_tail": tail,
     }

@@ -38,7 +38,7 @@ from .errors import (
 )
 from .processes import ProcessModel, SamplePath
 from .quad import gauss_nodes, piecewise_simpson_nodes, trapezoid_weights
-from .wavelets import WaveletPair, eval_dilated
+from .wavelets import WaveletPair, eval_dilated, lipschitz_fit
 
 _TAIL_MASS = 1e-6  # relative envelope tail mass defining effective supports
 _TWO_PI_3 = 2.0 * math.pi / 3.0
@@ -391,6 +391,13 @@ def _hat_nodes(basis: WaveletPair, which: str):
     return u, np.concatenate(w), np.abs(np.atleast_1d(hat(u)))
 
 
+def _parseval_integral(model: ProcessModel, basis: WaveletPair, which: str, j: int) -> float:
+    """(1/2pi) int |R_hat(2^j u)| |w_hat(u)|^2 du over the window nodes of w_hat."""
+    u, w, h = _hat_nodes(basis, which)
+    rh = np.abs(np.asarray(model.spectral_density(2.0**j * u), dtype=float))
+    return float(np.sum(w * h**2 * rh)) / (2.0 * math.pi)
+
+
 def second_moment_eta_parseval(model: ProcessModel, basis: WaveletPair, j: int) -> float:
     """Frequency-side value (1 / 2^{j+1} pi) int |R_hat(z)| |psi_hat(z/2^j)|^2 dz.
 
@@ -399,15 +406,11 @@ def second_moment_eta_parseval(model: ProcessModel, basis: WaveletPair, j: int) 
     """
     if model.spectral_density is None:
         raise ValidationError("frequency-side moment needs a spectral density")
-    u, w, h = _hat_nodes(basis, "m")
-    rh = np.abs(np.asarray(model.spectral_density(2.0**j * u), dtype=float))
-    return float(np.sum(w * h**2 * rh)) / (2.0 * math.pi)
+    return _parseval_integral(model, basis, "m", j)
 
 
 @lru_cache(maxsize=None)
 def _lipschitz_constant(basis: WaveletPair, gamma: float) -> float:
-    from .wavelets import lipschitz_fit
-
     return lipschitz_fit(basis, [gamma])[1]
 
 
@@ -490,11 +493,10 @@ def second_moment_xi_bound(model: ProcessModel, basis: WaveletPair) -> float:
     Stationary: (1/2 pi) int |R_hat(z)| |phi_hat(z)|^2 dz.  Rank-one:
     ((1/2 pi) int |g_hat(z)| |phi_hat(z)| dz)^2.
     """
-    u, w, ph = _hat_nodes(basis, "f")
     if model.spectral_density is not None:
-        rh = np.abs(np.asarray(model.spectral_density(u), dtype=float))
-        return float(np.sum(w * ph**2 * rh)) / (2.0 * math.pi)
+        return _parseval_integral(model, basis, "f", 0)
     if model.separable_g_hat is not None:
+        u, w, ph = _hat_nodes(basis, "f")
         gh = np.abs(np.asarray(model.separable_g_hat(u), dtype=float))
         val = float(np.sum(w * gh * ph)) / (2.0 * math.pi)
         return val * val

@@ -99,6 +99,8 @@ class SamplePath:
             raise ValidationError("grid and values must have equal length")
         d = np.diff(self.grid)
         h = d[0]
+        if not h > 0:
+            raise ValidationError("grid must be increasing")
         if np.any(np.abs(d - h) > 1e-12 * max(abs(h), 1.0)):
             raise ValidationError("grid step must be uniform")
 

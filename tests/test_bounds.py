@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from subwave.errors import (
+    DivergenceError,
     InfeasiblePlanError,
     ResourceLimitError,
     ValidationError,
@@ -30,9 +31,10 @@ from subwave.bounds import (
     tail_probability_bound,
 )
 
-# recorded from the uniform route with direct lattice sums and exact Parseval
-# level moments; the pipeline is deterministic
-UNIFORM_REGRESSION_VALUE = 0.9170547794153667
+# recorded from the uniform route with direct lattice sums over the omitted
+# shifts |k| >= k_j + 1 and exact Parseval level moments; the pipeline is
+# deterministic
+UNIFORM_REGRESSION_VALUE = 0.6578180248954812
 
 
 class TestEpsilonThreshold:
@@ -212,6 +214,13 @@ class TestCnInftyUniform:
         with pytest.raises(ValidationError):
             c_n_infty_uniform(ou1, meyer, TruncationScheme(1, (3, 4)), 2.0, 1.0, 0.5)
 
+    def test_ratio_near_one_diverges(self, ou1, meyer):
+        # q = 2^(-1e-10) is within 1e-9 of 1: the constant and the diagnostic
+        # both read the one convergence test of the level series
+        with pytest.raises(DivergenceError):
+            c_n_infty_uniform(ou1, meyer, TruncationScheme(2, (2,)), 2.0, 1.0, 2e-10)
+        assert series_condition_check(ou1, meyer, 2e-10, 4)["verdict"] == "divergent"
+
 
 class TestUniformMoments:
     """The level moments and the constant of the uniform route are sound."""
@@ -266,6 +275,14 @@ class TestSeriesCondition:
     def test_partial_sum_and_tail_finite(self, ou1, meyer):
         rep = series_condition_check(ou1, meyer, 0.5, 5)
         assert np.isfinite(rep["partial_sum"]) and np.isfinite(rep["geometric_tail"])
+
+    def test_single_term_probe(self, ou1, meyer):
+        # no numeric ratio at j_probe = 0; the verdict is the series' own
+        rep = series_condition_check(ou1, meyer, 0.5, 0)
+        assert rep["verdict"] == "convergent" and rep["ratios"] == []
+        assert np.isfinite(rep["geometric_tail"])
+        with pytest.raises(ValidationError):
+            series_condition_check(ou1, meyer, 0.5, -1)
 
 
 class TestPlanner:

@@ -1,15 +1,21 @@
 import json
 import math
+import os
 import subprocess
 import sys
+from pathlib import Path
 
 import pytest
 
 CLI = [sys.executable, "-m", "subwave.cli"]
+# the subprocess imports the package from this checkout, installed or not
+SRC = str(Path(__file__).resolve().parents[1] / "src")
 
 
 def run_cli(*args):
-    return subprocess.run(CLI + list(args), capture_output=True, text=True)
+    path = os.pathsep.join(filter(None, [SRC, os.environ.get("PYTHONPATH")]))
+    env = {**os.environ, "PYTHONPATH": path}
+    return subprocess.run(CLI + list(args), capture_output=True, text=True, env=env)
 
 
 class TestBoundCommand:

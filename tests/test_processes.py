@@ -138,6 +138,8 @@ class TestSimulation:
             SamplePath(
                 grid=np.array([0.0, 1.0, 3.0]), values=np.zeros(3), seed=0, path_index=0
             )
+        with pytest.raises(ValidationError, match="increasing"):
+            SamplePath(grid=np.linspace(2.0, -2.0, 33), values=np.zeros(33), seed=0, path_index=0)
 
     def test_determinism(self, ou1):
         a = simulate_paths(ou1, 2.0, 0.125, 3, seed=42)
