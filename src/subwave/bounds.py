@@ -76,55 +76,51 @@ class TailBoundReport:
 def epsilon_threshold(nf: NFunction, c: float, p: float, method: str = "auto") -> float:
     """Smallest eps with eps > c * f(p (c/eps)^(1/p))^p, f the density.
 
-    The right side is nonincreasing in eps, so the crossing is found by
-    bisection; closed forms are used for the built-in families unless
-    ``method="numeric"`` forces the solver:
+    Writing eps = c u^p turns the condition into u > f(p/u), so the
+    threshold is eps* = c u*^p, linear in c, with u* the one root of
+    u = f(p/u) (u - f(p/u) increases in u).  For the power family
+    f(x) = x^(a-1) (the Gaussian is a = 2) the root is u* = p^((a-1)/a):
 
-        gaussian:  c p^(p/2)
-        power a:   c p^((a-1)/a * p)
+        eps* = c p^((a-1)/a * p)
+
+    Any other phi, or ``method="numeric"``, brackets u* from u = 1 by
+    halving or doubling and bisects it to 1e-15 relative.
     """
     if not c > 0:
         raise ValidationError("threshold needs c > 0")
     if not p >= 1:
         raise ValidationError("threshold needs p >= 1")
-    if method not in ("auto", "numeric", "closed"):
+    if method not in ("auto", "numeric"):
         raise ValidationError(f"unknown threshold method {method!r}")
-    if method != "numeric":
-        if nf.family == "gaussian":
-            return c * p ** (p / 2.0)
-        if nf.family == "power":
-            alpha = nf.params[0]
-            return c * p ** ((alpha - 1.0) / alpha * p)
-        if method == "closed":
-            raise ValidationError("no closed-form threshold for this family")
+    if method == "auto" and nf.family in ("gaussian", "power"):
+        alpha = nf.params[0]
+        return c * p ** ((alpha - 1.0) / alpha * p)
 
-    def rhs(eps):
-        x = p * (c / eps) ** (1.0 / p)
-        return c * nf.density_f(x) ** p
+    def excess(u):
+        return u - nf.density_f(p / u)
 
-    lo = c * 1e-9
-    expand = 0
-    while lo - rhs(lo) >= 0:
-        lo /= 16.0
-        expand += 1
-        if expand > 200:
-            raise NumericError("threshold bisection found no lower bracket")
-    hi = max(c, lo * 2.0)
-    expand = 0
-    while hi - rhs(hi) <= 0:
-        hi *= 2.0
-        expand += 1
-        if expand > 200:
-            raise NumericError("threshold bisection found no upper bracket")
+    lo = hi = 1.0
+    for _ in range(200):
+        if excess(lo) <= 0:
+            break
+        lo, hi = 0.5 * lo, lo
+    else:
+        raise NumericError("threshold bisection found no lower bracket")
+    for _ in range(200):
+        if excess(hi) > 0:
+            break
+        lo, hi = hi, 2.0 * hi
+    else:
+        raise NumericError("threshold bisection found no upper bracket")
     for _ in range(200):
         mid = 0.5 * (lo + hi)
-        if mid - rhs(mid) > 0:
+        if excess(mid) > 0:
             hi = mid
         else:
             lo = mid
-        if hi - lo <= 1e-14 * hi:
+        if hi - lo <= 1e-15 * hi:
             break
-    return 0.5 * (lo + hi)
+    return c * (0.5 * (lo + hi)) ** p
 
 
 def tail_probability_bound(
@@ -198,6 +194,8 @@ def c_n_infty_integral(
     """
     if not p >= 1:
         raise ValidationError("p must be >= 1")
+    if not T > 0:
+        raise ValidationError("T must be > 0")
     t, w = simpson_nodes(0.0, T, 256)
     E = _ms_error_curve(model, basis, scheme, t)
     if np.min(E) < -1e-8:
@@ -317,6 +315,8 @@ def c_n_infty_uniform(
     """
     if not p >= 1:
         raise ValidationError("p must be >= 1")
+    if not T > 0:
+        raise ValidationError("T must be > 0")
     if scheme.k0_prime < T + 1:
         raise ValidationError("C_phi(T, k0') needs k0' >= T + 1")
     series = _level_series(model, basis, alpha)

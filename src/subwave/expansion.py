@@ -180,6 +180,8 @@ def interval_window(grid, T: float):
     trapezoid rule covers the whole of [0, T].
     """
     grid = np.asarray(grid, dtype=float)
+    if grid.size < 2:
+        raise ValidationError("grid needs at least two nodes")
     tol = 1e-9 * (grid[1] - grid[0])
     if not T > 0 or grid[0] > tol or grid[-1] < T - tol:
         raise ValidationError("[0, T] must be a nonempty interval inside the path grid")

@@ -126,9 +126,9 @@ class ExperimentResult:
 
     def results_csv(self) -> str:
         lines = ["scheme_index,path_index,lp_error"]
-        for s in range(self.per_path_errors.shape[0]):
-            for i in range(self.per_path_errors.shape[1]):
-                lines.append(f"{s},{i},{self.per_path_errors[s, i]!r}")
+        for s, row in enumerate(self.per_path_errors.tolist()):
+            for i, err in enumerate(row):
+                lines.append(f"{s},{i},{err!r}")
         return "\n".join(lines) + "\n"
 
     def tails_csv(self) -> str:

@@ -9,9 +9,10 @@ for which the bound is asserted.
 
 Built-in families:
 
-* ``gaussian``      phi(x) = x^2/2, self-conjugate, density x.
 * ``power:alpha``   phi(x) = |x|^alpha / alpha for 1 < alpha <= 2, with
   conjugate |x|^beta / beta, 1/alpha + 1/beta = 1, density x^(alpha-1).
+* ``gaussian``      phi(x) = x^2/2, self-conjugate, density x: the power
+  family at alpha = 2 under its own name.
 
 Custom evaluators are accepted and validated structurally on a fixed grid at
 construction time.
@@ -19,7 +20,7 @@ construction time.
 
 import math
 import re
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from typing import Callable, Optional
 
 import numpy as np
@@ -99,15 +100,8 @@ def _validate_structure(nf: NFunction) -> None:
 
 
 def make_gaussian() -> NFunction:
-    """The Gaussian N-function phi(x) = x^2/2 (self-conjugate)."""
-    return NFunction(
-        family="gaussian",
-        params=(),
-        phi=lambda x: 0.5 * x * x,
-        density_f=lambda x: x,
-        conjugate_closed_form=lambda x: 0.5 * x * x,
-        q_constant=0.5,
-    )
+    """The Gaussian N-function phi(x) = x^2/2: the power family at alpha = 2."""
+    return replace(make_power_family(2.0), family="gaussian")
 
 
 def make_power_family(alpha: float) -> NFunction:

@@ -97,6 +97,8 @@ class SamplePath:
     def __post_init__(self):
         if len(self.grid) != len(self.values):
             raise ValidationError("grid and values must have equal length")
+        if len(self.grid) < 2:
+            raise ValidationError("grid needs at least two nodes")
         d = np.diff(self.grid)
         h = d[0]
         if not h > 0:

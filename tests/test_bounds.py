@@ -1,3 +1,4 @@
+import dataclasses
 import math
 
 import numpy as np
@@ -59,6 +60,8 @@ class TestEpsilonThreshold:
             epsilon_threshold(make_gaussian(), 0.0, 2.0)
         with pytest.raises(ValidationError):
             epsilon_threshold(make_gaussian(), 1.0, 0.5)
+        with pytest.raises(ValidationError, match="unknown threshold method"):
+            epsilon_threshold(make_gaussian(), 1.0, 2.0, method="closed")
 
     def test_custom_family_uses_solver(self):
         from subwave.orlicz import make_custom
@@ -66,6 +69,22 @@ class TestEpsilonThreshold:
         nf = make_custom(phi=lambda x: 0.5 * x * x)
         # same phi as the gaussian family, so the same crossing
         assert epsilon_threshold(nf, 1.0, 2.0) == pytest.approx(2.0, rel=1e-6)
+
+    def test_cosh_threshold_is_linear_in_c(self):
+        # phi = cosh x - 1 is quadratic at 0; u* solves u = sinh(p/u)
+        from subwave.orlicz import make_custom
+
+        nf = make_custom(phi=lambda x: math.cosh(x) - 1.0, density=math.sinh)
+        tau = epsilon_threshold(nf, 1.0, 2.0)
+        assert tau == pytest.approx(2.5624826012956627, rel=1e-12)
+        u = math.sqrt(tau)
+        assert u == pytest.approx(math.sinh(2.0 / u), rel=1e-12)
+        for p in (1.0, 2.0, 4.0):
+            ref = epsilon_threshold(nf, 1.0, p)
+            for c in (1e-14, 1e8):
+                assert epsilon_threshold(nf, c, p) / c == pytest.approx(ref, rel=1e-12)
+        rep = tail_probability_bound(nf, 1.0, 2.0, 10.0)
+        assert rep.valid and 0.0 < rep.bound < 2.0
 
 
 class TestTailProbabilityBound:
@@ -100,6 +119,11 @@ class TestTailProbabilityBound:
         b = tail_probability_bound(nf, lam * 1.0, 2.0, lam * 4.0)
         assert b.bound == pytest.approx(a.bound, rel=1e-12)
         assert a.valid == b.valid
+
+    @pytest.mark.parametrize("c, p, eps", [(0.0, 2.0, 4.0), (1.0, 0.5, 4.0), (1.0, 2.0, 0.0)])
+    def test_preconditions(self, c, p, eps):
+        with pytest.raises(ValidationError):
+            tail_probability_bound(make_gaussian(), c, p, eps)
 
     def test_json_shape(self):
         rep = tail_probability_bound(make_gaussian(), 1.0, 2.0, 4.0)
@@ -154,6 +178,11 @@ class TestCnInftyIntegral:
     def test_rejects_bad_p(self, ou1, meyer):
         with pytest.raises(ValidationError):
             c_n_infty_integral(ou1, meyer, TruncationScheme(2, (2,)), 0.5, 1.0)
+
+    @pytest.mark.parametrize("T", [0.0, -1.0])
+    def test_rejects_nonpositive_T(self, ou1, haar, T):
+        with pytest.raises(ValidationError, match="T must be > 0"):
+            c_n_infty_integral(ou1, haar, parse_scheme_spec("k0'=2;k=2,3"), 2.0, T)
 
     def test_fresh_parses_share_moment_caches(self, haar):
         # one spec gives one model, so the moment caches hit across parses
@@ -213,6 +242,20 @@ class TestCnInftyUniform:
     def test_k0_hypothesis_enforced(self, ou1, meyer):
         with pytest.raises(ValidationError):
             c_n_infty_uniform(ou1, meyer, TruncationScheme(1, (3, 4)), 2.0, 1.0, 0.5)
+
+    @pytest.mark.parametrize("T", [0.0, -1.0])
+    def test_rejects_nonpositive_T(self, ou1, haar, T):
+        with pytest.raises(ValidationError, match="T must be > 0"):
+            c_n_infty_uniform(ou1, haar, parse_scheme_spec("k0'=3;k=3,4"), 2.0, T, 0.5)
+
+    def test_preconditions(self, ou1, meyer):
+        scheme = TruncationScheme(3, (3, 4))
+        with pytest.raises(ValidationError, match="p must be >= 1"):
+            c_n_infty_uniform(ou1, meyer, scheme, 0.5, 1.0, 0.5)
+        # neither a spectral density nor a rank-one g_hat
+        bare = dataclasses.replace(ou1, spectral_density=None)
+        with pytest.raises(ValidationError, match="uniform-route constants need"):
+            c_n_infty_uniform(bare, meyer, scheme, 2.0, 1.0, 0.5)
 
     def test_ratio_near_one_diverges(self, ou1, meyer):
         # q = 2^(-1e-10) is within 1e-9 of 1: the constant and the diagnostic

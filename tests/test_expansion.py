@@ -204,6 +204,8 @@ class TestLpError:
         p = make_path(grid, np.zeros_like(grid))
         with pytest.raises(ValidationError, match="must be nodes"):
             lp_error(p, p.values + 1.0, 2.0, 0.5)
+        with pytest.raises(ValidationError, match="two nodes"):
+            interval_window(np.array([0.0]), 1.0)
 
     def test_rejects_nonpositive_T(self):
         with pytest.raises(ValidationError):

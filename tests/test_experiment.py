@@ -138,6 +138,9 @@ class TestRunExperiment:
         lines = base_result.results_csv().splitlines()
         assert lines[0] == "scheme_index,path_index,lp_error"
         assert len(lines) == 1 + 2 * 120
+        for line in lines[1:]:
+            s, i, err = line.split(",")
+            assert float(err) == base_result.per_path_errors[int(s), int(i)]
         tails = base_result.tails_csv().splitlines()
         assert tails[0] == "scheme_index,epsilon,empirical,bound,valid,stderr"
         assert len(tails) == 1 + 2 * 3

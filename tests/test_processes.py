@@ -140,6 +140,8 @@ class TestSimulation:
             )
         with pytest.raises(ValidationError, match="increasing"):
             SamplePath(grid=np.linspace(2.0, -2.0, 33), values=np.zeros(33), seed=0, path_index=0)
+        with pytest.raises(ValidationError, match="two nodes"):
+            SamplePath(grid=np.array([0.0]), values=np.zeros(1), seed=0, path_index=0)
 
     def test_determinism(self, ou1):
         a = simulate_paths(ou1, 2.0, 0.125, 3, seed=42)
