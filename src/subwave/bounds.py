@@ -17,6 +17,7 @@ walks a lattice of schemes on the uniform route.
 """
 
 import math
+import sys
 from dataclasses import dataclass
 from functools import lru_cache
 from itertools import accumulate
@@ -44,6 +45,8 @@ from .orlicz import NFunction, conjugate
 from .processes import ProcessModel
 from .quad import simpson_nodes
 from .wavelets import WaveletPair, lattice_constant, lattice_tail_constant
+
+_LOG_FLOAT_MAX = math.log(sys.float_info.max)
 
 
 @dataclass(frozen=True)
@@ -84,7 +87,9 @@ def epsilon_threshold(nf: NFunction, c: float, p: float, method: str = "auto") -
         eps* = c p^((a-1)/a * p)
 
     Any other phi, or ``method="numeric"``, brackets u* from u = 1 by
-    halving or doubling and bisects it to 1e-15 relative.
+    halving or doubling and bisects it to 1e-15 relative; a density value
+    past the float range counts as f(p/u) > u.  A threshold past the float
+    range is inf: no eps is valid.
     """
     if not c > 0:
         raise ValidationError("threshold needs c > 0")
@@ -94,10 +99,13 @@ def epsilon_threshold(nf: NFunction, c: float, p: float, method: str = "auto") -
         raise ValidationError(f"unknown threshold method {method!r}")
     if method == "auto" and nf.family in ("gaussian", "power"):
         alpha = nf.params[0]
-        return c * p ** ((alpha - 1.0) / alpha * p)
+        return _times_power(c, p, (alpha - 1.0) / alpha * p)
 
     def excess(u):
-        return u - nf.density_f(p / u)
+        try:
+            return u - nf.density_f(p / u)
+        except OverflowError:  # f(p/u) past the float range exceeds u
+            return -math.inf
 
     lo = hi = 1.0
     for _ in range(200):
@@ -120,7 +128,17 @@ def epsilon_threshold(nf: NFunction, c: float, p: float, method: str = "auto") -
             lo = mid
         if hi - lo <= 1e-15 * hi:
             break
-    return c * (0.5 * (lo + hi)) ** p
+    return _times_power(c, 0.5 * (lo + hi), p)
+
+
+def _times_power(c: float, base: float, e: float) -> float:
+    """c * base^e, in log space when base^e alone leaves the float range,
+    and inf when the product does."""
+    try:
+        return c * base**e
+    except OverflowError:
+        log_value = math.log(c) + e * math.log(base)
+        return math.exp(log_value) if log_value < _LOG_FLOAT_MAX else math.inf
 
 
 def tail_probability_bound(

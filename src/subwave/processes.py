@@ -7,6 +7,14 @@ determinative constant C_X relating tau to the second moment.  Gaussian
 models have tau = sqrt(R(t,t)) and C_X = 1 exactly; only Gaussian models
 are simulated, but every bound computation accepts a general C_X.
 
+Simulation is exact: the samples on a grid are L z for standard normals z
+and a linear map L with L L^T equal to the covariance matrix K.  L comes
+from the structure the model declares.  A rank-one model has L = g(grid)
+and one normal per path.  A stationary model has a Toeplitz K on the
+uniform grid, which embeds in a circulant matrix whose square root is two
+FFTs (Dietrich & Newsam 1997; Wood & Chan 1994).  Any other model, or an
+embedding with negative eigenvalues, uses the dense ``eigh`` factor of K.
+
 The constructors the model specs call are memoised, so one spec always
 gives the same model object: a process that parses a spec again (a loop
 of runs, not a single CLI call) reuses the moment caches keyed on it.
@@ -61,8 +69,7 @@ def _validate_covariance(model: ProcessModel) -> None:
     d = np.diag(K)
     if np.any(d < -1e-12):
         raise ValidationError("covariance has negative variance on the grid")
-    w = np.linalg.eigvalsh(K)
-    if w.min() < -1e-10 * max(w.max(), 1.0):
+    if _beyond_rounding(np.linalg.eigvalsh(K)):
         raise ValidationError("covariance is not positive semidefinite")
     if model.gaussian:
         tau = np.asarray(model.tau_phi(t), dtype=float)
@@ -180,6 +187,12 @@ def simulation_grid(L: float, h: float) -> np.ndarray:
     return -L + h * np.arange(n_steps + 1)
 
 
+def _beyond_rounding(w: np.ndarray) -> bool:
+    """True when the spectrum w has a negative part below the floor -1e-10
+    relative to its largest value (and to 1), i.e. more than rounding."""
+    return bool(w.min() < -1e-10 * max(w.max(), 1.0))
+
+
 def _covariance_factor(model: ProcessModel, grid: np.ndarray) -> np.ndarray:
     """Symmetric factor F with F F^T = covariance matrix on the grid.
 
@@ -189,12 +202,45 @@ def _covariance_factor(model: ProcessModel, grid: np.ndarray) -> np.ndarray:
     """
     K = model.covariance(grid[:, None], grid[None, :])
     w, V = np.linalg.eigh(K)
-    floor = -1e-10 * max(w.max(), 1.0)
-    if w.min() < floor:
+    if _beyond_rounding(w):
         raise NumericError(
             f"covariance matrix indefinite beyond tolerance (min eig {w.min():.3e})"
         )
     return V * np.sqrt(np.clip(w, 0.0, None))
+
+
+def _linear_sampler(
+    model: ProcessModel, grid: np.ndarray
+) -> tuple[int, Callable[[np.ndarray], np.ndarray]]:
+    """The exact linear map L (n x k, L L^T = K on the grid) of the model.
+
+    Returns k and a function taking a (B, k) block of standard normals,
+    one row per path, to the (n, B) block of samples L z.
+
+    * rank-one (g set): k = 1 and L = g(grid).
+    * stationary (R_hat set): K is the symmetric Toeplitz matrix of the lag
+      row c_j = R(t_j, t_0).  Its minimal circulant embedding C (size
+      m = 2(n - 1), first row c_0..c_{n-1}, c_{n-2}..c_1) has eigenvalues
+      lambda = rfft(row) (Dietrich & Newsam 1997; Wood & Chan 1994).  When
+      lambda is nonnegative up to the eigenvalue floor, C^(1/2) z =
+      irfft(sqrt(lambda) rfft(z)) is real, and its first n rows L satisfy
+      L L^T = (C)_{n x n} = K; k = m.
+    * anything else, or an indefinite embedding: k = n and L is the dense
+      ``eigh`` factor of K.
+    """
+    n = len(grid)
+    if model.separable_g is not None:
+        g = np.asarray(model.separable_g(grid), dtype=float)
+        return 1, lambda Z: g[:, None] * Z[:, 0]
+    if model.spectral_density is not None:
+        c = np.asarray(model.covariance(grid, grid[0]), dtype=float)
+        m = 2 * (n - 1)
+        lam = np.fft.rfft(np.concatenate([c, c[-2:0:-1]])).real
+        if not _beyond_rounding(lam):
+            root = np.sqrt(np.clip(lam, 0.0, None))
+            return m, lambda Z: np.fft.irfft(root * np.fft.rfft(Z), n=m)[:, :n].T
+    F = _covariance_factor(model, grid)
+    return n, lambda Z: F @ Z.T
 
 
 def _path_rng(seed: int, path_index: int) -> np.random.Generator:
@@ -203,29 +249,36 @@ def _path_rng(seed: int, path_index: int) -> np.random.Generator:
     return np.random.Generator(np.random.Philox(key=key))
 
 
+_PATH_BLOCK = 256  # paths per block of normals, bounding the temporaries
+
+
 def simulate_paths(
     model: ProcessModel, L: float, h: float, n_paths: int, seed: int
 ) -> list[SamplePath]:
     """Exact joint Gaussian samples on the grid [-L, L] with step h.
 
-    Path i draws its normals from an independent counter-based stream keyed
-    by (seed, i), so the output is deterministic given (model, grid, seed)
-    and independent of any parallel execution order.  The paths' values are
-    the columns of one grid x path matrix, so a retained path keeps the
-    whole batch alive.
+    The samples are L z for the model's exact linear map L (L L^T = K on
+    the grid, see ``_linear_sampler``): g(t) z for a rank-one model,
+    circulant embedding for a stationary one, the dense ``eigh`` factor
+    otherwise.  Path i draws its k normals z from an independent
+    counter-based stream keyed by (seed, i), so the output is deterministic
+    given (model, grid, seed, n_paths).  The rank-one and circulant samplers
+    map each path on its own, so path i is also bit for bit the same for
+    any n_paths; the dense product may round differently with the batch
+    width.  The paths' values are the columns of one grid x path matrix,
+    so a retained path keeps the whole batch alive.
     """
     if not model.gaussian:
         raise ValidationError("only Gaussian models can be simulated")
     if n_paths < 1:
         raise ValidationError("n_paths must be >= 1")
     grid = simulation_grid(L, h)
-    F = _covariance_factor(model, grid)
-    n = len(grid)
-    Z = np.empty((n, n_paths))
-    for i in range(n_paths):
-        Z[:, i] = _path_rng(seed, i).standard_normal(n)
-    X = F @ Z
-    del Z
+    k, sample = _linear_sampler(model, grid)
+    X = np.empty((len(grid), n_paths))
+    for start in range(0, n_paths, _PATH_BLOCK):
+        stop = min(start + _PATH_BLOCK, n_paths)
+        Z = np.array([_path_rng(seed, i).standard_normal(k) for i in range(start, stop)])
+        X[:, start:stop] = sample(Z)
     return [
         SamplePath(grid=grid, values=X[:, i], seed=seed, path_index=i)
         for i in range(n_paths)

@@ -86,6 +86,32 @@ class TestEpsilonThreshold:
         rep = tail_probability_bound(nf, 1.0, 2.0, 10.0)
         assert rep.valid and 0.0 < rep.bound < 2.0
 
+    def test_closed_form_past_float_range(self):
+        nf = make_gaussian()
+        assert epsilon_threshold(nf, 1.0, 1000.0) == math.inf
+        # p^(p/2) = 300^150 overflows alone, c p^(p/2) does not
+        val = epsilon_threshold(nf, 1e-300, 300.0)
+        assert val == pytest.approx(math.exp(math.log(1e-300) + 150.0 * math.log(300.0)), rel=1e-12)
+
+    def test_overflowing_density_counts_as_above_u(self):
+        # f(x) = 2x exp(x^2) overflows at the bracket start u = 1 (f(30))
+        from subwave.orlicz import make_custom
+
+        nf = make_custom(
+            phi=lambda x: math.exp(x * x) - 1.0, density=lambda x: 2.0 * x * math.exp(x * x)
+        )
+        tau = epsilon_threshold(nf, 1.0, 30.0)
+        assert math.isfinite(tau)
+        u = tau ** (1.0 / 30.0)
+        assert u == pytest.approx(2.0 * (30.0 / u) * math.exp((30.0 / u) ** 2), rel=1e-9)
+
+    def test_cosh_threshold_past_float_range(self):
+        # u* = 141.7 at p = 800, so c u*^p = 10^1721 overflows
+        from subwave.orlicz import make_custom
+
+        nf = make_custom(phi=lambda x: math.cosh(x) - 1.0, density=math.sinh)
+        assert epsilon_threshold(nf, 1.0, 800.0) == math.inf
+
 
 class TestTailProbabilityBound:
     def test_gaussian_example(self):
@@ -96,6 +122,12 @@ class TestTailProbabilityBound:
 
     def test_below_threshold_invalid(self):
         rep = tail_probability_bound(make_gaussian(), 1.0, 2.0, 1.0)
+        assert not rep.valid
+        assert 0.0 < rep.bound <= 2.0
+
+    def test_infinite_threshold_invalid(self):
+        rep = tail_probability_bound(make_gaussian(), 1.0, 1000.0, 5.0)
+        assert rep.threshold == math.inf
         assert not rep.valid
         assert 0.0 < rep.bound <= 2.0
 

@@ -46,6 +46,12 @@ class TestThresholdCommand:
         r = run_cli("threshold", "--phi", "gaussian", "--c", "-1", "--p", "2")
         assert r.returncode == 2
 
+    def test_threshold_past_float_range_is_inf(self):
+        # 1000^500 overflows: no eps is valid, which is an answer, not a crash
+        r = run_cli("threshold", "--phi", "gaussian", "--c", "1", "--p", "1000")
+        assert r.returncode == 0, r.stderr
+        assert r.stdout.strip() == "inf"
+
 
 class TestBasisInfoCommand:
     def test_haar_constants(self):

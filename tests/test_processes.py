@@ -6,6 +6,9 @@ import pytest
 from subwave.errors import ValidationError
 from subwave.processes import (
     ProcessModel,
+    _covariance_factor,
+    _linear_sampler,
+    _path_rng,
     SamplePath,
     dump_paths,
     make_gauss_bump,
@@ -174,13 +177,28 @@ class TestSimulation:
             z = p.values[np.argmax(g)]  # value at t=0, where g=1
             assert np.allclose(p.values, z * g, atol=1e-10)
 
-    def test_paths_are_columns_of_one_batch(self, ou1):
-        paths = simulate_paths(ou1, 2.0, 0.25, 5, seed=2)
-        batch = paths[0].values.base
-        assert batch is not None and batch.shape == (17, 5)
-        for i, p in enumerate(paths):
-            assert p.values.base is batch
-            assert np.array_equal(p.values, batch[:, i])
+    def test_paths_are_columns_of_one_batch(self, ou1, gauss_bump):
+        for model in (ou1, gauss_bump):
+            paths = simulate_paths(model, 2.0, 0.25, 5, seed=2)
+            batch = paths[0].values.base
+            assert batch is not None and batch.shape == (17, 5)
+            for i, p in enumerate(paths):
+                assert p.values.base is batch
+                assert np.array_equal(p.values, batch[:, i])
+
+    @pytest.mark.parametrize("name", ["ou1", "gauss_bump"])
+    def test_path_does_not_depend_on_path_count(self, name, request):
+        model = request.getfixturevalue(name)
+        few = simulate_paths(model, 2.0, 0.125, 3, seed=4)
+        many = simulate_paths(model, 2.0, 0.125, 10, seed=4)
+        for a, b in zip(few, many):
+            assert np.array_equal(a.values, b.values)
+        # path i is L z_i with z_i from stream (seed, i), past a block of paths too
+        paths = simulate_paths(model, 2.0, 0.125, 300, seed=4)
+        k, sample = _linear_sampler(model, paths[0].grid)
+        for i in (0, 9, 255, 256, 299):
+            z = _path_rng(4, i).standard_normal(k)
+            assert np.array_equal(paths[i].values, sample(z[None, :])[:, 0])
 
     def test_non_gaussian_not_simulatable(self):
         m = ProcessModel(
@@ -202,6 +220,60 @@ class TestSimulation:
         lines = (tmp_path / "path_0.csv").read_text().splitlines()
         assert lines[0] == "t,x"
         assert len(lines) == 1 + len(paths[0].grid)
+
+
+def _squared_exponential():
+    root_two_pi = math.sqrt(2.0 * math.pi)
+    return ProcessModel(
+        covariance=lambda t, s: np.exp(-0.5 * (np.asarray(t) - np.asarray(s)) ** 2),
+        det_constant=1.0,
+        tau_phi=lambda t: np.ones_like(np.asarray(t, dtype=float)),
+        spectral_density=lambda z: root_two_pi * np.exp(-0.5 * np.asarray(z, dtype=float) ** 2),
+    )
+
+
+def _damped_ou():
+    # neither stationary nor rank-one
+    return ProcessModel(
+        covariance=lambda t, s: np.exp(
+            -np.abs(np.asarray(t) - np.asarray(s)) - 0.1 * (np.asarray(t) ** 2 + np.asarray(s) ** 2)
+        ),
+        det_constant=1.0,
+        tau_phi=lambda t: np.exp(-0.1 * np.asarray(t, dtype=float) ** 2),
+    )
+
+
+class TestLinearSampler:
+    """Each sampler's linear map L, read off identity normals, has L L^T = K."""
+
+    GRID = simulation_grid(2.0, 0.125)  # n = 33, circulant size m = 64
+
+    @pytest.mark.parametrize(
+        "make, k",
+        [
+            (lambda: make_ou(0.5), 64),
+            (lambda: make_ou(1.0), 64),
+            (lambda: make_ou(3.0), 64),
+            (make_gauss_bump, 1),
+            # its minimal embedding has min/max eigenvalue -2.1e-5: dense fallback
+            (_squared_exponential, 33),
+            (_damped_ou, 33),
+        ],
+        ids=["ou0.5", "ou1", "ou3", "gauss-bump", "squared-exponential", "damped-ou"],
+    )
+    def test_map_reproduces_covariance(self, make, k):
+        model = make()
+        grid = self.GRID
+        width, sample = _linear_sampler(model, grid)
+        assert width == k
+        L = sample(np.eye(k))
+        assert L.shape == (len(grid), k)
+        K = model.covariance(grid[:, None], grid[None, :])
+        F = _covariance_factor(model, grid)  # the dense eigh oracle
+        assert np.max(np.abs(L @ L.T - K)) <= 1e-10
+        assert np.max(np.abs(L @ L.T - F @ F.T)) <= 1e-10
+        if k == len(grid):
+            assert np.array_equal(L, F)
 
 
 class TestValidateModel:
