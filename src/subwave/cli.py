@@ -10,7 +10,7 @@ import sys
 
 from .bounds import epsilon_threshold, plan_truncation, tail_probability_bound
 from .errors import SubwaveError, ValidationError
-from .experiment import load_config, run_experiment, write_outputs
+from .experiment import load_config, run_experiment, strict_json, write_outputs
 from .orlicz import parse_nfunction_spec
 from .processes import dump_paths, parse_model_spec, simulate_paths
 from .wavelets import (
@@ -28,7 +28,7 @@ _DEFAULT_LIPSCHITZ_ORDERS = (0.25, 0.5, 0.75, 1.0)
 def _cmd_bound(args) -> int:
     nf = parse_nfunction_spec(args.phi)
     rep = tail_probability_bound(nf, args.c, args.p, args.eps)
-    print(json.dumps(rep.to_json_dict()))
+    print(strict_json(rep.to_json_dict()))
     return 0
 
 
@@ -46,7 +46,7 @@ def _cmd_plan(args) -> int:
         model, basis, nf, args.p, args.T, args.eps, args.delta, args.alpha
     )
     print(scheme.spec_string())
-    print(json.dumps(rep.to_json_dict()))
+    print(strict_json(rep.to_json_dict()))
     return 0
 
 

@@ -82,6 +82,26 @@ def _to_json(value):
     return value
 
 
+def strict_json(value, **kwargs) -> str:
+    """``json.dumps`` of ``value`` with every non-finite float written as null.
+
+    The default dump writes inf and nan as ``Infinity`` and ``NaN``, which
+    strict JSON parsers reject; null marks the value as undefined instead
+    (a threshold past the float range, the ratio to a bound of 0).
+    """
+    return json.dumps(_finite_or_null(value), allow_nan=False, **kwargs)
+
+
+def _finite_or_null(value):
+    if isinstance(value, float):
+        return value if math.isfinite(value) else None
+    if isinstance(value, dict):
+        return {k: _finite_or_null(v) for k, v in value.items()}
+    if isinstance(value, (list, tuple)):
+        return [_finite_or_null(v) for v in value]
+    return value
+
+
 def _from_json(tp, value):
     """The value of a config field of type ``tp``; TypeError on a wrong JSON type."""
     if get_origin(tp) is tuple:
@@ -240,5 +260,5 @@ def write_outputs(result: ExperimentResult, out_dir) -> dict:
         "summary": result.summary,
         "tightness": tightness_report(result),
     }
-    files["report"].write_text(json.dumps(report, indent=2) + "\n")
+    files["report"].write_text(strict_json(report, indent=2) + "\n")
     return {k: str(v) for k, v in files.items()}

@@ -35,6 +35,16 @@ class TestBoundCommand:
         r = run_cli("bound", "--phi", "gaussian", "--zzz", "1")
         assert r.returncode == 2
 
+    def test_threshold_past_float_range_is_null(self):
+        # strict JSON: an infinite threshold is written as null, not Infinity
+        def reject(name):
+            raise ValueError(f"non-standard JSON constant {name}")
+
+        r = run_cli("bound", "--phi", "gaussian", "--c", "1", "--p", "1000", "--eps", "5")
+        assert r.returncode == 0, r.stderr
+        doc = json.loads(r.stdout, parse_constant=reject)
+        assert doc["threshold"] is None and doc["valid"] is False
+
 
 class TestThresholdCommand:
     def test_power_value(self):

@@ -1,4 +1,5 @@
 import copy
+import dataclasses
 import importlib
 import json
 from pathlib import Path
@@ -224,3 +225,17 @@ class TestTightness:
         assert report["tightness"]["violations"] == 0
         assert (tmp_path / "results.csv").exists()
         assert (tmp_path / "tails.csv").exists()
+
+    def test_report_is_strict_json(self, base_result, tmp_path):
+        # a bound that underflows to 0 has no ratio: null, not Infinity
+        key = min(base_result.theoretical_bound)
+        bounds = dict(base_result.theoretical_bound)
+        bounds[key] = dataclasses.replace(bounds[key], bound=0.0)
+        write_outputs(dataclasses.replace(base_result, theoretical_bound=bounds), tmp_path)
+
+        def reject(name):
+            raise ValueError(f"non-standard JSON constant {name}")
+
+        report = json.loads((tmp_path / "report.json").read_text(), parse_constant=reject)
+        assert report["tightness"]["rows"][0]["ratio"] is None
+        assert all(r["ratio"] is not None for r in report["tightness"]["rows"][1:])

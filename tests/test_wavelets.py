@@ -2,6 +2,7 @@ import math
 
 import numpy as np
 import pytest
+from scipy.integrate import quad
 
 from subwave.errors import NumericError, ValidationError
 from subwave.wavelets import (
@@ -81,6 +82,48 @@ class TestEvalDilated:
         t = np.arange(0.0, 5.0 / 2**j + h, h)
         vals = eval_dilated(db3, "m", j, 0, t)
         assert np.sum(vals**2) * h == pytest.approx(1.0, abs=1e-4)
+
+
+class TestMeyerTables:
+    """The tabulated Meyer values against an independent quadrature of the
+    inverse transform w(x) = (1/pi) int |w_hat(y)| cos((x - center) y) dy."""
+
+    B = 2.0 * math.pi / 3.0
+    # (center, smooth pieces of |w_hat| between its kinks) per function
+    CASES = {"f": (0.0, (0.0, B, 2.0 * B)), "m": (0.5, (B, 2.0 * B, 4.0 * B))}
+
+    @pytest.mark.parametrize("which", ["f", "m"])
+    def test_values_match_quadrature(self, meyer, which):
+        center, kinks = self.CASES[which]
+        w = meyer.f_wavelet if which == "f" else meyer.m_wavelet
+        hat = meyer.f_hat if which == "f" else meyer.m_hat
+
+        def profile(y):
+            return abs(complex(hat(np.array([y]))[0]))
+
+        mid = len(w.grid) // 2
+        rng = np.random.default_rng(7)
+        offsets = np.concatenate(
+            [
+                np.arange(-8, 9),  # the centre, node by node
+                rng.integers(-2048, 2049, 12),  # the main lobes, |x - center| <= 2
+                rng.integers(-mid, mid + 1, 10),  # the tails, out to the window edge
+                [-mid, mid],
+            ]
+        )
+        x = w.grid[mid + offsets]
+        assert len(x) >= 40 and np.allclose(x[8], center)
+        # QAWO per smooth piece; epsrel below 1e-11 trips its roundoff
+        # warning on the constant piece of f_hat
+        oracle = [
+            sum(
+                quad(profile, a, b, weight="cos", wvar=u, epsabs=1e-15, epsrel=1e-11)[0]
+                for a, b in zip(kinks[:-1], kinks[1:])
+            )
+            / math.pi
+            for u in x - center
+        ]
+        assert np.max(np.abs(w(x) - oracle)) <= 1e-13
 
 
 class TestEnvelopes:
