@@ -12,14 +12,19 @@ batched implementation over a matrix of paths [grid node, path]
 the [0, T] node window of ``interval_window``); ``compute_coefficients``,
 ``reconstruct`` and ``lp_error`` run it on a single path.
 
-Every time-side second moment of the coefficients comes from one function,
-``coefficient_moments``: the covariance integrated against the dilated
-wavelets over one Simpson node set per wavelet, giving the Gram matrix,
-the cross moments with X(t) and, for rank-one models, the factors
-int g w_a.  The frequency-side integral (stationary models; the proof-side
-upper bound for the time-side value) and k-independent spectral bounds
-driven by a Lipschitz estimate of the wavelet transform near zero serve
-the uniform route.
+Every second moment of the coefficients comes from one function,
+``coefficient_moments``: the Gram matrix, the cross moments with X(t) and,
+for rank-one models, the factors int g w_a.  It has two integrators,
+chosen from the model and the basis alone.  On a band-limited basis
+(Meyer), a model with spectral data integrates R_hat (or g_hat) against
+the wavelet transforms over their finite band: a few matrix products on
+Gauss panels between the dilated kinks of the transforms.  Every other
+pair (Haar, Daubechies, or a model without spectral data) integrates the
+covariance against the dilated wavelets over one Simpson node set per
+wavelet; that tensor quadrature is also the test oracle of the first.
+The Parseval integral of |R_hat| |w_hat|^2 (the proof-side upper bound of
+a level moment) and k-independent spectral bounds driven by a Lipschitz
+estimate of the wavelet transform near zero serve the uniform route.
 """
 
 import math
@@ -37,12 +42,25 @@ from .errors import (
     ValidationError,
 )
 from .processes import ProcessModel, SamplePath
-from .quad import gauss_nodes, piecewise_simpson_nodes, trapezoid_weights
+from .quad import gauss_legendre, gauss_nodes, piecewise_simpson_nodes, trapezoid_weights
 from .wavelets import WaveletPair, eval_dilated, lipschitz_fit
 
 _TAIL_MASS = 1e-6  # relative envelope tail mass defining effective supports
 _TWO_PI_3 = 2.0 * math.pi / 3.0
 _MAX_MOMENT_COEFFICIENTS = 200
+# Meyer transforms on z >= 0: smooth between these kinks, zero past the last
+_MEYER_BREAKS = {
+    "f": (0.0, _TWO_PI_3, 2 * _TWO_PI_3),
+    "m": (_TWO_PI_3, 2 * _TWO_PI_3, 4 * _TWO_PI_3),
+}
+# Frequency-side moment rule: Gauss-Legendre panels of _PANEL_NODES nodes,
+# each spanning at most _PANEL_PHASE radians of the fastest phase; [0, 2pi/3]
+# split geometrically down to 2pi/3 * 2^-_ZERO_GRADING; _CHUNK_NODES nodes
+# per matrix product.
+_PANEL_NODES = 24
+_PANEL_PHASE = 8.0
+_ZERO_GRADING = 30
+_CHUNK_NODES = 512
 
 
 @dataclass(frozen=True)
@@ -306,9 +324,8 @@ def _scaled_nodes(basis: WaveletPair, which: str):
 def coefficient_moments(model: ProcessModel, basis: WaveletPair, idx: tuple, t: tuple = ()):
     """Second moments of the coefficients ``idx``, a tuple of (kind, j, k).
 
-    Coefficient c_a = int X(u) w_a(u) du with w_a = 2^{j/2} w(2^j u - k) is
-    integrated over the Simpson nodes of its wavelet (``_scaled_nodes``),
-    mapped to u = (x + k) / 2^j.  Returns
+    Coefficient c_a = int X(u) w_a(u) du with w_a = 2^{j/2} w(2^j u - k).
+    Returns
 
     * for rank-one models, R(u, v) = g(u) g(v): the vector gamma_a =
       int g w_a, from which E[c_a c_b] = gamma_a gamma_b and
@@ -317,6 +334,12 @@ def coefficient_moments(model: ProcessModel, basis: WaveletPair, idx: tuple, t: 
       cross moments M[a, i] = E[c_a X(t_i)] at the points ``t`` (a tuple
       of floats, like ``idx`` hashable for the cache).
 
+    Two integrators, chosen from the model and the basis alone
+    (``_frequency_side``): models with spectral data on a band-limited
+    basis (Meyer) integrate R_hat or g_hat against the transforms over a
+    finite frequency band (``_frequency_moments``); every other pair runs
+    the time-side tensor quadrature of the covariance (``_tensor_moments``).
+
     Cached per (model, basis, idx, t), so the arrays are read-only; more
     than 200 coefficients raise ResourceLimitError.
     """
@@ -324,6 +347,31 @@ def coefficient_moments(model: ProcessModel, basis: WaveletPair, idx: tuple, t: 
         raise ResourceLimitError(
             f"{len(idx)} coefficients (limit {_MAX_MOMENT_COEFFICIENTS} for moment quadrature)"
         )
+    t = np.asarray(t, dtype=float)
+    if _frequency_side(model, basis):
+        out = _frequency_moments(model, basis, idx, t)
+    else:
+        out = _tensor_moments(model, basis, idx, t)
+    for arr in out if isinstance(out, tuple) else (out,):
+        arr.setflags(write=False)
+    return out
+
+
+def _frequency_side(model: ProcessModel, basis: WaveletPair) -> bool:
+    """True when ``coefficient_moments`` integrates on the frequency side:
+    a band-limited basis and a stationary or rank-one model."""
+    spectral = model.spectral_density is not None or model.separable_g_hat is not None
+    return band_limited(basis) and spectral
+
+
+def _tensor_moments(model: ProcessModel, basis: WaveletPair, idx, t):
+    """Time-side moments: the covariance (or g) integrated against the
+    dilated wavelets over the Simpson nodes of each wavelet
+    (``_scaled_nodes``), mapped to u = (x + k) / 2^j.  Serves the
+    compactly supported bases, whose transforms decay too slowly for the
+    frequency side, and models without spectral data; it is also the test
+    oracle of ``_frequency_moments``.
+    """
     nodes = []
     for kind, j, k in idx:
         x, w, vals = _scaled_nodes(basis, kind)
@@ -331,21 +379,91 @@ def coefficient_moments(model: ProcessModel, basis: WaveletPair, idx: tuple, t: 
     if model.separable_g is not None:
         # summed as w * g * v: near-complete schemes cancel g - gamma . B to
         # ~1e-7 of g, where another summation order shows at 1e-9 in c
-        gamma = np.array(
+        return np.array(
             [s * np.sum(w * np.asarray(model.separable_g(u), dtype=float) * v) for u, w, v, s in nodes]
         )
-        gamma.setflags(write=False)
-        return gamma
     nodes = [(u, w * v * s) for u, w, v, s in nodes]
-    t = np.asarray(t, dtype=float)
     G, M = np.empty((len(nodes), len(nodes))), np.empty((len(nodes), len(t)))
     for a, (ua, wa) in enumerate(nodes):
         M[a] = wa @ model.covariance(ua[:, None], t[None, :])
         for b, (ub, wb) in enumerate(nodes[a:], start=a):
             G[a, b] = G[b, a] = wa @ model.covariance(ua[:, None], ub[None, :]) @ wb
-    G.setflags(write=False)
-    M.setflags(write=False)
     return G, M
+
+
+def _frequency_segments(idx):
+    """Integration segments on z >= 0: between consecutive dilated kinks
+    2^j b of the indexed transforms, with [0, 2pi/3] split geometrically
+    toward z = 0, where a spectral density may peak (OU at a small rate)."""
+    ends = {2.0**j * b for kind, j, _ in idx for b in _MEYER_BREAKS[kind]}
+    ends.update(_TWO_PI_3 * 2.0**-i for i in range(1, _ZERO_GRADING + 1))
+    ends = sorted(ends)
+    return list(zip(ends[:-1], ends[1:]))
+
+
+def _dilated_hats(basis: WaveletPair, idx, z) -> np.ndarray:
+    """A[z, a] = 2^{-j/2} w_hat(z / 2^j) e^{-izk/2^j}, the transforms of the
+    dilated wavelets ``idx`` at the nodes z."""
+    groups = sorted({(kind, j) for kind, j, _ in idx})
+    H = np.column_stack(
+        [2.0 ** (-j / 2.0) * (basis.f_hat if kind == "f" else basis.m_hat)(z / 2.0**j) for kind, j in groups]
+    )
+    cols = [groups.index((kind, j)) for kind, j, _ in idx]
+    shifts = np.array([k / 2.0**j for _, j, k in idx])
+    return H[:, cols] * np.exp(-1j * np.outer(z, shifts))
+
+
+def _frequency_moments(model: ProcessModel, basis: WaveletPair, idx, t):
+    """Frequency-side moments on a band-limited basis, with w_hat_a the
+    transform of w_a (``_dilated_hats``):
+
+        G[a, b]  = (1/2pi) int R_hat(z) conj(w_hat_a(z)) w_hat_b(z) dz,
+        M[a, i]  = (1/2pi) Re int R_hat(z) conj(w_hat_a(z)) e^{-i z t_i} dz,
+        gamma_a  = (1/2pi) Re int g_hat(z) conj(w_hat_a(z)) dz.
+
+    The integrands are Hermitian in z, so each is (1/pi) Re of the
+    integral over z >= 0, where w_hat_a vanishes outside
+    [2^j lo, 2^j hi].  Each segment between dilated kinks is covered by
+    Gauss-Legendre panels of ``_PANEL_NODES`` nodes, as many as keep the
+    fastest phase in play, max(|t|, (|k| + 1) / 2^j) over the segment's
+    coefficients, within ``_PANEL_PHASE`` radians per panel for both the
+    products conj(w_hat_a) w_hat_b and conj(w_hat_a) e^{-izt}.  Nodes are
+    processed in chunks of ``_CHUNK_NODES``, so the phase matrix
+    e^{-izt} stays small.  Each segment adds only the coefficients whose
+    band covers it, so levels more than one apart never meet.
+    """
+    lo = np.array([2.0**j * _MEYER_BREAKS[kind][0] for kind, j, _ in idx])
+    hi = np.array([2.0**j * _MEYER_BREAKS[kind][-1] for kind, j, _ in idx])
+    k_rate = np.array([(abs(k) + 1.0) / 2.0**j for _, j, k in idx])
+    t_rate = float(np.max(np.abs(t), initial=0.0))
+    rank_one = model.separable_g_hat is not None
+    gamma = np.zeros(len(idx))
+    G, M = np.zeros((len(idx), len(idx))), np.zeros((len(idx), len(t)))
+    x, w = gauss_legendre(_PANEL_NODES)
+    for a, b in _frequency_segments(idx):
+        act = np.flatnonzero((lo <= a) & (hi >= b))
+        if act.size == 0:
+            continue
+        rate = max(t_rate, float(np.max(k_rate[act])))
+        edges = np.linspace(a, b, max(1, math.ceil(2.0 * rate * (b - a) / _PANEL_PHASE)) + 1)
+        half = 0.5 * np.diff(edges)
+        z = ((edges[:-1] + half)[:, None] + half[:, None] * x).ravel()
+        wz = (half[:, None] * w).ravel()
+        sub = [idx[i] for i in act]
+        for s in range(0, z.size, _CHUNK_NODES):
+            zc, wc = z[s : s + _CHUNK_NODES], wz[s : s + _CHUNK_NODES]
+            A = _dilated_hats(basis, sub, zc)
+            if rank_one:
+                gamma[act] += ((wc * model.separable_g_hat(zc)) @ np.conj(A)).real
+                continue
+            B = np.conj(A) * (wc * np.asarray(model.spectral_density(zc), dtype=float))[:, None]
+            G[np.ix_(act, act)] += (B.T @ A).real
+            if t.size:
+                M[act] += (B.T @ np.exp(-1j * np.outer(zc, t))).real
+    if rank_one:
+        return gamma / math.pi
+    # Re(B^H A) is symmetric up to rounding; averaging makes it exact
+    return (G + G.T) / (2.0 * math.pi), M / math.pi
 
 
 def second_moment_eta(model: ProcessModel, basis: WaveletPair, j: int, k: int) -> float:
@@ -375,9 +493,8 @@ def _hat_window(basis: WaveletPair, which: str):
     """Integration segments: the transform's support for band-limited bases,
     otherwise [-64, 64] plus log-spaced segments out to +-2^22."""
     if band_limited(basis):
-        if which == "m":
-            return [(-4 * _TWO_PI_3, -_TWO_PI_3), (_TWO_PI_3, 4 * _TWO_PI_3)]
-        return [(-2 * _TWO_PI_3, 2 * _TWO_PI_3)]
+        lo, hi = _MEYER_BREAKS[which][0], _MEYER_BREAKS[which][-1]
+        return [(-hi, hi)] if lo == 0.0 else [(-hi, -lo), (lo, hi)]
     edges = [2.0**e for e in range(6, 23)]
     outer = list(zip(edges[:-1], edges[1:]))
     return [(-b, -a) for a, b in reversed(outer)] + [(-64.0, 64.0)] + outer

@@ -203,6 +203,19 @@ class TestCnInftyIntegral:
         vals = [c_n_infty_integral(ou1, meyer, s, 2.0, 1.0) for s in schemes]
         assert all(b < a for a, b in zip(vals[:-1], vals[1:]))
 
+    @pytest.mark.parametrize(
+        "spec, reference",
+        [("k0'=2;k=2,3", 0.0571874), ("k0'=3;k=3,4,5", 0.0273431), ("k0'=4;k=4,5,7,11", 0.0132650)],
+    )
+    def test_ou_meyer_matches_fine_grid_reference(self, ou1, meyer, spec, reference):
+        # reference values from `python3 bench/reference.py` (the last, the
+        # lattice scheme n=4, m=2, from its `rate_constant`): the exponential
+        # kernel convolved on [-60, 60] at step 2^-9, independent of the
+        # program's moment quadrature; its own O(step^2) error is most of
+        # the remaining gap
+        val = c_n_infty_integral(ou1, meyer, parse_scheme_spec(spec), 2.0, 1.0)
+        assert val == pytest.approx(reference, rel=1e-3)
+
     def test_separable_near_complete(self, gauss_bump, meyer):
         val = c_n_infty_integral(gauss_bump, meyer, TruncationScheme(6, (6, 10)), 2.0, 1.0)
         assert val <= 1e-4

@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 from scipy.integrate import quad
 
+from subwave import expansion
 from subwave.errors import (
     DivergenceError,
     SupportCoverageError,
@@ -12,10 +13,14 @@ from subwave.errors import (
 from subwave.expansion import (
     CoefficientSet,
     TruncationScheme,
+    _frequency_moments,
+    _frequency_side,
+    _tensor_moments,
     basis_matrix,
     batch_coefficients,
     batch_lp_errors,
     batch_reconstruct,
+    coefficient_moments,
     compute_coefficients,
     interval_window,
     lp_error,
@@ -27,7 +32,7 @@ from subwave.expansion import (
     second_moment_eta_spectral_bound_ns,
     second_moment_xi_bound,
 )
-from subwave.processes import SamplePath, make_ou, simulate_paths, simulation_grid
+from subwave.processes import ProcessModel, SamplePath, make_ou, simulate_paths, simulation_grid
 from subwave.wavelets import eval_dilated
 
 
@@ -287,6 +292,81 @@ class TestSecondMoments:
     def test_rejects_negative_level(self, ou1, haar):
         with pytest.raises(ValidationError):
             second_moment_eta(ou1, haar, -1, 0)
+
+
+class TestMomentRoutes:
+    """``coefficient_moments``: frequency side on Meyer for models with
+    spectral data, the time-side tensor quadrature otherwise."""
+
+    T_POINTS = tuple(np.linspace(-0.5, 1.5, 9).tolist())
+
+    @pytest.mark.parametrize("spec", ["k0'=1;k=1", "k0'=2;k=2,3", "k0'=0;k=0,0,0"])
+    @pytest.mark.parametrize("lam", [0.5, 1.0, 3.0])
+    def test_frequency_side_matches_tensor_oracle(self, meyer, spec, lam):
+        model = make_ou(lam)
+        idx = tuple(parse_scheme_spec(spec).indices())
+        G, M = coefficient_moments(model, meyer, idx, self.T_POINTS)
+        Gt, Mt = _tensor_moments(model, meyer, idx, np.array(self.T_POINTS))
+        assert np.array_equal(G, G.T)
+        assert np.linalg.eigvalsh(G).min() > 0.0
+        # the tensor Simpson rule overshoots across the kink of
+        # exp(-lam |u - v|): by 0.2-0.3% of the diagonal here, never below
+        scale = np.sqrt(np.outer(np.diag(G), np.diag(G)))
+        assert np.all(np.abs(G - Gt) <= 5e-3 * scale)
+        assert np.all(np.diag(Gt) >= np.diag(G))
+        assert np.max(np.abs(M - Mt)) < 1e-5
+
+    def test_frequency_rule_converged(self, meyer, monkeypatch):
+        # OU at rate 0.02 puts a spectral peak of width 0.02 at z = 0; without
+        # the geometric split of [0, 2pi/3] this moves by 2.4e-5
+        model = make_ou(0.02)
+        idx = tuple(parse_scheme_spec("k0'=3;k=3,4,5,6").indices())
+        t = np.linspace(-3.0, 3.0, 25)
+        G, M = _frequency_moments(model, meyer, idx, t)
+        monkeypatch.setattr(expansion, "_PANEL_NODES", 2 * expansion._PANEL_NODES)
+        monkeypatch.setattr(expansion, "_PANEL_PHASE", expansion._PANEL_PHASE / 2.0)
+        monkeypatch.setattr(expansion, "_ZERO_GRADING", 2 * expansion._ZERO_GRADING)
+        G2, M2 = _frequency_moments(model, meyer, idx, t)
+        assert np.max(np.abs(G - G2)) < 1e-13 and np.max(np.abs(M - M2)) < 1e-13
+
+    def test_rank_one_matches_tensor_oracle(self, gauss_bump, meyer):
+        idx = tuple(parse_scheme_spec("k0'=2;k=2,3").indices())
+        gamma = coefficient_moments(gauss_bump, meyer, idx)
+        assert np.max(np.abs(gamma - _tensor_moments(gauss_bump, meyer, idx, np.zeros(0)))) < 1e-7
+
+    def test_rank_one_tail_coefficient_vanishes(self, gauss_bump, meyer):
+        # g_hat is ~1e-15 on the band of level 2; the coarse tail nodes of
+        # the time side read 4.7e-8 for this coefficient
+        gamma = coefficient_moments(gauss_bump, meyer, (("m", 2, 1),))
+        assert abs(gamma[0]) < 1e-13
+
+    def test_model_without_spectral_data_takes_tensor_route(self, meyer):
+        damped = ProcessModel(
+            covariance=lambda t, s: np.exp(
+                -np.abs(np.asarray(t) - np.asarray(s)) - 0.1 * (np.asarray(t) ** 2 + np.asarray(s) ** 2)
+            ),
+            det_constant=1.0,
+            tau_phi=lambda t: np.exp(-0.1 * np.asarray(t, dtype=float) ** 2),
+        )
+        assert not _frequency_side(damped, meyer)
+        idx = tuple(parse_scheme_spec("k0'=1;k=1").indices())
+        G, M = coefficient_moments(damped, meyer, idx, self.T_POINTS)
+        Gt, Mt = _tensor_moments(damped, meyer, idx, np.array(self.T_POINTS))
+        assert np.array_equal(G, Gt) and np.array_equal(M, Mt)
+
+    def test_route_depends_on_model_and_basis(self, ou1, gauss_bump, meyer, haar, db3):
+        assert _frequency_side(ou1, meyer) and _frequency_side(gauss_bump, meyer)
+        for basis in (haar, db3):
+            assert not _frequency_side(ou1, basis)
+            assert not _frequency_side(gauss_bump, basis)
+
+    def test_results_are_read_only(self, ou1, gauss_bump, meyer):
+        idx = (("f", 0, 0), ("m", 1, -1))
+        G, M = coefficient_moments(ou1, meyer, idx, (0.25,))
+        gamma = coefficient_moments(gauss_bump, meyer, idx)
+        for arr in (G, M, gamma):
+            with pytest.raises(ValueError):
+                arr[0] = 1.0
 
 
 class TestSpectralBounds:
