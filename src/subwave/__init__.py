@@ -38,6 +38,7 @@ from .wavelets import (
 )
 from .processes import (
     ProcessModel,
+    SampleBatch,
     SamplePath,
     dump_paths,
     make_gauss_bump,

@@ -76,7 +76,7 @@ class TailBoundReport:
         }
 
 
-def epsilon_threshold(nf: NFunction, c: float, p: float, method: str = "auto") -> float:
+def epsilon_threshold(nf: NFunction, c: float, p: float) -> float:
     """Smallest eps with eps > c * f(p (c/eps)^(1/p))^p, f the density.
 
     Writing eps = c u^p turns the condition into u > f(p/u), so the
@@ -86,20 +86,23 @@ def epsilon_threshold(nf: NFunction, c: float, p: float, method: str = "auto") -
 
         eps* = c p^((a-1)/a * p)
 
-    Any other phi, or ``method="numeric"``, brackets u* from u = 1 by
-    halving or doubling and bisects it to 1e-15 relative; a density value
-    past the float range counts as f(p/u) > u.  A threshold past the float
-    range is inf: no eps is valid.
+    Any other phi solves for u* numerically (``_numeric_threshold``).  A
+    threshold past the float range is inf: no eps is valid.
     """
     if not c > 0:
         raise ValidationError("threshold needs c > 0")
     if not p >= 1:
         raise ValidationError("threshold needs p >= 1")
-    if method not in ("auto", "numeric"):
-        raise ValidationError(f"unknown threshold method {method!r}")
-    if method == "auto" and nf.family in ("gaussian", "power"):
+    if nf.family in ("gaussian", "power"):
         alpha = nf.params[0]
         return _times_power(c, p, (alpha - 1.0) / alpha * p)
+    return _numeric_threshold(nf, c, p)
+
+
+def _numeric_threshold(nf: NFunction, c: float, p: float) -> float:
+    """eps* = c u*^p with u* = f(p/u*) bracketed from u = 1 by halving or
+    doubling and bisected to 1e-15 relative; a density value past the
+    float range counts as f(p/u) > u."""
 
     def excess(u):
         try:

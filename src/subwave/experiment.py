@@ -9,8 +9,8 @@ against the theoretical bounds computed from the integral-route rate
 constant.  0 and T must be nodes of the simulation grid; configs where they
 are not are rejected.
 
-All randomness is keyed by the config seed through counter-based per-path
-streams, so a config maps to byte-identical outputs.
+All randomness is keyed by the config seed through counter-based streams,
+one per block of paths, so a config maps to byte-identical outputs.
 """
 
 import json
@@ -170,12 +170,9 @@ def run_experiment(cfg: ExperimentConfig) -> ExperimentResult:
     nf = parse_nfunction_spec(cfg.nfunction_spec)
 
     paths = simulate_paths(model, cfg.grid_L, cfg.grid_h, cfg.n_paths, cfg.seed)
-    grid = paths[0].grid
-    X = paths[0].values.base  # the paths are the columns of one batch
-    if X is None or X.shape != (grid.size, len(paths)):
-        raise ValueError("simulate_paths must return the columns of one batch")
+    X = paths.values  # grid x path
     errors = np.array(
-        [batch_lp_errors(basis, scheme, grid, X, cfg.p, cfg.T) for scheme in cfg.schemes]
+        [batch_lp_errors(basis, scheme, paths.grid, X, cfg.p, cfg.T) for scheme in cfg.schemes]
     )
 
     bounds: Dict[Tuple[int, float], TailBoundReport] = {}

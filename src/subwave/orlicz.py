@@ -211,7 +211,7 @@ def numeric_conjugate(phi: Callable[[float], float], x: float) -> float:
     return max(val, 0.0)
 
 
-def conjugate(nf: NFunction, x: float, force_numeric: bool = False) -> float:
+def conjugate(nf: NFunction, x: float) -> float:
     """Young-Fenchel conjugate phi*(x) = sup_y (x*y - phi(y)).
 
     Uses the closed form when the family carries one, otherwise a
@@ -219,7 +219,7 @@ def conjugate(nf: NFunction, x: float, force_numeric: bool = False) -> float:
     [0, y_max] with y_max expanded until phi(y_max)/y_max > |x|.  Evenness of
     phi makes the conjugate even, so only |x| is searched.
     """
-    if nf.conjugate_closed_form is not None and not force_numeric:
+    if nf.conjugate_closed_form is not None:
         return nf.conjugate_closed_form(x)
     return numeric_conjugate(nf.phi, x)
 

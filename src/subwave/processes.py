@@ -14,6 +14,10 @@ and one normal per path.  A stationary model has a Toeplitz K on the
 uniform grid, which embeds in a circulant matrix whose square root is two
 FFTs (Dietrich & Newsam 1997; Wood & Chan 1994).  Any other model, or an
 embedding with negative eigenvalues, uses the dense ``eigh`` factor of K.
+One simulation returns one ``SampleBatch``: the grid, validated once, and
+the grid x path matrix of values; indexing it gives ``SamplePath`` views.
+The normals come from one counter-based stream per block of 256 paths, so
+path i depends only on (seed, i), whatever the number of paths.
 
 The constructors the model specs call are memoised, so one spec always
 gives the same model object: a process that parses a spec again (a loop
@@ -34,6 +38,7 @@ from .quad import simpson_nodes, trapezoid_weights
 from .wavelets import WaveletPair
 
 _MAX_GRID_POINTS = 10_000
+_PATH_BLOCK = 256  # paths per block of normals and per random stream
 
 
 @dataclass(frozen=True)
@@ -87,14 +92,24 @@ def _validate_covariance(model: ProcessModel) -> None:
             raise ValidationError("model carries R_hat but R(t,s) is not a lag function")
 
 
+def _check_grid(grid: np.ndarray, n_values: int) -> None:
+    """A simulation grid: at least two nodes, increasing with a uniform
+    step, one node per value."""
+    if len(grid) != n_values:
+        raise ValidationError("grid and values must have equal length")
+    if len(grid) < 2:
+        raise ValidationError("grid needs at least two nodes")
+    d = np.diff(grid)
+    h = d[0]
+    if not h > 0:
+        raise ValidationError("grid must be increasing")
+    if np.any(np.abs(d - h) > 1e-12 * max(abs(h), 1.0)):
+        raise ValidationError("grid step must be uniform")
+
+
 @dataclass(frozen=True)
 class SamplePath:
-    """One simulated realization on a uniform grid.
-
-    The paths of one ``simulate_paths`` call are the columns of one
-    grid x path matrix: ``values`` is column ``path_index`` of
-    ``values.base``.
-    """
+    """One simulated realization on a uniform grid."""
 
     grid: np.ndarray
     values: np.ndarray
@@ -102,16 +117,39 @@ class SamplePath:
     path_index: int
 
     def __post_init__(self):
-        if len(self.grid) != len(self.values):
-            raise ValidationError("grid and values must have equal length")
-        if len(self.grid) < 2:
-            raise ValidationError("grid needs at least two nodes")
-        d = np.diff(self.grid)
-        h = d[0]
-        if not h > 0:
-            raise ValidationError("grid must be increasing")
-        if np.any(np.abs(d - h) > 1e-12 * max(abs(h), 1.0)):
-            raise ValidationError("grid step must be uniform")
+        _check_grid(self.grid, len(self.values))
+
+
+@dataclass(frozen=True)
+class SampleBatch:
+    """The paths of one ``simulate_paths`` call on one uniform grid.
+
+    ``values`` is the n x N grid x path matrix: column i is path i.
+    Indexing gives ``SamplePath`` views of the columns (an int, negative
+    too, gives one path; a slice gives a list), and iteration yields every
+    path in order.
+    """
+
+    grid: np.ndarray
+    values: np.ndarray
+    seed: int
+
+    def __post_init__(self):
+        if np.ndim(self.values) != 2:
+            raise ValidationError("batch values must be a grid x path matrix")
+        _check_grid(self.grid, len(self.values))
+
+    def __len__(self) -> int:
+        return self.values.shape[1]
+
+    def __getitem__(self, i):
+        i = range(len(self))[i]
+        if isinstance(i, range):
+            return [self[j] for j in i]
+        return SamplePath(self.grid, self.values[:, i], self.seed, i)
+
+    def __iter__(self):
+        return (self[i] for i in range(len(self)))
 
 
 def make_ou(lam: float) -> ProcessModel:
@@ -226,7 +264,8 @@ def _linear_sampler(
       irfft(sqrt(lambda) rfft(z)) is real, and its first n rows L satisfy
       L L^T = (C)_{n x n} = K; k = m.
     * anything else, or an indefinite embedding: k = n and L is the dense
-      ``eigh`` factor of K.
+      ``eigh`` factor of K, applied to the block zero-padded to
+      ``_PATH_BLOCK`` rows (B <= ``_PATH_BLOCK``).
     """
     n = len(grid)
     if model.separable_g is not None:
@@ -240,33 +279,36 @@ def _linear_sampler(
             root = np.sqrt(np.clip(lam, 0.0, None))
             return m, lambda Z: np.fft.irfft(root * np.fft.rfft(Z), n=m)[:, :n].T
     F = _covariance_factor(model, grid)
-    return n, lambda Z: F @ Z.T
+
+    def dense(Z):
+        # a product of one fixed width rounds each column the same way
+        padded = np.zeros((_PATH_BLOCK, n))
+        padded[: len(Z)] = Z
+        return (F @ padded.T)[:, : len(Z)]
+
+    return n, dense
 
 
-def _path_rng(seed: int, path_index: int) -> np.random.Generator:
-    """Counter-based stream keyed by (seed, path_index)."""
-    key = (int(path_index) << 64) | (int(seed) & (2**64 - 1))
+def _block_rng(seed: int, block: int) -> np.random.Generator:
+    """Counter-based stream keyed by (seed, block) for the paths
+    block * _PATH_BLOCK onwards, one row of normals per path."""
+    key = (int(block) << 64) | (int(seed) & (2**64 - 1))
     return np.random.Generator(np.random.Philox(key=key))
-
-
-_PATH_BLOCK = 256  # paths per block of normals, bounding the temporaries
 
 
 def simulate_paths(
     model: ProcessModel, L: float, h: float, n_paths: int, seed: int
-) -> list[SamplePath]:
+) -> SampleBatch:
     """Exact joint Gaussian samples on the grid [-L, L] with step h.
 
     The samples are L z for the model's exact linear map L (L L^T = K on
     the grid, see ``_linear_sampler``): g(t) z for a rank-one model,
     circulant embedding for a stationary one, the dense ``eigh`` factor
-    otherwise.  Path i draws its k normals z from an independent
-    counter-based stream keyed by (seed, i), so the output is deterministic
-    given (model, grid, seed, n_paths).  The rank-one and circulant samplers
-    map each path on its own, so path i is also bit for bit the same for
-    any n_paths; the dense product may round differently with the batch
-    width.  The paths' values are the columns of one grid x path matrix,
-    so a retained path keeps the whole batch alive.
+    otherwise.  The paths come in blocks of ``_PATH_BLOCK``; block b draws
+    its rows of k normals in order from one counter-based stream keyed by
+    (seed, b), and every sampler maps a row the same way whatever the
+    block holds, so path i is bit for bit a function of (model, grid,
+    seed, i) alone, for any n_paths.
     """
     if not model.gaussian:
         raise ValidationError("only Gaussian models can be simulated")
@@ -275,18 +317,15 @@ def simulate_paths(
     grid = simulation_grid(L, h)
     k, sample = _linear_sampler(model, grid)
     X = np.empty((len(grid), n_paths))
-    for start in range(0, n_paths, _PATH_BLOCK):
+    for b, start in enumerate(range(0, n_paths, _PATH_BLOCK)):
         stop = min(start + _PATH_BLOCK, n_paths)
-        Z = np.array([_path_rng(seed, i).standard_normal(k) for i in range(start, stop)])
-        X[:, start:stop] = sample(Z)
-    return [
-        SamplePath(grid=grid, values=X[:, i], seed=seed, path_index=i)
-        for i in range(n_paths)
-    ]
+        X[:, start:stop] = sample(_block_rng(seed, b).standard_normal((stop - start, k)))
+    return SampleBatch(grid=grid, values=X, seed=seed)
 
 
 def dump_paths(paths, out_dir) -> list[str]:
-    """Write one CSV per path (header ``t,x``, name ``path_<index>.csv``)."""
+    """Write one CSV per path of ``paths`` (a ``SampleBatch`` or any iterable
+    of ``SamplePath``; header ``t,x``, name ``path_<index>.csv``)."""
     out = Path(out_dir)
     out.mkdir(parents=True, exist_ok=True)
     written = []

@@ -38,11 +38,38 @@ def piecewise_simpson_nodes(breaks, panels):
     return np.concatenate(xs), np.concatenate(ws)
 
 
+def _legendre(n: int, x: np.ndarray):
+    """P_n(x) and P_n'(x) by the three-term recurrence
+    k P_k = (2k - 1) x P_{k-1} - (k - 1) P_{k-2}, for |x| < 1."""
+    p0, p1 = np.ones_like(x), x
+    for k in range(2, n + 1):
+        p0, p1 = p1, ((2 * k - 1) * x * p1 - (k - 1) * p0) / k
+    return p1, n * (x * p1 - p0) / (x * x - 1.0)
+
+
 @lru_cache(maxsize=32)
 def gauss_legendre(n: int):
-    """Cached Gauss-Legendre nodes/weights on [-1, 1]."""
-    x, w = np.polynomial.legendre.leggauss(n)
-    return x, w
+    """Cached Gauss-Legendre nodes (ascending) and weights on [-1, 1].
+
+    Newton steps on P_n from x_i = cos(pi (i - 1/4) / (n + 1/2)), i = 1..n/2
+    rounded up, give the nonnegative nodes; the weights are
+    2 / ((1 - x^2) P_n'(x)^2), and the negative half follows by symmetry.
+    """
+    if n < 1:
+        raise ValueError("Gauss-Legendre needs n >= 1 nodes")
+    x = np.cos(np.pi * (np.arange(1, (n + 1) // 2 + 1) - 0.25) / (n + 0.5))
+    for _ in range(100):
+        p, dp = _legendre(n, x)
+        dx = p / dp
+        x = x - dx
+        if np.max(np.abs(dx)) <= 1e-15:
+            break
+    odd = n % 2
+    if odd:
+        x[-1] = 0.0
+    _, dp = _legendre(n, x)
+    w = 2.0 / ((1.0 - x * x) * dp * dp)
+    return np.concatenate([-x, x[::-1][odd:]]), np.concatenate([w, w[::-1][odd:]])
 
 
 def gauss_nodes(a: float, b: float, n: int):

@@ -22,6 +22,7 @@ from subwave.orlicz import make_gaussian, make_power_family
 from subwave.processes import parse_model_spec
 from subwave.bounds import (
     _level_series,
+    _numeric_threshold,
     c_n_infty_integral,
     c_n_infty_uniform,
     epsilon_threshold,
@@ -52,7 +53,7 @@ class TestEpsilonThreshold:
     def test_numeric_matches_closed(self, c, p, alpha):
         nf = make_gaussian() if alpha is None else make_power_family(alpha)
         closed = epsilon_threshold(nf, c, p)
-        numeric = epsilon_threshold(nf, c, p, method="numeric")
+        numeric = _numeric_threshold(nf, c, p)
         assert abs(numeric - closed) <= 1e-9 * closed
 
     def test_preconditions(self):
@@ -60,8 +61,6 @@ class TestEpsilonThreshold:
             epsilon_threshold(make_gaussian(), 0.0, 2.0)
         with pytest.raises(ValidationError):
             epsilon_threshold(make_gaussian(), 1.0, 0.5)
-        with pytest.raises(ValidationError, match="unknown threshold method"):
-            epsilon_threshold(make_gaussian(), 1.0, 2.0, method="closed")
 
     def test_custom_family_uses_solver(self):
         from subwave.orlicz import make_custom

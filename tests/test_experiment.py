@@ -176,18 +176,13 @@ class TestOnePipeline:
         run_experiment(config_from_dict(BASE))
         assert len(calls) == 1
 
-    def test_paths_must_share_one_batch(self, monkeypatch):
-        real = experiment.simulate_paths
+    def test_builds_no_per_path_objects(self, monkeypatch, base_result):
+        def refuse(self):
+            raise AssertionError("run_experiment built a SamplePath")
 
-        def copied(*args, **kwargs):
-            return [
-                SamplePath(p.grid, p.values.copy(), p.seed, p.path_index)
-                for p in real(*args, **kwargs)
-            ]
-
-        monkeypatch.setattr(experiment, "simulate_paths", copied)
-        with pytest.raises(ValueError, match="one batch"):
-            run_experiment(config_from_dict(BASE))
+        monkeypatch.setattr(SamplePath, "__post_init__", refuse)
+        result = run_experiment(config_from_dict(BASE))
+        assert np.array_equal(result.per_path_errors, base_result.per_path_errors)
 
     def test_traced_names_resolve(self, monkeypatch):
         # the benchmark's traced run wraps these module attributes by name

@@ -1,4 +1,5 @@
 import math
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -8,7 +9,8 @@ from subwave.processes import (
     ProcessModel,
     _covariance_factor,
     _linear_sampler,
-    _path_rng,
+    _block_rng,
+    SampleBatch,
     SamplePath,
     dump_paths,
     make_gauss_bump,
@@ -180,25 +182,48 @@ class TestSimulation:
     def test_paths_are_columns_of_one_batch(self, ou1, gauss_bump):
         for model in (ou1, gauss_bump):
             paths = simulate_paths(model, 2.0, 0.25, 5, seed=2)
-            batch = paths[0].values.base
-            assert batch is not None and batch.shape == (17, 5)
+            assert isinstance(paths, SampleBatch)
+            assert paths.values.shape == (17, 5) and len(paths) == 5
             for i, p in enumerate(paths):
-                assert p.values.base is batch
-                assert np.array_equal(p.values, batch[:, i])
+                assert p.values.base is paths.values
+                assert p.grid is paths.grid and p.seed == 2 and p.path_index == i
+                assert np.array_equal(p.values, paths.values[:, i])
 
-    @pytest.mark.parametrize("name", ["ou1", "gauss_bump"])
+    def test_batch_indexing(self, ou1):
+        paths = simulate_paths(ou1, 2.0, 0.25, 5, seed=2)
+        last = paths[-1]
+        assert last.path_index == 4
+        assert np.array_equal(last.values, paths.values[:, 4])
+        assert [p.path_index for p in paths[1:4]] == [1, 2, 3]
+        assert [p.path_index for p in paths[::-2]] == [4, 2, 0]
+        assert paths[7:] == []
+        with pytest.raises(IndexError):
+            paths[5]
+        with pytest.raises(IndexError):
+            paths[-6]
+
+    def test_batch_invariants(self):
+        grid = np.linspace(-1.0, 1.0, 9)
+        with pytest.raises(ValidationError, match="grid x path"):
+            SampleBatch(grid=grid, values=np.zeros(9), seed=0)
+        with pytest.raises(ValidationError, match="equal length"):
+            SampleBatch(grid=grid, values=np.zeros((8, 2)), seed=0)
+        with pytest.raises(ValidationError, match="uniform"):
+            SampleBatch(grid=grid**3, values=np.zeros((9, 2)), seed=0)
+
+    @pytest.mark.parametrize("name", ["ou1", "gauss_bump", "damped_ou"])
     def test_path_does_not_depend_on_path_count(self, name, request):
-        model = request.getfixturevalue(name)
-        few = simulate_paths(model, 2.0, 0.125, 3, seed=4)
-        many = simulate_paths(model, 2.0, 0.125, 10, seed=4)
-        for a, b in zip(few, many):
-            assert np.array_equal(a.values, b.values)
-        # path i is L z_i with z_i from stream (seed, i), past a block of paths too
-        paths = simulate_paths(model, 2.0, 0.125, 300, seed=4)
-        k, sample = _linear_sampler(model, paths[0].grid)
+        # rank-one, circulant and dense samplers
+        model = _damped_ou() if name == "damped_ou" else request.getfixturevalue(name)
+        batches = [simulate_paths(model, 2.0, 0.125, n, seed=4) for n in (3, 10, 300, 600)]
+        for few, many in zip(batches[:-1], batches[1:]):
+            assert np.array_equal(few.values, many.values[:, : len(few)])
+        # path i is L z_i, z_i row i mod 256 of the stream of block i // 256
+        paths = batches[2]
+        k, sample = _linear_sampler(model, paths.grid)
         for i in (0, 9, 255, 256, 299):
-            z = _path_rng(4, i).standard_normal(k)
-            assert np.array_equal(paths[i].values, sample(z[None, :])[:, 0])
+            rows = _block_rng(4, i // 256).standard_normal((i % 256 + 1, k))
+            assert np.array_equal(paths[i].values, sample(rows)[:, -1])
 
     def test_non_gaussian_not_simulatable(self):
         m = ProcessModel(
@@ -220,6 +245,14 @@ class TestSimulation:
         lines = (tmp_path / "path_0.csv").read_text().splitlines()
         assert lines[0] == "t,x"
         assert len(lines) == 1 + len(paths[0].grid)
+
+    def test_dump_batch_matches_dump_of_its_paths(self, ou1, tmp_path):
+        paths = simulate_paths(ou1, 1.0, 0.5, 3, seed=3)
+        written = dump_paths(paths, tmp_path / "batch")
+        listed = dump_paths(list(paths), tmp_path / "list")
+        assert [Path(f).name for f in written] == [Path(f).name for f in listed]
+        for a, b in zip(written, listed):
+            assert Path(a).read_bytes() == Path(b).read_bytes()
 
 
 def _squared_exponential():

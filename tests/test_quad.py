@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 
 from subwave.quad import (
+    gauss_legendre,
     gauss_nodes,
     piecewise_simpson_nodes,
     simpson_nodes,
@@ -32,6 +33,30 @@ def test_gauss_exact_on_high_degree_polynomial():
     val = np.sum(w * x**20)
     exact = (3.0**21 - (-1.0) ** 21) / 21.0
     assert val == pytest.approx(exact, rel=1e-12)
+
+
+@pytest.mark.parametrize("n", [7, 24, 512])
+def test_gauss_legendre_matches_numpy(n):
+    x, w = gauss_legendre(n)
+    x_ref, w_ref = np.polynomial.legendre.leggauss(n)
+    np.testing.assert_allclose(x, x_ref, rtol=0, atol=2e-16)
+    # numpy's weights drift with n (1e-10 relative at n = 512)
+    np.testing.assert_allclose(w, w_ref, rtol=1e-9)
+
+
+@pytest.mark.parametrize("odd", [1, 3, 513])
+def test_gauss_legendre_odd_n_has_a_zero_node(odd):
+    x, w = gauss_legendre(odd)
+    assert x[odd // 2] == 0.0
+    np.testing.assert_array_equal(x, -x[::-1])
+    assert np.sum(w) == pytest.approx(2.0, rel=1e-14)
+
+
+def test_gauss_legendre_exact_at_2048_nodes():
+    # numpy's leggauss misses both by 1.2e-13 and 3.0e-13
+    x, w = gauss_legendre(2048)
+    assert abs(np.sum(w * np.cos(20.0 * x)) - np.sin(20.0) / 10.0) < 1e-13
+    assert abs(np.sum(w * x**40) - 2.0 / 41.0) < 1e-13
 
 
 def test_trapezoid_weights_uniform_and_nonuniform():
