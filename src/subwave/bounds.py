@@ -89,10 +89,10 @@ def epsilon_threshold(nf: NFunction, c: float, p: float) -> float:
     Any other phi solves for u* numerically (``_numeric_threshold``).  A
     threshold past the float range is inf: no eps is valid.
     """
-    if not c > 0:
-        raise ValidationError("threshold needs c > 0")
-    if not p >= 1:
-        raise ValidationError("threshold needs p >= 1")
+    if not 0 < c < math.inf:
+        raise ValidationError("threshold needs a finite c > 0")
+    if not 1 <= p < math.inf:
+        raise ValidationError("threshold needs a finite p >= 1")
     if nf.family in ("gaussian", "power"):
         alpha = nf.params[0]
         return _times_power(c, p, (alpha - 1.0) / alpha * p)
@@ -152,10 +152,10 @@ def tail_probability_bound(
     epsilon below the threshold yields valid=False (the bound value is
     still reported; it is just not asserted by the theory there).
     """
-    if not c > 0:
-        raise ValidationError("bound needs c > 0")
-    if not p >= 1:
-        raise ValidationError("bound needs p >= 1")
+    if not 0 < c < math.inf:
+        raise ValidationError("bound needs a finite c > 0")
+    if not 1 <= p < math.inf:
+        raise ValidationError("bound needs a finite p >= 1")
     if not epsilon > 0:
         raise ValidationError("bound needs epsilon > 0")
     thr = epsilon_threshold(nf, c, p)
@@ -213,8 +213,8 @@ def c_n_infty_integral(
 
     Simpson with 257 nodes on [0, T].
     """
-    if not p >= 1:
-        raise ValidationError("p must be >= 1")
+    if not 1 <= p < math.inf:
+        raise ValidationError("p must be >= 1 and finite")
     if not T > 0:
         raise ValidationError("T must be > 0")
     t, w = simpson_nodes(0.0, T, 256)
@@ -334,8 +334,8 @@ def c_n_infty_uniform(
     from 481 on are the spectral-bound series in closed form; its ratio q is
     2^(-alpha/2) (stationary) or 2^(-alpha) (rank-one); q >= 1 - 1e-9 raises DivergenceError.
     """
-    if not p >= 1:
-        raise ValidationError("p must be >= 1")
+    if not 1 <= p < math.inf:
+        raise ValidationError("p must be >= 1 and finite")
     if not T > 0:
         raise ValidationError("T must be > 0")
     if scheme.k0_prime < T + 1:
@@ -426,6 +426,10 @@ def plan_truncation(
         raise ValidationError("delta must be in (0, 1)")
     if not epsilon > 0:
         raise ValidationError("epsilon must be positive")
+    if not 0 < T < math.inf:
+        raise ValidationError("T must be finite and > 0")
+    if not math.isfinite(alpha):
+        raise ValidationError("alpha must be finite")
     best = best_valid = None
     for n in range(1, n_max + 1):
         for m in range(0, m_max + 1):

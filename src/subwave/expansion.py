@@ -18,13 +18,16 @@ for rank-one models, the factors int g w_a.  It has two integrators,
 chosen from the model and the basis alone.  On a band-limited basis
 (Meyer), a model with spectral data integrates R_hat (or g_hat) against
 the wavelet transforms over their finite band: a few matrix products on
-Gauss panels between the dilated kinks of the transforms.  Every other
+Gauss panels between the dilated kinks of the transforms
+(``wavelets.band_breaks``).  Every other
 pair (Haar, Daubechies, or a model without spectral data) integrates the
 covariance against the dilated wavelets over one Simpson node set per
 wavelet; that tensor quadrature is also the test oracle of the first.
 The Parseval integral of |R_hat| |w_hat|^2 (the proof-side upper bound of
 a level moment) and k-independent spectral bounds driven by a Lipschitz
 estimate of the wavelet transform near zero serve the uniform route.
+One Gauss panel rule serves every integral over a band-limited transform:
+the Parseval values and the xi bound take the engine's panels of the band.
 """
 
 import math
@@ -43,20 +46,13 @@ from .errors import (
 )
 from .processes import ProcessModel, SamplePath
 from .quad import gauss_legendre, gauss_nodes, piecewise_simpson_nodes, trapezoid_weights
-from .wavelets import WaveletPair, eval_dilated, lipschitz_fit
+from .wavelets import WaveletPair, band_breaks, eval_dilated, lipschitz_fit
 
-_TAIL_MASS = 1e-6  # relative envelope tail mass defining effective supports
-_TWO_PI_3 = 2.0 * math.pi / 3.0
 _MAX_MOMENT_COEFFICIENTS = 200
-# Meyer transforms on z >= 0: smooth between these kinks, zero past the last
-_MEYER_BREAKS = {
-    "f": (0.0, _TWO_PI_3, 2 * _TWO_PI_3),
-    "m": (_TWO_PI_3, 2 * _TWO_PI_3, 4 * _TWO_PI_3),
-}
 # Frequency-side moment rule: Gauss-Legendre panels of _PANEL_NODES nodes,
-# each spanning at most _PANEL_PHASE radians of the fastest phase; [0, 2pi/3]
-# split geometrically down to 2pi/3 * 2^-_ZERO_GRADING; _CHUNK_NODES nodes
-# per matrix product.
+# each spanning at most _PANEL_PHASE radians of the fastest phase; the span
+# below the first positive kink split geometrically down to 2^-_ZERO_GRADING
+# of it; _CHUNK_NODES nodes per matrix product.
 _PANEL_NODES = 24
 _PANEL_PHASE = 8.0
 _ZERO_GRADING = 30
@@ -155,7 +151,7 @@ class CoefficientSet:
 @lru_cache(maxsize=None)
 def _effective_support(basis: WaveletPair, which: str) -> float:
     env = basis.envelope_f if which == "f" else basis.envelope_m
-    return env.effective_support(_TAIL_MASS)
+    return env.effective_support()
 
 
 def _support_interval(basis, kind, j, k):
@@ -213,7 +209,7 @@ def interval_window(grid, T: float):
 def batch_coefficients(basis: WaveletPair, scheme: TruncationScheme, grid, X) -> np.ndarray:
     """Trapezoid inner products [coefficient, path] of the columns of X with
     the indexed (real-valued) basis functions, whose effective supports
-    (envelope tail mass 1e-6) the grid must cover.
+    (``Envelope.effective_support``) the grid must cover.
     """
     check_support_coverage(basis, scheme, grid)
     return (basis_matrix(basis, scheme, grid) * trapezoid_weights(grid)) @ X
@@ -289,15 +285,15 @@ def _scaled_nodes(basis: WaveletPair, which: str):
     coordinates, plus the wavelet values at the nodes.
 
     Heavy-tailed envelopes (Meyer) get a dense core on [-8, 8] plus sparse
-    tails.  Haar's jump points become segment boundaries and values are
-    taken from segment interiors, which keeps the rule exact for its
-    piecewise-constant factors.
+    tails.  A discontinuous basis (Haar) is a step table: its cell edges
+    become segment boundaries and values are taken from segment interiors,
+    which keeps the rule exact for its piecewise-constant factors.
     """
     s = _effective_support(basis, which)
     core_h = 1.0 / 32.0
-    if basis.family == "haar":
-        jumps = [0.0, 0.5] if which == "m" else [0.0]
-        breaks = sorted({-s, s} | {x for x in jumps if -s < x < s})
+    which_fn = basis.f_wavelet if which == "f" else basis.m_wavelet
+    if not basis.continuous:
+        breaks = sorted({-s, s} | {x for x in which_fn.grid if -s < x < s})
         panels = [_even((b - a) / core_h) for a, b in zip(breaks[:-1], breaks[1:])]
     elif s <= 20.0:
         breaks = [-s, s]
@@ -310,7 +306,6 @@ def _scaled_nodes(basis: WaveletPair, which: str):
             _even(2 * core / core_h),
             _even((s - core) / tail_h),
         ]
-    which_fn = basis.f_wavelet if which == "f" else basis.m_wavelet
     x, w = piecewise_simpson_nodes(breaks, panels)
     # evaluate strictly inside each node's segment so jump nodes take the
     # one-sided value belonging to that segment
@@ -391,12 +386,14 @@ def _tensor_moments(model: ProcessModel, basis: WaveletPair, idx, t):
     return G, M
 
 
-def _frequency_segments(idx):
+def _frequency_segments(basis: WaveletPair, idx):
     """Integration segments on z >= 0: between consecutive dilated kinks
-    2^j b of the indexed transforms, with [0, 2pi/3] split geometrically
-    toward z = 0, where a spectral density may peak (OU at a small rate)."""
-    ends = {2.0**j * b for kind, j, _ in idx for b in _MEYER_BREAKS[kind]}
-    ends.update(_TWO_PI_3 * 2.0**-i for i in range(1, _ZERO_GRADING + 1))
+    2^j b (``band_breaks``) of the indexed transforms, with the span below
+    the first positive kink split geometrically toward z = 0, where a
+    spectral density may peak (OU at a small rate)."""
+    ends = {2.0**j * b for kind, j, _ in idx for b in band_breaks(basis, kind)}
+    first = min((e for e in ends if e > 0.0), default=0.0)
+    ends.update(first * 2.0**-i for i in range(1, _ZERO_GRADING + 1))
     ends = sorted(ends)
     return list(zip(ends[:-1], ends[1:]))
 
@@ -432,15 +429,15 @@ def _frequency_moments(model: ProcessModel, basis: WaveletPair, idx, t):
     e^{-izt} stays small.  Each segment adds only the coefficients whose
     band covers it, so levels more than one apart never meet.
     """
-    lo = np.array([2.0**j * _MEYER_BREAKS[kind][0] for kind, j, _ in idx])
-    hi = np.array([2.0**j * _MEYER_BREAKS[kind][-1] for kind, j, _ in idx])
+    lo = np.array([2.0**j * band_breaks(basis, kind)[0] for kind, j, _ in idx])
+    hi = np.array([2.0**j * band_breaks(basis, kind)[-1] for kind, j, _ in idx])
     k_rate = np.array([(abs(k) + 1.0) / 2.0**j for _, j, k in idx])
     t_rate = float(np.max(np.abs(t), initial=0.0))
     rank_one = model.separable_g_hat is not None
     gamma = np.zeros(len(idx))
     G, M = np.zeros((len(idx), len(idx))), np.zeros((len(idx), len(t)))
     x, w = gauss_legendre(_PANEL_NODES)
-    for a, b in _frequency_segments(idx):
+    for a, b in _frequency_segments(basis, idx):
         act = np.flatnonzero((lo <= a) & (hi >= b))
         if act.size == 0:
             continue
@@ -483,28 +480,33 @@ def second_moment_eta(model: ProcessModel, basis: WaveletPair, j: int, k: int) -
 
 
 def band_limited(basis: WaveletPair) -> bool:
-    """True when the transforms vanish outside a finite window, so
-    frequency-side moments are exact (Meyer).  Haar and Daubechies
-    transforms decay slowly; their window ends at +-2^22."""
-    return basis.family == "meyer"
+    """True when the transforms vanish outside a finite band
+    (``band_breaks``), so frequency-side moments are exact (Meyer).  Haar
+    and Daubechies transforms decay slowly; their window ends at +-2^22."""
+    return band_breaks(basis, "m") is not None
 
 
 def _hat_window(basis: WaveletPair, which: str):
-    """Integration segments: the transform's support for band-limited bases,
-    otherwise [-64, 64] plus log-spaced segments out to +-2^22."""
-    if band_limited(basis):
-        lo, hi = _MEYER_BREAKS[which][0], _MEYER_BREAKS[which][-1]
-        return [(-hi, hi)] if lo == 0.0 else [(-hi, -lo), (lo, hi)]
+    """Integration segments of w_hat and Gauss nodes per segment: on a band
+    the moment engine's (``_frequency_segments`` above the lower edge,
+    mirrored to z < 0) with ``_PANEL_NODES`` each, so one rule serves every
+    integral over the band; otherwise [-64, 64] plus log-spaced segments out
+    to +-2^22 with 2048 each."""
+    breaks = band_breaks(basis, which)
+    if breaks is not None:
+        band = [(a, b) for a, b in _frequency_segments(basis, ((which, 0, 0),)) if a >= breaks[0]]
+        return [(-b, -a) for a, b in reversed(band)] + band, _PANEL_NODES
     edges = [2.0**e for e in range(6, 23)]
     outer = list(zip(edges[:-1], edges[1:]))
-    return [(-b, -a) for a, b in reversed(outer)] + [(-64.0, 64.0)] + outer
+    return [(-b, -a) for a, b in reversed(outer)] + [(-64.0, 64.0)] + outer, 2048
 
 
 @lru_cache(maxsize=None)
 def _hat_nodes(basis: WaveletPair, which: str):
-    """Window nodes (2048 Gauss nodes per segment), quadrature weights and
-    |w_hat| at the nodes; shared by every frequency-side moment of the basis."""
-    u, w = zip(*(gauss_nodes(a, b, 2048) for a, b in _hat_window(basis, which)))
+    """Window nodes (``_hat_window``), quadrature weights and |w_hat| at the
+    nodes; shared by the level moments and the xi bound of the basis."""
+    segments, n = _hat_window(basis, which)
+    u, w = zip(*(gauss_nodes(a, b, n) for a, b in segments))
     u = np.concatenate(u)
     hat = basis.f_hat if which == "f" else basis.m_hat
     return u, np.concatenate(w), np.abs(np.atleast_1d(hat(u)))

@@ -53,6 +53,9 @@ class ExperimentConfig:
     seed: int
 
     def __post_init__(self):
+        for name in ("p", "T", "grid_L", "grid_h"):
+            if not math.isfinite(getattr(self, name)):
+                raise ValidationError(f"{name} must be finite")
         if len(self.schemes) < 2:
             raise ValidationError("need at least 2 truncation schemes")
         for a, b in zip(self.schemes[:-1], self.schemes[1:]):
@@ -63,8 +66,8 @@ class ExperimentConfig:
                 )
         if self.n_paths < _MIN_PATHS:
             raise ValidationError(f"n_paths must be >= {_MIN_PATHS} for tail estimation")
-        if not self.epsilons or any(e <= 0 for e in self.epsilons):
-            raise ValidationError("epsilons must be a nonempty list of positives")
+        if not self.epsilons or not all(0 < e < math.inf for e in self.epsilons):
+            raise ValidationError("epsilons must be a nonempty list of finite positives")
         if self.T <= 0 or self.grid_L < self.T:
             raise ValidationError("grid [-L, L] must cover [0, T]")
         if self.p < 1:
@@ -151,12 +154,17 @@ class ExperimentResult:
                 lines.append(f"{s},{i},{err!r}")
         return "\n".join(lines) + "\n"
 
+    def _tail_rows(self):
+        """(scheme index, epsilon, empirical frequency, bound report, Monte
+        Carlo standard error) per (scheme, epsilon), in sorted order."""
+        n = self.per_path_errors.shape[1]
+        for (s, eps), rep in sorted(self.theoretical_bound.items()):
+            freq = self.empirical_tail[(s, eps)]
+            yield s, eps, freq, rep, math.sqrt(freq * (1.0 - freq) / n)
+
     def tails_csv(self) -> str:
         lines = ["scheme_index,epsilon,empirical,bound,valid,stderr"]
-        n = self.per_path_errors.shape[1]
-        for (s, eps), freq in sorted(self.empirical_tail.items()):
-            rep = self.theoretical_bound[(s, eps)]
-            se = math.sqrt(freq * (1.0 - freq) / n)
+        for s, eps, freq, rep, se in self._tail_rows():
             lines.append(
                 f"{s},{eps!r},{freq!r},{rep.bound!r},{str(rep.valid).lower()},{se!r}"
             )
@@ -213,12 +221,9 @@ def tightness_report(result: ExperimentResult) -> dict:
     """
     if not any(r.valid for r in result.theoretical_bound.values()):
         raise ValidationError("tightness report needs at least one valid bound")
-    n = result.per_path_errors.shape[1]
     rows = []
     violations = 0
-    for (s, eps), rep in sorted(result.theoretical_bound.items()):
-        freq = result.empirical_tail[(s, eps)]
-        se = math.sqrt(freq * (1.0 - freq) / n)
+    for s, eps, freq, rep, se in result._tail_rows():
         flagged = bool(rep.valid and freq > rep.bound + 3.0 * se)
         violations += flagged
         rows.append(
@@ -235,7 +240,7 @@ def tightness_report(result: ExperimentResult) -> dict:
         )
     return {
         "mc_policy": "flag empirical > bound + 3 standard errors (valid rows only)",
-        "n_paths": n,
+        "n_paths": result.per_path_errors.shape[1],
         "rows": rows,
         "violations": violations,
     }

@@ -158,8 +158,8 @@ def make_ou(lam: float) -> ProcessModel:
     R(t,s) = exp(-lam |t-s|), spectral density 2 lam / (lam^2 + z^2),
     unit variance so tau(t) = 1.  Equal rates give the same model object.
     """
-    if not lam > 0:
-        raise ValidationError("OU rate must be positive")
+    if not 0 < lam < math.inf:
+        raise ValidationError("OU rate must be positive and finite")
     # keyed on the float: lru_cache keys an int argument apart from its float
     return _ou_model(float(lam))
 
@@ -213,15 +213,16 @@ def parse_model_spec(spec: str) -> ProcessModel:
 
 def simulation_grid(L: float, h: float) -> np.ndarray:
     """Uniform grid over [-L, L] with step h (endpoints included)."""
-    if not (L > 0 and h > 0):
-        raise ValidationError("grid requires L > 0 and h > 0")
-    n_steps = int(round(2.0 * L / h))
+    if not (0 < L < math.inf and 0 < h < math.inf):
+        raise ValidationError("grid requires finite L > 0 and h > 0")
+    steps = 2.0 * L / h  # inf for a tiny h: checked before it is rounded
+    if not steps + 1 < _MAX_GRID_POINTS + 0.5:
+        raise ValidationError(
+            f"grid would have {steps + 1:.0f} points (limit {_MAX_GRID_POINTS})"
+        )
+    n_steps = round(steps)
     if abs(n_steps * h - 2.0 * L) > 1e-9 * L:
         raise ValidationError("step h must divide the interval [-L, L]")
-    if n_steps + 1 > _MAX_GRID_POINTS:
-        raise ValidationError(
-            f"grid would have {n_steps + 1} points (limit {_MAX_GRID_POINTS})"
-        )
     return -L + h * np.arange(n_steps + 1)
 
 
@@ -372,7 +373,7 @@ def validate_model(
     report["tau_dominated"] = {"passed": bool(worst <= 1e-12), "max_excess": worst}
 
     for name, env in (("f", basis.envelope_f), ("m", basis.envelope_m)):
-        s = env.effective_support(1e-6)
+        s = env.effective_support()
 
         def integral(a, b, panels=2048):
             nodes, wts = simpson_nodes(a, b, panels)

@@ -30,7 +30,7 @@ Shipped families:
 import math
 from dataclasses import dataclass
 from functools import lru_cache
-from typing import Callable, Tuple
+from typing import Callable, Optional, Tuple
 
 import numpy as np
 from numpy.polynomial.polynomial import polyval
@@ -350,6 +350,11 @@ def _filter_product_hat(y, h, g=None, depth: int = 40):
 # Meyer
 
 _TWO_PI_3 = 2.0 * math.pi / 3.0
+# kinks of |phi_hat| and |psi_hat| on z >= 0 (``band_breaks``)
+_MEYER_BREAKS = {
+    "f": (0.0, _TWO_PI_3, 2 * _TWO_PI_3),
+    "m": (_TWO_PI_3, 2 * _TWO_PI_3, 4 * _TWO_PI_3),
+}
 
 
 def _nu(x):
@@ -465,6 +470,15 @@ def make_basis(family: str) -> WaveletPair:
     return pair
 
 
+def band_breaks(basis: WaveletPair, which: str) -> Optional[Tuple[float, ...]]:
+    """Kinks of a band-limited |w_hat| on z >= 0, ascending: it is smooth
+    between them and zero outside [first, last].  None when the transform
+    is not band-limited (Haar, Daubechies)."""
+    if which not in ("f", "m"):
+        raise ValidationError("which must be 'f' or 'm'")
+    return _MEYER_BREAKS[which] if basis.family == "meyer" else None
+
+
 def eval_dilated(basis: WaveletPair, which: str, j: int, k: int, t):
     """2^{j/2} w(2^j t - k) for the selected mother function w.
 
@@ -487,13 +501,20 @@ def envelope_constant(env: Envelope) -> float:
     return 3.0 * float(env.big_phi(0.0)) + 4.0 * env.tail_integral(0.5)
 
 
+def _check_tail_window(T: float, k1: int) -> None:
+    if not 0 <= T < math.inf:
+        raise ValidationError("tail constant requires a finite T >= 0")
+    if k1 < T + 1:
+        raise ValidationError("tail constant requires k1 >= T + 1")
+
+
 def tail_constant(env: Envelope, T: float, k1: int) -> float:
     """C_delta(T, k1) = int_{k1-T-1}^inf Phi + int_{k1-1}^inf Phi.
 
-    Bounds sup_{|x|<=T} sum_{|k|>=k1} |w(x-k)|; requires k1 >= T + 1.
+    Bounds sup_{|x|<=T} sum_{|k|>=k1} |w(x-k)|; requires a finite T >= 0 and
+    k1 >= T + 1.
     """
-    if k1 < T + 1:
-        raise ValidationError("tail constant requires k1 >= T + 1")
+    _check_tail_window(T, k1)
     return env.tail_integral(k1 - T - 1.0) + env.tail_integral(k1 - 1.0)
 
 
@@ -549,7 +570,7 @@ def lattice_constant(basis: WaveletPair, which: str) -> float:
 def lattice_tail_constant(basis: WaveletPair, which: str, T: float, k1: int) -> float:
     """sup_{|x|<=T} sum_{|k|>=k1} |w(x-k)| for the function the code evaluates.
 
-    Requires k1 >= T + 1, like ``tail_constant``.  On a table cell the sum
+    Requires T and k1 like ``tail_constant``.  On a table cell the sum
     is convex (linear interpolation) or constant on the half-open cell
     (steps), so its supremum over the part of the cell inside [-T, T] is
     attained at a node g dx of that cell with |g| <= G = ceil(T / dx); the
@@ -559,8 +580,7 @@ def lattice_tail_constant(basis: WaveletPair, which: str, T: float, k1: int) -> 
     work independent of T.  Functions without an aligned table fall back to
     ``tail_constant``.
     """
-    if k1 < T + 1:
-        raise ValidationError("tail constant requires k1 >= T + 1")
+    _check_tail_window(T, k1)
     env = _which_envelope(basis, which)
     table = _lattice_table(basis, which)
     if table is None:

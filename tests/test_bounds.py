@@ -449,3 +449,40 @@ class TestPlanner:
             plan_truncation(ou1, meyer, nf, 2.0, 1.0, 0.5, delta=1.5, alpha=0.5)
         with pytest.raises(ValidationError):
             plan_truncation(ou1, meyer, nf, 2.0, 1.0, -1.0, delta=0.1, alpha=0.5)
+
+
+class TestNonFiniteInput:
+    @pytest.mark.parametrize(
+        "c, p, message",
+        [(math.inf, 2.0, "finite c > 0"), (math.nan, 2.0, "finite c > 0"),
+         (1.0, math.inf, "finite p >= 1"), (1.0, math.nan, "finite p >= 1")],
+    )
+    def test_threshold_and_bound(self, c, p, message):
+        with pytest.raises(ValidationError, match="threshold needs a " + message):
+            epsilon_threshold(make_power_family(1.5), c, p)
+        with pytest.raises(ValidationError, match="bound needs a " + message):
+            tail_probability_bound(make_power_family(1.5), c, p, 3.0)
+
+    @pytest.mark.parametrize("p", [math.inf, math.nan])
+    def test_rate_constants_need_finite_p(self, ou1, haar, p):
+        scheme = parse_scheme_spec("k0'=3;k=3,4")
+        with pytest.raises(ValidationError, match="p must be >= 1 and finite"):
+            c_n_infty_integral(ou1, haar, scheme, p, 1.0)
+        with pytest.raises(ValidationError, match="p must be >= 1 and finite"):
+            c_n_infty_uniform(ou1, haar, scheme, p, 1.0, 0.5)
+
+    @pytest.mark.parametrize(
+        "T, alpha, message",
+        [(math.inf, 0.5, "T must be finite"), (math.nan, 0.5, "T must be finite"),
+         (1.0, math.nan, "alpha must be finite"), (1.0, math.inf, "alpha must be finite")],
+    )
+    def test_planner(self, ou1, haar, T, alpha, message):
+        with pytest.raises(ValidationError, match=message):
+            plan_truncation(ou1, haar, make_gaussian(), 2.0, T, 1e9, 0.9, alpha)
+
+
+def test_level_cutoff_past_the_explicit_levels(ou1, haar):
+    # 482 levels, each with k_j >= 2^j T + 1, so J = 482
+    scheme = TruncationScheme(3, tuple(2**j + 2 for j in range(482)))
+    with pytest.raises(ResourceLimitError, match="level cutoff 482 exceeds 480 levels"):
+        c_n_infty_uniform(ou1, haar, scheme, 2.0, 1.0, 0.5)

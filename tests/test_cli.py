@@ -221,3 +221,55 @@ class TestExperimentCommand:
         report = json.loads((out / "report.json").read_text())
         assert report["tightness"]["violations"] == 0
         assert (out / "results.csv").exists() and (out / "tails.csv").exists()
+
+
+_PLAN = ("plan", "--model", "ou:1", "--basis", "haar", "--phi", "gaussian", "--eps", "1e9", "--delta", "0.9")
+_SIMULATE = ("simulate", "--model", "ou:1", "--paths", "2", "--seed", "1")
+_CONFIG = {
+    "model_spec": "ou:1",
+    "basis_spec": "haar",
+    "nfunction_spec": "gaussian",
+    "schemes": ["k0'=1;k=1", "k0'=2;k=2,3"],
+    "p": 2,
+    "T": 1,
+    "grid_L": 4.0,
+    "grid_h": 0.125,
+    "n_paths": 100,
+    "epsilons": [0.5, 1.0],
+    "seed": 3,
+}
+
+
+@pytest.mark.parametrize(
+    "call",
+    [
+        _SIMULATE + ("--L", "inf", "--h", "0.125"),
+        _SIMULATE + ("--L", "1", "--h", "1e-320"),
+        {"grid_L": math.inf},
+        _PLAN + ("--p", "2", "--T", "inf", "--alpha", "0.5"),
+        _PLAN + ("--p", "2", "--T", "nan", "--alpha", "0.5"),
+        _PLAN + ("--p", "2", "--T", "1", "--alpha", "nan"),
+        _PLAN + ("--p", "2", "--T", "1", "--alpha", "inf"),
+        _PLAN + ("--p", "inf", "--T", "1", "--alpha", "0.5"),
+        ("plan", "--model", "ou:inf") + _PLAN[3:] + ("--p", "2", "--T", "1", "--alpha", "0.5"),
+        ("basis-info", "--basis", "meyer", "--T", "nan"),
+        ("bound", "--phi", "power:1.5", "--c", "1", "--p", "inf", "--eps", "3"),
+        ("threshold", "--phi", "gaussian", "--c", "inf", "--p", "2"),
+        {"p": math.inf},
+        {"p": math.nan},
+        {"epsilons": [math.nan]},
+    ],
+    ids=lambda call: " ".join(call) if isinstance(call, tuple) else json.dumps(call),
+)
+def test_non_finite_number_exits_2(call, tmp_path):
+    if isinstance(call, dict):
+        config = tmp_path / "cfg.json"
+        config.write_text(json.dumps({**_CONFIG, **call}))  # writes Infinity / NaN
+        call = ("experiment", "--config", str(config))
+    if call[0] in ("simulate", "experiment"):
+        call += ("--out", str(tmp_path / "out"))
+    r = run_cli(*call)
+    assert r.returncode == 2, r.stderr
+    assert r.stderr.startswith("error: ")
+    assert "Traceback" not in r.stderr
+    assert not (tmp_path / "out").exists()

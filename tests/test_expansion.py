@@ -14,7 +14,9 @@ from subwave.expansion import (
     CoefficientSet,
     TruncationScheme,
     _frequency_moments,
+    _frequency_segments,
     _frequency_side,
+    _hat_nodes,
     _tensor_moments,
     basis_matrix,
     batch_coefficients,
@@ -33,7 +35,7 @@ from subwave.expansion import (
     second_moment_xi_bound,
 )
 from subwave.processes import ProcessModel, SamplePath, make_ou, simulate_paths, simulation_grid
-from subwave.wavelets import eval_dilated
+from subwave.wavelets import band_breaks, eval_dilated
 
 
 def make_path(grid, values):
@@ -468,3 +470,52 @@ class TestXiBound:
         )
         with pytest.raises(ValidationError):
             second_moment_xi_bound(plain, haar)
+
+
+class TestOneBandRule:
+    """Level moments, the xi bound and the Gram share one rule on the Meyer band."""
+
+    @pytest.mark.parametrize("which", ["f", "m"])
+    def test_nodes_are_the_engine_panels(self, meyer, which):
+        lo = band_breaks(meyer, which)[0]
+        band = [(a, b) for a, b in _frequency_segments(meyer, ((which, 0, 0),)) if a >= lo]
+        u, w, _ = _hat_nodes(meyer, which)
+        assert len(u) == 2 * expansion._PANEL_NODES * len(band)
+        assert np.all(np.abs(u) >= lo) and np.all(np.abs(u) <= band[-1][1])
+        assert np.all(np.diff(u) > 0) and np.all(w > 0)
+
+    @pytest.mark.parametrize("which", ["f", "m"])
+    def test_plancherel_on_hat_nodes(self, meyer, which):
+        # ||w||_2 = 1, so int |w_hat|^2 = 2 pi
+        _, w, h = _hat_nodes(meyer, which)
+        assert abs(np.sum(w * h**2) - 2.0 * math.pi) <= 1e-13
+
+    @pytest.mark.parametrize("lam", [0.5, 1.0, 2.0])
+    @pytest.mark.parametrize("j", [0, 3, 10])
+    def test_parseval_level_moment_is_the_gram(self, meyer, lam, j):
+        model = make_ou(lam)
+        G, _ = coefficient_moments(model, meyer, (("m", j, 0),))
+        assert second_moment_eta_parseval(model, meyer, j) == pytest.approx(G[0, 0], rel=1e-14)
+
+    @pytest.mark.parametrize("lam", [0.5, 1.0, 2.0])
+    def test_xi_bound_is_the_gram(self, meyer, lam):
+        model = make_ou(lam)
+        G, _ = coefficient_moments(model, meyer, (("f", 0, 0),))
+        assert second_moment_xi_bound(model, meyer) == pytest.approx(G[0, 0], rel=1e-14)
+
+
+class TestUnreachedValidation:
+    def test_detail_keys_must_match_scheme(self):
+        with pytest.raises(ValidationError, match="detail coefficients do not match"):
+            CoefficientSet(xi={0: 0.0}, eta={(0, 0): 0.0}, scheme=TruncationScheme(0, (1,)))
+
+    def test_parseval_needs_a_spectral_density(self, gauss_bump, meyer):
+        with pytest.raises(ValidationError, match="needs a spectral density"):
+            second_moment_eta_parseval(gauss_bump, meyer, 0)
+
+    @pytest.mark.parametrize("order", [0.0, -0.5])
+    def test_spectral_bounds_need_a_positive_order(self, ou1, gauss_bump, meyer, order):
+        with pytest.raises(ValidationError, match="order must be positive"):
+            second_moment_eta_spectral_bound(ou1, meyer, 0, order)
+        with pytest.raises(ValidationError, match="order must be positive"):
+            second_moment_eta_spectral_bound_ns(gauss_bump, meyer, 0, order)

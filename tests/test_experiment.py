@@ -2,6 +2,7 @@ import copy
 import dataclasses
 import importlib
 import json
+import math
 from pathlib import Path
 
 import numpy as np
@@ -82,6 +83,18 @@ class TestConfigValidation:
     def test_epsilons_positive(self):
         with pytest.raises(ValidationError):
             cfg_with(epsilons=[0.5, -1.0])
+
+    @pytest.mark.parametrize("key", ["p", "T", "grid_L", "grid_h"])
+    @pytest.mark.parametrize("value", [math.inf, math.nan])
+    def test_non_finite_number_rejected(self, key, value):
+        # rejected with the config, before any path is simulated
+        with pytest.raises(ValidationError, match=f"{key} must be finite"):
+            cfg_with(**{key: value})
+
+    @pytest.mark.parametrize("value", [math.inf, math.nan])
+    def test_non_finite_epsilon_rejected(self, value):
+        with pytest.raises(ValidationError, match="finite positives"):
+            cfg_with(epsilons=[0.4, value])
 
     def test_single_scheme_rejected(self):
         with pytest.raises(ValidationError):
@@ -210,6 +223,23 @@ class TestTightness:
         res = run_experiment(cfg_with(epsilons=[0.01]))
         assert not any(r.valid for r in res.theoretical_bound.values())
         with pytest.raises(ValidationError):
+            tightness_report(res)
+
+    def test_tails_csv_rows_are_the_report_rows(self, base_result):
+        lines = base_result.tails_csv().splitlines()
+        rows = tightness_report(base_result)["rows"]
+        assert len(lines) == len(rows) + 1
+        for line, row in zip(lines[1:], rows):
+            s, eps, freq, bound, valid, se = line.split(",")
+            assert (int(s), float(eps), float(freq), float(bound), float(se)) == (
+                row["scheme_index"], row["epsilon"], row["empirical"], row["bound"], row["stderr"]
+            )
+            assert valid == str(row["valid"]).lower()
+
+    def test_tails_csv_needs_no_valid_bound(self):
+        res = run_experiment(cfg_with(epsilons=[0.01]))
+        assert len(res.tails_csv().splitlines()) == 1 + 2
+        with pytest.raises(ValidationError, match="at least one valid bound"):
             tightness_report(res)
 
     def test_write_outputs(self, base_result, tmp_path):

@@ -140,6 +140,23 @@ class TestCustomValidation:
         with pytest.raises(ValidationError):
             make_custom(phi=lambda x: x * x + 1.0)
 
+    @pytest.mark.parametrize(
+        "kw, message",
+        [
+            ({"phi": lambda x: x * x if x >= 0 else 2.0 * x * x}, "not even"),
+            ({"phi": lambda x: math.sqrt(abs(x))}, "midpoint convexity"),
+            # x^2 inside [-1, 1], |x| outside: phi(10)/10 = phi(1)
+            ({"phi": lambda x: x * x if abs(x) <= 1.0 else abs(x)}, "grow toward the grid endpoint"),
+            ({"phi": lambda x: 0.5 * x * x, "density": lambda x: x + 1.0}, "density must vanish at 0"),
+            ({"phi": lambda x: 0.5 * x * x, "density": lambda x: x if x < 5.0 else 0.0},
+             "density must be nondecreasing"),
+            ({"phi": lambda x: 0.5 * x * x, "q_constant": 0.0}, "q_constant"),
+        ],
+    )
+    def test_axiom_checks(self, kw, message):
+        with pytest.raises(ValidationError, match=message):
+            make_custom(**kw)
+
 
 class TestSpecStrings:
     def test_parse_gaussian(self):

@@ -24,6 +24,14 @@ from subwave.processes import (
 )
 
 
+def _ou_cov(t, s):
+    return np.exp(-np.abs(np.asarray(t) - np.asarray(s)))
+
+
+def _ones(t):
+    return np.ones_like(np.asarray(t, dtype=float))
+
+
 class TestOU:
     def test_covariance_values(self, ou1):
         assert ou1.covariance(0.0, 0.0) == 1.0
@@ -49,6 +57,11 @@ class TestOU:
             make_ou(0.0)
         with pytest.raises(ValidationError):
             make_ou(-1.0)
+
+    @pytest.mark.parametrize("lam", [math.inf, math.nan])
+    def test_rejects_non_finite_rate(self, lam):
+        with pytest.raises(ValidationError, match="OU rate must be positive and finite"):
+            make_ou(lam)
 
 
 class TestSeparable:
@@ -99,6 +112,22 @@ class TestModelValidation:
                 tau_phi=lambda t: np.abs(np.asarray(t, dtype=float)),
                 spectral_density=lambda z: np.ones_like(np.asarray(z, dtype=float)),
             )
+
+    @pytest.mark.parametrize(
+        "cov, det, tau, gaussian, message",
+        [
+            (_ou_cov, 0.0, _ones, True, "determinative constant must be positive"),
+            (_ou_cov, -1.0, _ones, False, "determinative constant must be positive"),
+            # 1 - (t - s)^2 has a unit diagonal but a negative eigenvalue
+            (lambda t, s: 1.0 - (np.asarray(t) - np.asarray(s)) ** 2, 1.0, _ones, True,
+             "not positive semidefinite"),
+            (lambda t, s: -_ou_cov(t, s), 1.0, _ones, False, "negative variance"),
+            (_ou_cov, 2.0, _ones, True, "C_X = 1"),
+        ],
+    )
+    def test_model_axioms(self, cov, det, tau, gaussian, message):
+        with pytest.raises(ValidationError, match=message):
+            ProcessModel(covariance=cov, det_constant=det, tau_phi=tau, gaussian=gaussian)
 
     def test_rank_one_needs_g_and_g_hat(self):
         g = lambda t: np.exp(-0.5 * np.asarray(t, dtype=float) ** 2)
@@ -224,6 +253,25 @@ class TestSimulation:
         for i in (0, 9, 255, 256, 299):
             rows = _block_rng(4, i // 256).standard_normal((i % 256 + 1, k))
             assert np.array_equal(paths[i].values, sample(rows)[:, -1])
+
+    def test_needs_a_path(self, ou1):
+        with pytest.raises(ValidationError, match="n_paths must be >= 1"):
+            simulate_paths(ou1, 1.0, 0.5, 0, seed=0)
+
+    @pytest.mark.parametrize(
+        "L, h, message",
+        [
+            (math.inf, 0.125, "finite L > 0 and h > 0"),
+            (math.nan, 0.125, "finite L > 0 and h > 0"),
+            (1.0, math.inf, "finite L > 0 and h > 0"),
+            (1.0, math.nan, "finite L > 0 and h > 0"),
+            (1.0, 1e-320, "inf points"),  # 2 L / h overflows before rounding
+            (1e300, 1e-300, "limit 10000"),
+        ],
+    )
+    def test_grid_rejects_non_finite_input(self, L, h, message):
+        with pytest.raises(ValidationError, match=message):
+            simulation_grid(L, h)
 
     def test_non_gaussian_not_simulatable(self):
         m = ProcessModel(
@@ -365,6 +413,11 @@ class TestMinkowski:
         lhs, rhs = minkowski_gap(m, 1.0)
         assert lhs == pytest.approx(rhs, rel=1e-5)
         assert rhs == pytest.approx(1.0, abs=5e-3)
+
+    def test_needs_a_gaussian_model(self):
+        m = ProcessModel(covariance=_ou_cov, det_constant=2.0, tau_phi=_ones, gaussian=False)
+        with pytest.raises(ValidationError, match="assumes a Gaussian model"):
+            minkowski_gap(m, 1.0)
 
     @pytest.mark.parametrize("lam", [0.5, 1.0, 2.0])
     @pytest.mark.parametrize("T", [1.0, 5.0])

@@ -66,3 +66,8 @@ def test_trapezoid_weights_uniform_and_nonuniform():
     w = trapezoid_weights(t)
     # integral of f(x)=x over [0,3] is 4.5
     assert np.sum(w * t) == pytest.approx(4.5)
+
+
+def test_gauss_legendre_needs_a_node():
+    with pytest.raises(ValueError, match="needs n >= 1 nodes"):
+        gauss_legendre(0)

@@ -7,6 +7,7 @@ from scipy.integrate import quad
 from subwave.errors import NumericError, ValidationError
 from subwave.wavelets import (
     Envelope,
+    band_breaks,
     box_envelope,
     daubechies_filter,
     envelope_constant,
@@ -359,3 +360,39 @@ class TestLipschitzFit:
     def test_empty_candidate_set(self, meyer):
         with pytest.raises(ValidationError):
             lipschitz_fit(meyer, [])
+
+
+class TestBandBreaks:
+    def test_breaks_match_the_meyer_transforms(self, meyer):
+        f, m = band_breaks(meyer, "f"), band_breaks(meyer, "m")
+        assert f[0] == 0.0 and list(f) == sorted(f) and list(m) == sorted(m)
+        # |phi_hat| = 1 up to its first interior kink
+        assert np.all(np.abs(meyer.f_hat(np.linspace(0.0, f[1], 1001))) == 1.0)
+        # both vanish past the last kink, |psi_hat| also below the first
+        assert np.max(np.abs(meyer.f_hat(np.linspace(f[-1], 60.0, 2001)))) < 1e-15
+        assert np.max(np.abs(meyer.m_hat(np.linspace(m[-1], 60.0, 2001)))) < 1e-15
+        assert np.max(np.abs(meyer.m_hat(np.linspace(0.0, m[0], 1001)))) == 0.0
+        # and neither vanishes between two kinks
+        for hat, breaks in ((meyer.f_hat, f), (meyer.m_hat, m)):
+            mids = 0.5 * (np.array(breaks[:-1]) + np.array(breaks[1:]))
+            assert np.all(np.abs(hat(mids)) > 0.1)
+
+    @pytest.mark.parametrize("family", ["haar", "daubechies:2"])
+    def test_not_band_limited(self, family):
+        b = make_basis(family)
+        assert band_breaks(b, "f") is None and band_breaks(b, "m") is None
+
+
+class TestUnknownWhich:
+    @pytest.mark.parametrize("func", [lattice_constant, band_breaks])
+    def test_rejects_unknown_function(self, meyer, func):
+        with pytest.raises(ValidationError, match="which must be 'f' or 'm'"):
+            func(meyer, "x")
+
+    @pytest.mark.parametrize("T", [math.inf, math.nan, -5.0])
+    def test_tail_constants_need_a_finite_window(self, meyer, T):
+        # a window |x| <= T with T < 0 is empty: no constant to report
+        with pytest.raises(ValidationError, match="finite T >= 0"):
+            lattice_tail_constant(meyer, "f", T, 3)
+        with pytest.raises(ValidationError, match="finite T >= 0"):
+            tail_constant(meyer.envelope_f, T, 3)
