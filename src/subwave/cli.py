@@ -7,12 +7,13 @@ Exit codes: 0 success, 2 validation/config error, 1 numeric failure.
 import argparse
 import json
 import sys
+from pathlib import Path
 
 from .bounds import epsilon_threshold, plan_truncation, tail_probability_bound
 from .errors import SubwaveError, ValidationError
 from .experiment import load_config, run_experiment, strict_json, write_outputs
 from .orlicz import parse_nfunction_spec
-from .processes import dump_paths, parse_model_spec, simulate_paths
+from .processes import dump_paths, parse_model_spec, simulate_paths, simulation_grid
 from .wavelets import (
     envelope_constant,
     lattice_constant,
@@ -72,8 +73,19 @@ def _cmd_basis_info(args) -> int:
     return 0
 
 
+def _make_out_dir(path) -> None:
+    """Create the --out directory before any work: a path that cannot be
+    one is a usage error (exit 2), not a traceback after the simulation."""
+    try:
+        Path(path).mkdir(parents=True, exist_ok=True)
+    except OSError as exc:
+        raise ValidationError(f"cannot create output directory {path}: {exc.strerror}") from None
+
+
 def _cmd_simulate(args) -> int:
     model = parse_model_spec(args.model)
+    simulation_grid(args.L, args.h)  # a bad grid exits 2 before --out is made
+    _make_out_dir(args.out)
     paths = simulate_paths(model, args.L, args.h, args.paths, args.seed)
     written = dump_paths(paths, args.out)
     print(f"wrote {len(written)} paths to {args.out}")
@@ -83,10 +95,11 @@ def _cmd_simulate(args) -> int:
 def _cmd_experiment(args) -> int:
     try:
         cfg = load_config(args.config)
-    except FileNotFoundError:
-        raise ValidationError(f"config file not found: {args.config}") from None
+    except OSError as exc:
+        raise ValidationError(f"cannot read config {args.config}: {exc.strerror}") from None
     except json.JSONDecodeError as exc:
         raise ValidationError(f"config is not valid JSON: {exc}") from None
+    _make_out_dir(args.out)
     result = run_experiment(cfg)
     files = write_outputs(result, args.out)
     print(json.dumps(files))

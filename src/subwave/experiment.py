@@ -111,7 +111,8 @@ def _from_json(tp, value):
         if not isinstance(value, list):
             raise TypeError
         return tuple(_from_json(get_args(tp)[0], v) for v in value)
-    if not isinstance(value, _JSON_TYPES[tp]):
+    # bool subclasses int, but a JSON true/false is never a config number
+    if isinstance(value, bool) or not isinstance(value, _JSON_TYPES[tp]):
         raise TypeError
     return parse_scheme_spec(value) if tp is TruncationScheme else tp(value)
 

@@ -8,16 +8,21 @@ envelopes supply the two lattice-sum constants
     C_delta(T,k1)  = int_{k1-T-1}^inf Phi + int_{k1-1}^inf Phi   (k1 >= T+1)
 
 which bound sup_x sum_k |w(x-k)| and the corresponding index-tail sums.
-The same two suprema are also computed directly from the tabulated values
-the code evaluates (``lattice_constant`` / ``lattice_tail_constant``); for
-the polynomially decaying Meyer pair these are several hundred times
-smaller than the envelope constants.
+
+A ``WaveletPair`` checks itself at construction: both value functions are
+tables aligned with the integer lattice, each is dominated by its
+envelope, and psi_hat(0) = 0.  So the same two suprema are always
+computed exactly as sums over the tables the code evaluates
+(``lattice_constant`` / ``lattice_tail_constant``), with no envelope
+fallback; for the polynomially decaying Meyer pair they are several
+hundred times smaller than the envelope constants.
 
 Shipped families:
 
-* ``haar``            analytic; discontinuous, so it violates the continuity
-                      hypothesis of the mean-square convergence theory and is
-                      flagged accordingly (kept for arithmetic tests).
+* ``haar``            analytic step tables; discontinuous (``continuous`` is
+                      read off the table kind), so it violates the continuity
+                      hypothesis of the mean-square convergence theory (kept
+                      for arithmetic tests).
 * ``daubechies:N``    N in {2, 3, 4}; filter by spectral factorization,
                       values by exact dyadic refinement (12 levels, grid
                       step 2^-12), compactly supported.
@@ -156,32 +161,44 @@ class _StepFunc(_TableFunc):
 class WaveletPair:
     """A scaling-function / wavelet pair with Fourier evaluators and envelopes.
 
-    All fields are immutable and all evaluators pure, so instances are safe
-    to share across threads.
+    Construction checks the pair: both value functions are tables aligned
+    with the integer lattice (1/dx an integer, x0 a multiple of dx), each
+    is dominated by its envelope on [-50, 50] (assumption S), and
+    psi_hat(0) = 0.  All fields are immutable and all evaluators pure, so
+    instances are safe to share across threads.
     """
 
     family: str
-    f_wavelet: Callable[[np.ndarray], np.ndarray]
-    m_wavelet: Callable[[np.ndarray], np.ndarray]
+    f_wavelet: _TableFunc
+    m_wavelet: _TableFunc
     f_hat: Callable[[np.ndarray], np.ndarray]
     m_hat: Callable[[np.ndarray], np.ndarray]
     envelope_f: Envelope
     envelope_m: Envelope
-    continuous: bool = True
 
-
-def _check_domination(pair: WaveletPair) -> None:
-    """Assumption-S check: wavelet values dominated by their envelopes."""
-    for w, env, name in (
-        (pair.f_wavelet, pair.envelope_f, "f"),
-        (pair.m_wavelet, pair.envelope_m, "m"),
-    ):
+    def __post_init__(self):
         x = np.linspace(-50.0, 50.0, 4001)
-        if np.any(np.abs(w(x)) > env.big_phi(np.abs(x)) + 1e-9):
-            raise ValidationError(f"{name}-wavelet exceeds its envelope")
-    z0 = complex(pair.m_hat(np.array([0.0]))[0])
-    if abs(z0) > 1e-8:
-        raise ValidationError("wavelet Fourier transform must vanish at 0")
+        for w, env, name in (
+            (self.f_wavelet, self.envelope_f, "f"),
+            (self.m_wavelet, self.envelope_m, "m"),
+        ):
+            if not isinstance(w, _TableFunc):
+                raise ValidationError(f"{name}-wavelet must be a value table")
+            if round(1.0 / w.dx) * w.dx != 1.0 or round(w.x0 / w.dx) * w.dx != w.x0:
+                raise ValidationError(
+                    f"{name}-wavelet table must be aligned with the integer lattice"
+                )
+            if np.any(np.abs(w(x)) > env.big_phi(np.abs(x)) + 1e-9):
+                raise ValidationError(f"{name}-wavelet exceeds its envelope")
+        if abs(complex(self.m_hat(np.array([0.0]))[0])) > 1e-8:
+            raise ValidationError("wavelet Fourier transform must vanish at 0")
+
+    @property
+    def continuous(self) -> bool:
+        """False when a value function is a step table (Haar)."""
+        return not isinstance(self.f_wavelet, _StepFunc) and not isinstance(
+            self.m_wavelet, _StepFunc
+        )
 
 
 # ---------------------------------------------------------------------------
@@ -212,7 +229,6 @@ def _make_haar() -> WaveletPair:
         m_hat=_haar_m_hat,
         envelope_f=env,
         envelope_m=env,
-        continuous=False,
     )
 
 
@@ -419,7 +435,6 @@ def _fit_rational_envelope(table: _TableFunc, scale: float) -> Envelope:
     return rational_envelope(amp, scale)
 
 
-@lru_cache(maxsize=None)
 def _make_meyer() -> WaveletPair:
     f_w = _fourier_table(_meyer_f_hat_abs, 0.0)
     m_w = _fourier_table(_meyer_m_hat_abs, 0.5)
@@ -444,30 +459,27 @@ _DAUBECHIES_ORDERS = (2, 3, 4)
 
 @lru_cache(maxsize=None)
 def make_basis(family: str) -> WaveletPair:
-    """Build a wavelet pair from its spec string.
+    """Build a wavelet pair from its spec string; the pair checks itself
+    (``WaveletPair``) once per family, as the result is cached.
 
     Accepted: "haar", "daubechies:2|3|4", "meyer".  Haar is discontinuous
-    (``continuous=False``): it violates the continuity hypothesis of the
-    mean-square theory and is meant for arithmetic tests only.
+    (a step table, so ``continuous`` reads False): it violates the
+    continuity hypothesis of the mean-square theory and is meant for
+    arithmetic tests only.
     """
     if family == "haar":
-        pair = _make_haar()
-    elif family == "meyer":
-        pair = _make_meyer()
-    elif family.startswith("daubechies:"):
-        try:
-            order = int(family.split(":", 1)[1])
-        except ValueError:
-            raise ValidationError(f"bad daubechies order in {family!r}") from None
-        if order not in _DAUBECHIES_ORDERS:
-            raise ValidationError(
-                f"daubechies order must be one of {_DAUBECHIES_ORDERS}"
-            )
-        pair = _make_daubechies(order)
-    else:
+        return _make_haar()
+    if family == "meyer":
+        return _make_meyer()
+    if not family.startswith("daubechies:"):
         raise ValidationError(f"unknown wavelet family {family!r}")
-    _check_domination(pair)
-    return pair
+    try:
+        order = int(family.split(":", 1)[1])
+    except ValueError:
+        raise ValidationError(f"bad daubechies order in {family!r}") from None
+    if order not in _DAUBECHIES_ORDERS:
+        raise ValidationError(f"daubechies order must be one of {_DAUBECHIES_ORDERS}")
+    return _make_daubechies(order)
 
 
 def band_breaks(basis: WaveletPair, which: str) -> Optional[Tuple[float, ...]]:
@@ -522,32 +534,23 @@ def tail_constant(env: Envelope, T: float, k1: int) -> float:
 def _lattice_table(basis: WaveletPair, which: str):
     """Per-residue prefix sums of |w| over the nodes of its value table.
 
-    A node sits at g dx with g integer and 1/dx = P an integer; writing
-    g = P c + r (0 <= r < P) puts it at x = c + r dx.  Row r then lists the
-    values |w(r dx + c)| over the integers c, so the lattice sum at any node
-    with residue r is the row total.  Returns (dx, c_min, cum) with
-    cum[r, i] = sum over the first i columns of row r, or None when the
-    function has no table aligned with the integer lattice.
+    A node sits at g dx with g integer and 1/dx = P an integer (the pair
+    guarantees the alignment); writing g = P c + r (0 <= r < P) puts it at
+    x = c + r dx.  Row r then lists the values |w(r dx + c)| over the
+    integers c, so the lattice sum at any node with residue r is the row
+    total.  Returns (dx, c_min, cum) with cum[r, i] = sum over the first i
+    columns of row r.
     """
+    if which not in ("f", "m"):
+        raise ValidationError("which must be 'f' or 'm'")
     w = basis.f_wavelet if which == "f" else basis.m_wavelet
-    if not isinstance(w, _TableFunc):
-        return None
     P = round(1.0 / w.dx)
-    s = round(w.x0 / w.dx)
-    if P * w.dx != 1.0 or s * w.dx != w.x0:
-        return None
-    g = s + np.arange(len(w.values))
+    g = round(w.x0 / w.dx) + np.arange(len(w.values))
     c_min = int(g.min() // P)
     A = np.zeros((P, int(g.max() // P) - c_min + 1))
     A[g % P, g // P - c_min] = np.abs(w.values)
     cum = np.concatenate([np.zeros((P, 1)), np.cumsum(A, axis=1)], axis=1)
     return w.dx, c_min, cum
-
-
-def _which_envelope(basis: WaveletPair, which: str) -> Envelope:
-    if which not in ("f", "m"):
-        raise ValidationError("which must be 'f' or 'm'")
-    return basis.envelope_f if which == "f" else basis.envelope_m
 
 
 def lattice_constant(basis: WaveletPair, which: str) -> float:
@@ -557,13 +560,8 @@ def lattice_constant(basis: WaveletPair, which: str) -> float:
     every table cell, and the cells of all integer shifts line up, so the
     supremum is attained at a node; a step function is constant on its
     cells.  The node sums are exact row totals of ``_lattice_table``.
-    Functions without an aligned table fall back to ``envelope_constant``.
     """
-    env = _which_envelope(basis, which)
-    table = _lattice_table(basis, which)
-    if table is None:
-        return envelope_constant(env)
-    return float(table[2][:, -1].max())
+    return float(_lattice_table(basis, which)[2][:, -1].max())
 
 
 @lru_cache(maxsize=None)
@@ -577,15 +575,10 @@ def lattice_tail_constant(basis: WaveletPair, which: str, T: float, k1: int) -> 
     maximum is taken over those nodes.  A node x = q + r dx carries the tail
     sum_{c <= q-k1} + sum_{c >= q+k1} of row r; only integer parts q within
     reach of the table support can give a nonzero tail, which keeps the
-    work independent of T.  Functions without an aligned table fall back to
-    ``tail_constant``.
+    work independent of T.
     """
     _check_tail_window(T, k1)
-    env = _which_envelope(basis, which)
-    table = _lattice_table(basis, which)
-    if table is None:
-        return tail_constant(env, T, k1)
-    dx, c_min, cum = table
+    dx, c_min, cum = _lattice_table(basis, which)
     P, n_cols = cum.shape[0], cum.shape[1] - 1
     c_max = c_min + n_cols - 1
     G = math.ceil(T / dx)

@@ -69,6 +69,16 @@ class TestEpsilonThreshold:
         # same phi as the gaussian family, so the same crossing
         assert epsilon_threshold(nf, 1.0, 2.0) == pytest.approx(2.0, rel=1e-6)
 
+    @pytest.mark.parametrize("p", [1.0, 2.0, 4.0])
+    def test_root_below_one(self, p):
+        # f(x) = x/10 puts the root of u = f(p/u) at u* = sqrt(p/10) < 1,
+        # so the solver brackets it downward from u = 1
+        from subwave.orlicz import make_custom
+
+        nf = make_custom(phi=lambda x: x * x / 20.0, density=lambda x: x / 10.0)
+        for c in (0.5, 3.0):
+            assert epsilon_threshold(nf, c, p) == pytest.approx(c * (p / 10.0) ** (p / 2.0), rel=1e-14)
+
     def test_cosh_threshold_is_linear_in_c(self):
         # phi = cosh x - 1 is quadratic at 0; u* solves u = sinh(p/u)
         from subwave.orlicz import make_custom

@@ -273,3 +273,43 @@ def test_non_finite_number_exits_2(call, tmp_path):
     assert r.stderr.startswith("error: ")
     assert "Traceback" not in r.stderr
     assert not (tmp_path / "out").exists()
+
+
+def _experiment_config(tmp_path, **change):
+    config = tmp_path / "cfg.json"
+    config.write_text(json.dumps({**_CONFIG, **change}))
+    return str(config)
+
+
+@pytest.mark.parametrize(
+    "make_call",
+    [
+        lambda tmp: _SIMULATE + ("--L", "2", "--h", "0.125", "--out", str(tmp / "afile")),
+        lambda tmp: ("experiment", "--config", _experiment_config(tmp), "--out", str(tmp / "afile")),
+        lambda tmp: ("experiment", "--config", str(tmp), "--out", str(tmp / "out")),
+        lambda tmp: ("experiment", "--config", _experiment_config(tmp, p=True),
+                     "--out", str(tmp / "out")),
+    ],
+    ids=["simulate --out file", "experiment --out file", "--config dir", "boolean p"],
+)
+def test_unusable_path_or_config_exits_2(make_call, tmp_path):
+    (tmp_path / "afile").write_text("kept\n")
+    r = run_cli(*make_call(tmp_path))
+    assert r.returncode == 2, r.stderr
+    assert r.stderr.startswith("error: ")
+    assert "Traceback" not in r.stderr
+    assert (tmp_path / "afile").read_text() == "kept\n"
+    assert not (tmp_path / "out").exists()
+    assert not list(tmp_path.rglob("*.csv"))
+
+
+def test_experiment_out_checked_before_simulation(tmp_path, monkeypatch):
+    from subwave import cli, experiment
+
+    def no_simulation(*args):
+        raise AssertionError("simulated paths before checking --out")
+
+    monkeypatch.setattr(experiment, "simulate_paths", no_simulation)
+    (tmp_path / "afile").write_text("")
+    argv = ["experiment", "--config", _experiment_config(tmp_path), "--out", str(tmp_path / "afile")]
+    assert cli.main(argv) == 2

@@ -118,6 +118,25 @@ class TestConfigValidation:
             with pytest.raises(ValidationError, match="wrong type"):
                 config_from_dict(dict(BASE, **{key: bad}))
 
+    @pytest.mark.parametrize(
+        "change",
+        [{"p": True}, {"T": True}, {"grid_L": False}, {"grid_h": True}, {"n_paths": True},
+         {"seed": False}, {"epsilons": [0.4, True]}],
+        ids=lambda change: json.dumps(change),
+    )
+    def test_boolean_is_not_a_number(self, change):
+        (key,) = change
+        with pytest.raises(ValidationError, match=f"config field '{key}' has the wrong type"):
+            config_from_dict(dict(BASE, **change))
+
+    def test_list_field_needs_a_list(self):
+        with pytest.raises(ValidationError, match="config field 'schemes' has the wrong type"):
+            config_from_dict(dict(BASE, schemes="k0'=1;k=1"))
+
+    def test_p_below_one_rejected(self):
+        with pytest.raises(ValidationError, match="p must be >= 1"):
+            cfg_with(p=0.5)
+
     def test_zero_and_T_must_be_grid_nodes(self):
         # nodes at -13 + 0.4 i miss 0: the old node mask kept [0.2, 0.6] of [0, 1]
         with pytest.raises(ValidationError, match="must be nodes"):

@@ -168,6 +168,9 @@ class TestSpecStrings:
         assert nf.params == (1.5,)
         assert nf.spec_string() == "power:1.5"
 
+    def test_custom_spec_string(self):
+        assert make_custom(phi=lambda x: x * x).spec_string() == "custom"
+
     @pytest.mark.parametrize("bad", ["power:", "power:abc", "power:1e3", "cauchy", ""])
     def test_parse_rejects(self, bad):
         with pytest.raises(ValidationError):

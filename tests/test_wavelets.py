@@ -1,3 +1,4 @@
+import dataclasses
 import math
 
 import numpy as np
@@ -7,6 +8,8 @@ from scipy.integrate import quad
 from subwave.errors import NumericError, ValidationError
 from subwave.wavelets import (
     Envelope,
+    _StepFunc,
+    _TableFunc,
     band_breaks,
     box_envelope,
     daubechies_filter,
@@ -176,6 +179,36 @@ class TestEnvelopes:
                 tail_integral=lambda a: 0.5 * math.exp(-a),
             )
 
+    @pytest.mark.parametrize(
+        "kw, message",
+        [
+            ({"big_phi": lambda x: np.where(np.asarray(x) == 0.0, np.inf, 1.0)},
+             "finite at 0"),
+            ({"total_integral": math.inf, "tail_integral": lambda a: math.inf},
+             "must be integrable"),
+            ({"tail_integral": lambda a: 1.0 + a}, "tail integral must be nonincreasing"),
+        ],
+        ids=["infinite-at-0", "infinite-total", "increasing-tail"],
+    )
+    def test_rejections(self, kw, message):
+        exp_env = {
+            "big_phi": lambda x: np.exp(-np.asarray(x)),
+            "total_integral": 1.0,
+            "tail_integral": lambda a: math.exp(-a),
+        }
+        with pytest.raises(ValidationError, match=message):
+            Envelope(**{**exp_env, **kw})
+
+    def test_effective_support_unreachable(self):
+        # a tail 1/(1 + log(1 + a)) still holds 4.6% of the mass at a = 1e9
+        env = Envelope(
+            big_phi=lambda x: 1.0 / ((1.0 + np.asarray(x)) * (1.0 + np.log1p(x)) ** 2),
+            total_integral=1.0,
+            tail_integral=lambda a: 1.0 / (1.0 + math.log1p(a)),
+        )
+        with pytest.raises(NumericError, match="does not reach the target mass"):
+            env.effective_support()
+
     def test_effective_support_box(self):
         s = box_envelope(1.0, 3.0).effective_support(1e-6)
         assert s == pytest.approx(3.0, abs=1e-4)
@@ -283,15 +316,46 @@ class TestDirectLatticeSums:
         with pytest.raises(ValidationError):
             lattice_tail_constant(meyer, "m", 3.0, 3)
 
-    def test_untabulated_functions_fall_back_to_envelopes(self):
-        import dataclasses
-
+    def test_untabulated_functions_rejected(self):
+        # every pair has value tables, so the lattice sums need no fallback
         b = make_basis("daubechies:3")
-        plain = dataclasses.replace(
-            b, f_wavelet=lambda x: b.f_wavelet(x), m_wavelet=lambda x: b.m_wavelet(x)
-        )
-        assert lattice_constant(plain, "m") == envelope_constant(b.envelope_m)
-        assert lattice_tail_constant(plain, "f", 1.0, 2) == tail_constant(b.envelope_f, 1.0, 2)
+        with pytest.raises(ValidationError, match="f-wavelet must be a value table"):
+            dataclasses.replace(b, f_wavelet=lambda x: b.f_wavelet(x))
+
+
+def _scaled(w, factor):
+    return _TableFunc(w.x0, w.dx, factor * w.values)
+
+
+class TestPairChecksItself:
+    """A pair made by ``dataclasses.replace`` runs the same checks as one
+    made by ``make_basis``."""
+
+    @pytest.mark.parametrize(
+        "family, change, message",
+        [
+            ("daubechies:2", lambda b: {"m_wavelet": _scaled(b.m_wavelet, 2.0)},
+             "m-wavelet exceeds its envelope"),
+            ("meyer", lambda b: {"f_wavelet": _scaled(b.f_wavelet, 1.01)},
+             "f-wavelet exceeds its envelope"),
+            ("meyer", lambda b: {"m_hat": b.f_hat}, "must vanish at 0"),
+            ("haar", lambda b: {"f_wavelet": _StepFunc(0.0, 0.3, [1.0, 1.0])},
+             "f-wavelet table must be aligned"),
+            ("haar", lambda b: {"m_wavelet": _StepFunc(0.1, 0.5, [1.0, -1.0])},
+             "m-wavelet table must be aligned"),
+        ],
+        ids=["above-envelope-db2", "above-envelope-meyer", "m_hat(0)", "step-0.3", "offset-x0"],
+    )
+    def test_rejected(self, family, change, message):
+        b = make_basis(family)
+        with pytest.raises(ValidationError, match=message):
+            dataclasses.replace(b, **change(b))
+
+    def test_continuity_read_off_the_tables(self, haar, db2):
+        steps = dataclasses.replace(db2, f_wavelet=haar.f_wavelet, envelope_f=haar.envelope_f,
+                                    f_hat=haar.f_hat)
+        assert steps.continuous is False
+        assert dataclasses.replace(db2).continuous is True
 
 
 class TestOrthonormality:
