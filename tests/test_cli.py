@@ -289,8 +289,17 @@ def _experiment_config(tmp_path, **change):
         lambda tmp: ("experiment", "--config", str(tmp), "--out", str(tmp / "out")),
         lambda tmp: ("experiment", "--config", _experiment_config(tmp, p=True),
                      "--out", str(tmp / "out")),
+        lambda tmp: ("simulate", "--model", "ou:1", "--paths", "0", "--seed", "1",
+                     "--L", "2", "--h", "0.125", "--out", str(tmp / "out")),
+        lambda tmp: ("experiment", "--config", _experiment_config(tmp, basis_spec="nosuch"),
+                     "--out", str(tmp / "out")),
+        lambda tmp: ("experiment", "--config", _experiment_config(tmp, model_spec="nosuch"),
+                     "--out", str(tmp / "out")),
+        lambda tmp: ("experiment", "--config", _experiment_config(tmp, nfunction_spec="nosuch"),
+                     "--out", str(tmp / "out")),
     ],
-    ids=["simulate --out file", "experiment --out file", "--config dir", "boolean p"],
+    ids=["simulate --out file", "experiment --out file", "--config dir", "boolean p",
+         "--paths 0", "unknown basis", "unknown model", "unknown N-function"],
 )
 def test_unusable_path_or_config_exits_2(make_call, tmp_path):
     (tmp_path / "afile").write_text("kept\n")
@@ -301,6 +310,16 @@ def test_unusable_path_or_config_exits_2(make_call, tmp_path):
     assert (tmp_path / "afile").read_text() == "kept\n"
     assert not (tmp_path / "out").exists()
     assert not list(tmp_path.rglob("*.csv"))
+
+
+def test_rejected_experiment_writes_no_results(tmp_path):
+    # every epsilon is below the threshold, so no bound is valid
+    config = _experiment_config(tmp_path, epsilons=[1e-9])
+    r = run_cli("experiment", "--config", config, "--out", str(tmp_path / "out"))
+    assert r.returncode == 2, r.stderr
+    assert "at least one valid bound" in r.stderr
+    for name in ("results.csv", "tails.csv", "report.json"):
+        assert not (tmp_path / "out" / name).exists()
 
 
 def test_experiment_out_checked_before_simulation(tmp_path, monkeypatch):

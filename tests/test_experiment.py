@@ -133,6 +133,19 @@ class TestConfigValidation:
         with pytest.raises(ValidationError, match="config field 'schemes' has the wrong type"):
             config_from_dict(dict(BASE, schemes="k0'=1;k=1"))
 
+    @pytest.mark.parametrize(
+        "key, message",
+        [
+            ("model_spec", "unknown model spec"),
+            ("basis_spec", "unknown wavelet family"),
+            ("nfunction_spec", "unknown N-function spec"),
+        ],
+    )
+    def test_unknown_spec_rejected(self, key, message):
+        # rejected with the config, before a run makes its output directory
+        with pytest.raises(ValidationError, match=message):
+            cfg_with(**{key: "nosuch"})
+
     def test_p_below_one_rejected(self):
         with pytest.raises(ValidationError, match="p must be >= 1"):
             cfg_with(p=0.5)

@@ -1,9 +1,11 @@
 import math
+import tracemalloc
 from pathlib import Path
 
 import numpy as np
 import pytest
 
+from subwave import processes
 from subwave.errors import ValidationError
 from subwave.processes import (
     ProcessModel,
@@ -253,6 +255,30 @@ class TestSimulation:
         for i in (0, 9, 255, 256, 299):
             rows = _block_rng(4, i // 256).standard_normal((i % 256 + 1, k))
             assert np.array_equal(paths[i].values, sample(rows)[:, -1])
+
+    @pytest.mark.parametrize("n_paths", [600, 1000])
+    @pytest.mark.parametrize("name", ["ou1", "gauss_bump", "damped_ou"])
+    def test_paths_do_not_depend_on_thread_count(self, name, n_paths, request, monkeypatch):
+        model = _damped_ou() if name == "damped_ou" else request.getfixturevalue(name)
+        batches = []
+        for workers in (1, 3):
+            monkeypatch.setattr(processes, "_worker_count", lambda: workers)
+            batches.append(simulate_paths(model, 2.0, 0.125, n_paths, seed=8))
+        assert np.array_equal(batches[0].values, batches[1].values)
+
+    def test_sampler_memory_is_bounded(self):
+        # beyond the result, each worker holds a few slabs of normals,
+        # spectra and samples (a slab of the 3,393-node grid is ~1.7 MB)
+        args = (make_ou(1.0), 53.0, 1 / 32, 2000, 6)
+        simulate_paths(*args)  # warm: FFT plans and generator set-up
+        tracemalloc.start()
+        try:
+            X = simulate_paths(*args).values
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        workers = min(processes._worker_count(), -(-2000 // 256))
+        assert peak <= X.nbytes + 8e6 * workers
 
     def test_needs_a_path(self, ou1):
         with pytest.raises(ValidationError, match="n_paths must be >= 1"):
