@@ -274,8 +274,8 @@ def _linear_sampler(
       ``root`` vector, and one irfft per row follows.  The first n rows of
       that map satisfy L L^T = (C)_{n x n} = K.
     * anything else, or an indefinite embedding: k = n and L is the dense
-      ``eigh`` factor of K, applied slab by slab to ``_SLAB`` rows
-      zero-padded to that width.
+      ``eigh`` factor of K, applied to the block zero-padded to
+      ``_PATH_BLOCK`` rows (B <= ``_PATH_BLOCK``).
     """
     n = len(grid)
     if model.separable_g is not None:
@@ -302,14 +302,9 @@ def _linear_sampler(
 
     def dense(Z):
         # a product of one fixed width rounds each column the same way
-        out = np.empty((n, len(Z)))
-        padded = np.empty((_SLAB, n))
-        for start in range(0, len(Z), _SLAB):
-            slab = Z[start : start + _SLAB]
-            padded[: len(slab)] = slab
-            padded[len(slab) :] = 0.0
-            out[:, start : start + len(slab)] = (F @ padded.T)[:, : len(slab)]
-        return out
+        padded = np.zeros((_PATH_BLOCK, n))
+        padded[: len(Z)] = Z
+        return (F @ padded.T)[:, : len(Z)]
 
     return n, dense
 
@@ -339,10 +334,11 @@ def simulate_paths(
     circulant embedding for a stationary one, the dense ``eigh`` factor
     otherwise.  The paths come in blocks of ``_PATH_BLOCK``; block b draws
     its rows of k normals in order from one counter-based stream keyed by
-    (seed, b), ``_SLAB`` rows at a time, and maps each slab into its own
-    columns of the result.  The blocks are filled in parallel by a pool of
-    ``_worker_count()`` threads (one block runs inline); numpy's generator
-    and FFT release the GIL.  Every sampler maps a row the same way
+    (seed, b), ``_SLAB`` rows at a time (the dense factor takes the whole
+    block), and maps each slab into its own columns of the result.  The
+    blocks are filled in parallel by a pool of ``_worker_count()`` threads
+    (one block runs inline); numpy's generator, FFT and BLAS release the
+    GIL.  Every sampler maps a row the same way
     whatever the slab holds, so path i is bit for bit a function of
     (model, grid, seed, i) alone, for any n_paths and any thread count.
     """
@@ -352,13 +348,16 @@ def simulate_paths(
         raise ValidationError("n_paths must be >= 1")
     grid = simulation_grid(L, h)
     k, sample = _linear_sampler(model, grid)
+    # the dense factor (k = n) maps a whole block at its padded width; the
+    # other maps go a slab at a time, which bounds their scratch memory
+    rows = _PATH_BLOCK if k == len(grid) else _SLAB
     X = np.empty((len(grid), n_paths))
 
     def fill(block):
         rng = _block_rng(seed, block)
         stop = min((block + 1) * _PATH_BLOCK, n_paths)
-        for start in range(block * _PATH_BLOCK, stop, _SLAB):
-            end = min(start + _SLAB, stop)
+        for start in range(block * _PATH_BLOCK, stop, rows):
+            end = min(start + rows, stop)
             X[:, start:end] = sample(rng.standard_normal((end - start, k)))
 
     blocks = range(-(-n_paths // _PATH_BLOCK))
