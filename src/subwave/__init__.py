@@ -26,6 +26,7 @@ from .wavelets import (
     Envelope,
     WaveletPair,
     box_envelope,
+    dilated_support,
     envelope_constant,
     eval_dilated,
     exponential_envelope,

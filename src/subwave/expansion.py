@@ -10,7 +10,11 @@ Coefficients, reconstruction and the Lp([0,T]) error integral have one
 batched implementation over a matrix of paths [grid node, path]
 (``batch_coefficients``, ``batch_reconstruct``, ``batch_lp_errors``, with
 the [0, T] node window of ``interval_window``); ``compute_coefficients``,
-``reconstruct`` and ``lp_error`` run it on a single path.
+``reconstruct`` and ``lp_error`` run it on a single path.  A basis row
+enters an inner product only on the grid nodes where it can be nonzero
+(``wavelets.dilated_support``), and ``batch_lp_errors`` serves a list of
+nested schemes from one coefficient pass over the rows of the largest
+that are nonzero on [0, T].
 
 Every second moment of the coefficients comes from one function,
 ``coefficient_moments``: the Gram matrix, the cross moments with X(t) and,
@@ -46,7 +50,7 @@ from .errors import (
 )
 from .processes import ProcessModel, SamplePath
 from .quad import gauss_legendre, gauss_nodes, piecewise_simpson_nodes, trapezoid_weights
-from .wavelets import WaveletPair, band_breaks, eval_dilated, lipschitz_fit
+from .wavelets import WaveletPair, band_breaks, dilated_support, eval_dilated, lipschitz_fit
 
 _MAX_MOMENT_COEFFICIENTS = 200
 # Frequency-side moment rule: Gauss-Legendre panels of _PANEL_NODES nodes,
@@ -206,13 +210,47 @@ def interval_window(grid, T: float):
     return window, trapezoid_weights(grid[window])
 
 
+def _node_spans(basis: WaveletPair, idx, grid):
+    """Node ranges [start, stop) of the ascending ``grid``, one per index
+    (kind, j, k): the nodes in its ``dilated_support``, so the row is
+    exactly 0 on every other node."""
+    bounds = np.array([dilated_support(basis, kind, j, k) for kind, j, k in idx]).reshape(-1, 2)
+    return np.searchsorted(grid, bounds[:, 0], "left"), np.searchsorted(grid, bounds[:, 1], "right")
+
+
+def _rows_on(basis: WaveletPair, idx, spans, grid, nodes: slice) -> np.ndarray:
+    """Basis rows ``idx`` on the nodes grid[nodes], each evaluated only on
+    its own span (``_node_spans``) and 0 elsewhere."""
+    B = np.zeros((len(idx), nodes.stop - nodes.start))
+    for r, ((kind, j, k), a, b) in enumerate(zip(idx, *spans)):
+        a, b = max(int(a), nodes.start), min(int(b), nodes.stop)
+        if a < b:
+            B[r, a - nodes.start : b - nodes.start] = eval_dilated(basis, kind, j, k, grid[a:b])
+    return B
+
+
+def _sliced_coefficients(basis: WaveletPair, idx, spans, grid, X) -> np.ndarray:
+    """Trapezoid inner products [row, path] of the columns of X with the
+    rows ``idx``, summed over the union of their node spans only: one
+    matrix product with a contiguous block of rows of X (a view)."""
+    if not idx:
+        return np.zeros((0, X.shape[1]))
+    nodes = slice(int(spans[0].min()), int(spans[1].max()))
+    B = _rows_on(basis, idx, spans, grid, nodes)
+    return (B * trapezoid_weights(grid)[nodes]) @ X[nodes]
+
+
 def batch_coefficients(basis: WaveletPair, scheme: TruncationScheme, grid, X) -> np.ndarray:
     """Trapezoid inner products [coefficient, path] of the columns of X with
     the indexed (real-valued) basis functions, whose effective supports
-    (``Envelope.effective_support``) the grid must cover.
+    (``Envelope.effective_support``) the ascending grid must cover.  Each
+    function enters only on the nodes where it can be nonzero
+    (``dilated_support``).
     """
     check_support_coverage(basis, scheme, grid)
-    return (basis_matrix(basis, scheme, grid) * trapezoid_weights(grid)) @ X
+    grid = np.asarray(grid, dtype=float)
+    idx = scheme.indices()
+    return _sliced_coefficients(basis, idx, _node_spans(basis, idx, grid), grid, X)
 
 
 def batch_reconstruct(basis: WaveletPair, scheme: TruncationScheme, coefs, t) -> np.ndarray:
@@ -224,20 +262,45 @@ def _window_integral(values, recon, w, p: float):
     """w @ |values - recon|^p: the Lp error integral over a node window."""
     if p < 1:
         raise ValidationError("p must be >= 1")
-    return w @ (np.abs(values - recon) ** p)
+    d = np.subtract(values, recon)
+    np.abs(d, out=d)
+    d **= p
+    return w @ d
 
 
-def batch_lp_errors(
-    basis: WaveletPair, scheme: TruncationScheme, grid, X, p: float, T: float
-) -> np.ndarray:
-    """Per-path int_0^T |X(t) - X_n(t)|^p dt for the columns of X.
+def batch_lp_errors(basis: WaveletPair, schemes, grid, X, p: float, T: float) -> np.ndarray:
+    """Per-path int_0^T |X(t) - X_n(t)|^p dt [scheme, path] for the columns
+    of X and each of the ``schemes``, which the last one must contain.
 
-    The expansion is reconstructed only on the nodes in [0, T].
+    One coefficient pass serves every scheme: it takes the rows of the
+    last scheme that are nonzero somewhere in [0, T], as no other row
+    changes an expansion there.  Each scheme is reconstructed on the nodes
+    in [0, T] only, from that one coefficient matrix, by zeroing the rows
+    it does not keep in the window's basis matrix.
     """
+    schemes = tuple(schemes)
+    if not schemes:
+        raise ValidationError("need at least one truncation scheme")
+    full = schemes[-1]
+    if not all(full.contains(s) for s in schemes):
+        raise ValidationError(f"every scheme must be contained in the last, {full.spec_string()}")
+    check_support_coverage(basis, full, grid)
+    grid = np.asarray(grid, dtype=float)
     window, w = interval_window(grid, T)
-    coefs = batch_coefficients(basis, scheme, grid, X)
-    recon = batch_reconstruct(basis, scheme, coefs, np.asarray(grid)[window])
-    return _window_integral(X[window], recon, w, p)
+    idx = full.indices()
+    starts, stops = _node_spans(basis, idx, grid)
+    kept = np.flatnonzero((starts < window.stop) & (stops > window.start))
+    rows = [idx[r] for r in kept]
+    spans = (starts[kept], stops[kept])
+    coefs = _sliced_coefficients(basis, rows, spans, grid, X)
+    B = _rows_on(basis, rows, spans, grid, window)
+    errors = np.empty((len(schemes), X.shape[1]))
+    for s, scheme in enumerate(schemes):
+        member = set(scheme.indices())
+        keep = np.array([i in member for i in rows], dtype=float)
+        recon = (B * keep[:, None]).T @ coefs
+        errors[s] = _window_integral(X[window], recon, w, p)
+    return errors
 
 
 def compute_coefficients(

@@ -1,12 +1,12 @@
 """Monte Carlo experiment harness: reconstruction-error boxplot data and
 bound-tightness comparison, with CSV/JSON emission.
 
-A run simulates Gaussian paths, expands them all at once against each of a
-list of nested truncation schemes with the batched pipeline of
-``expansion`` (``batch_lp_errors``), which gives the Lp([0,T]) error
-integral per (scheme, path), and compares empirical exceedance frequencies
-against the theoretical bounds computed from the integral-route rate
-constant.  0 and T must be nodes of the simulation grid; configs where they
+A run computes the integral-route rate constant and the tail bounds of
+each of a list of nested truncation schemes, simulates Gaussian paths, and
+expands them all at once against every scheme in one coefficient pass
+(``expansion.batch_lp_errors``), which gives the Lp([0,T]) error integral
+per (scheme, path); it compares empirical exceedance frequencies against
+the bounds.  0 and T must be nodes of the simulation grid; configs where they
 are not are rejected.
 
 All randomness is keyed by the config seed through counter-based streams,
@@ -28,7 +28,7 @@ from .expansion import TruncationScheme, batch_lp_errors, interval_window, parse
 # traced run (bench/layers.py) wraps them by module attribute.
 from .expansion import basis_matrix, check_support_coverage  # noqa: F401
 from .orlicz import parse_nfunction_spec
-from .processes import parse_model_spec, simulate_paths, simulation_grid
+from .processes import check_seed, parse_model_spec, simulate_paths, simulation_grid
 from .wavelets import make_basis
 
 _MIN_PATHS = 100
@@ -68,6 +68,10 @@ class ExperimentConfig:
             raise ValidationError(f"n_paths must be >= {_MIN_PATHS} for tail estimation")
         if not self.epsilons or not all(0 < e < math.inf for e in self.epsilons):
             raise ValidationError("epsilons must be a nonempty list of finite positives")
+        # the tails are keyed (scheme, epsilon): a repeat would drop rows
+        if len(set(self.epsilons)) < len(self.epsilons):
+            raise ValidationError("epsilons must not repeat")
+        check_seed(self.seed)
         if self.T <= 0 or self.grid_L < self.T:
             raise ValidationError("grid [-L, L] must cover [0, T]")
         if self.p < 1:
@@ -178,27 +182,32 @@ class ExperimentResult:
 
 
 def run_experiment(cfg: ExperimentConfig) -> ExperimentResult:
-    """Simulate, expand, measure, and bound; deterministic given the config."""
+    """Bound, simulate, expand and measure; deterministic given the config.
+
+    The rate constants and bounds come first, so a config without a usable
+    bound fails before any path is drawn.
+    """
     model = parse_model_spec(cfg.model_spec)
     basis = make_basis(cfg.basis_spec)
     nf = parse_nfunction_spec(cfg.nfunction_spec)
 
-    paths = simulate_paths(model, cfg.grid_L, cfg.grid_h, cfg.n_paths, cfg.seed)
-    X = paths.values  # grid x path
-    errors = np.array(
-        [batch_lp_errors(basis, scheme, paths.grid, X, cfg.p, cfg.T) for scheme in cfg.schemes]
-    )
-
     bounds: Dict[Tuple[int, float], TailBoundReport] = {}
+    c_consts = []
+    for s_idx, scheme in enumerate(cfg.schemes):
+        c_consts.append(c_n_infty_integral(model, basis, scheme, cfg.p, cfg.T))
+        for eps in cfg.epsilons:
+            bounds[(s_idx, eps)] = tail_probability_bound(
+                nf, c_consts[-1], cfg.p, eps, route="integral"
+            )
+
+    paths = simulate_paths(model, cfg.grid_L, cfg.grid_h, cfg.n_paths, cfg.seed)
+    errors = batch_lp_errors(basis, cfg.schemes, paths.grid, paths.values, cfg.p, cfg.T)
+
     tails: Dict[Tuple[int, float], float] = {}
     summary = []
-    for s_idx, scheme in enumerate(cfg.schemes):
-        c_const = c_n_infty_integral(model, basis, scheme, cfg.p, cfg.T)
+    for s_idx, (scheme, c_const) in enumerate(zip(cfg.schemes, c_consts)):
         for eps in cfg.epsilons:
             tails[(s_idx, eps)] = float(np.mean(errors[s_idx] > eps))
-            bounds[(s_idx, eps)] = tail_probability_bound(
-                nf, c_const, cfg.p, eps, route="integral"
-            )
         q1, q2, q3 = np.percentile(errors[s_idx], [25, 50, 75])
         summary.append(
             {

@@ -309,10 +309,17 @@ def _linear_sampler(
     return n, dense
 
 
+def check_seed(seed: int) -> None:
+    """Reject a seed outside [0, 2^64): the path streams key on 64 bits of
+    it, so any other value would give the paths of a seed in that range."""
+    if not 0 <= seed < 2**64:
+        raise ValidationError(f"seed must be in [0, 2^64), got {seed}")
+
+
 def _block_rng(seed: int, block: int) -> np.random.Generator:
     """Counter-based stream keyed by (seed, block) for the paths
     block * _PATH_BLOCK onwards, one row of normals per path."""
-    key = (int(block) << 64) | (int(seed) & (2**64 - 1))
+    key = (int(block) << 64) | int(seed)
     return np.random.Generator(np.random.Philox(key=key))
 
 
@@ -346,6 +353,7 @@ def simulate_paths(
         raise ValidationError("only Gaussian models can be simulated")
     if n_paths < 1:
         raise ValidationError("n_paths must be >= 1")
+    check_seed(seed)
     grid = simulation_grid(L, h)
     k, sample = _linear_sampler(model, grid)
     # the dense factor (k = n) maps a whole block at its padded width; the

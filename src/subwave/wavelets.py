@@ -491,21 +491,38 @@ def band_breaks(basis: WaveletPair, which: str) -> Optional[Tuple[float, ...]]:
     return _MEYER_BREAKS[which] if basis.family == "meyer" else None
 
 
+def _dilated_table(basis: WaveletPair, which: str, j: int) -> _TableFunc:
+    if j < 0:
+        raise ValidationError("dilation level j must be >= 0")
+    if which == "f":
+        return basis.f_wavelet
+    if which == "m":
+        return basis.m_wavelet
+    raise ValidationError("which must be 'f' or 'm'")
+
+
 def eval_dilated(basis: WaveletPair, which: str, j: int, k: int, t):
     """2^{j/2} w(2^j t - k) for the selected mother function w.
 
     ``which`` is "f" (scaling) or "m" (wavelet); j >= 0.
     """
-    if j < 0:
-        raise ValidationError("dilation level j must be >= 0")
-    if which == "f":
-        w = basis.f_wavelet
-    elif which == "m":
-        w = basis.m_wavelet
-    else:
-        raise ValidationError("which must be 'f' or 'm'")
+    w = _dilated_table(basis, which, j)
     t = np.asarray(t, dtype=float)
     return 2.0 ** (j / 2.0) * w(2.0**j * t - k)
+
+
+def dilated_support(basis: WaveletPair, which: str, j: int, k: int) -> Tuple[float, float]:
+    """Closed interval [lo, hi] outside which ``eval_dilated(basis, which,
+    j, k, t)`` is exactly 0.
+
+    A value table vanishes outside [x0, x0 + len dx) (``_TableFunc``,
+    ``_StepFunc``); the interval is that, widened by one table step on
+    each side, mapped by x -> (x + k) / 2^j.  The step is far wider than
+    the rounding of 2^j t - k, so no t outside [lo, hi] reaches the table.
+    """
+    w = _dilated_table(basis, which, j)
+    scale = 2.0**-j
+    return (w.x0 - w.dx + k) * scale, (w.x0 + (len(w.values) + 1) * w.dx + k) * scale
 
 
 def envelope_constant(env: Envelope) -> float:

@@ -297,9 +297,18 @@ def _experiment_config(tmp_path, **change):
                      "--out", str(tmp / "out")),
         lambda tmp: ("experiment", "--config", _experiment_config(tmp, nfunction_spec="nosuch"),
                      "--out", str(tmp / "out")),
+        lambda tmp: ("simulate", "--model", "ou:1", "--paths", "2", "--seed", "-5",
+                     "--L", "2", "--h", "0.125", "--out", str(tmp / "out")),
+        lambda tmp: ("simulate", "--model", "ou:1", "--paths", "2", "--seed", str(2**64),
+                     "--L", "2", "--h", "0.125", "--out", str(tmp / "out")),
+        lambda tmp: ("experiment", "--config", _experiment_config(tmp, seed=-1),
+                     "--out", str(tmp / "out")),
+        lambda tmp: ("experiment", "--config", _experiment_config(tmp, epsilons=[0.5, 0.5]),
+                     "--out", str(tmp / "out")),
     ],
     ids=["simulate --out file", "experiment --out file", "--config dir", "boolean p",
-         "--paths 0", "unknown basis", "unknown model", "unknown N-function"],
+         "--paths 0", "unknown basis", "unknown model", "unknown N-function",
+         "--seed -5", "--seed 2^64", "seed -1", "repeated epsilon"],
 )
 def test_unusable_path_or_config_exits_2(make_call, tmp_path):
     (tmp_path / "afile").write_text("kept\n")

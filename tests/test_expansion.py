@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -17,6 +18,7 @@ from subwave.expansion import (
     _frequency_segments,
     _frequency_side,
     _hat_nodes,
+    _node_spans,
     _tensor_moments,
     basis_matrix,
     batch_coefficients,
@@ -34,8 +36,16 @@ from subwave.expansion import (
     second_moment_eta_spectral_bound_ns,
     second_moment_xi_bound,
 )
-from subwave.processes import ProcessModel, SamplePath, make_ou, simulate_paths, simulation_grid
-from subwave.wavelets import band_breaks, eval_dilated
+from subwave.processes import (
+    ProcessModel,
+    SamplePath,
+    make_ou,
+    parse_model_spec,
+    simulate_paths,
+    simulation_grid,
+)
+from subwave.quad import trapezoid_weights
+from subwave.wavelets import band_breaks, eval_dilated, make_basis
 
 
 def make_path(grid, values):
@@ -238,7 +248,7 @@ class TestBatchOfOne:
         scheme = TruncationScheme(2, (2, 3))
         C = batch_coefficients(db3, scheme, grid, X)
         R = batch_reconstruct(db3, scheme, C, grid)
-        E = batch_lp_errors(db3, scheme, grid, X, 2.0, 1.0)
+        E = batch_lp_errors(db3, [scheme], grid, X, 2.0, 1.0)[0]
         for i, path in enumerate(paths):
             coeffs = compute_coefficients(path, db3, scheme)
             recon = reconstruct(coeffs, db3, grid)
@@ -258,6 +268,98 @@ class TestBatchOfOne:
         coeffs = compute_coefficients(path, db3, TruncationScheme(-1, ()))
         assert coeffs.vector().shape == (0,)
         assert np.all(reconstruct(coeffs, db3, path.grid) == 0.0)
+
+
+def dense_lp_errors(basis, schemes, grid, X, p, T, dtype=float):
+    """The oracle: one full-grid product and reconstruction per scheme."""
+    window, w = interval_window(grid, T)
+    X, w = X.astype(dtype), w.astype(dtype)
+    weights = trapezoid_weights(grid).astype(dtype)
+    out = []
+    for scheme in schemes:
+        coefs = (basis_matrix(basis, scheme, grid).astype(dtype) * weights) @ X
+        recon = basis_matrix(basis, scheme, grid[window]).astype(dtype).T @ coefs
+        out.append(w @ np.abs(X[window] - recon) ** p)
+    return np.array(out)
+
+
+# The deepest compact scheme keeps level 4 out to |k| = 21, so many of its
+# rows are 0 on [0, 1] (on daubechies:4, those with k < -7 or k > 16).
+COMPACT_SCHEMES = ("k0'=2;k=2,3", "k0'=3;k=3,4,6", "k0'=4;k=4,5,7,13,21")
+MEYER_SCHEMES = ("k0'=2;k=2,3", "k0'=3;k=3,4,5")
+
+
+class TestNestedLpErrors:
+    """``batch_lp_errors`` over nested schemes from one restricted pass."""
+
+    @pytest.mark.parametrize("model_spec", ["ou:1", "separable:gauss-bump"])
+    @pytest.mark.parametrize("family", ["haar", "daubechies:2", "daubechies:4", "meyer"])
+    def test_matches_dense_per_scheme_oracle(self, family, model_spec):
+        basis = make_basis(family)
+        if family == "meyer":
+            L, h, specs = 53.0, 1 / 32, MEYER_SCHEMES
+        else:
+            L, h, specs = 14.0, 1 / 64, COMPACT_SCHEMES
+        schemes = [parse_scheme_spec(s) for s in specs]
+        paths = simulate_paths(parse_model_spec(model_spec), L, h, 40, 3)
+        grid, X = paths.grid, paths.values
+        got = batch_lp_errors(basis, schemes, grid, X, 2.0, 1.0)
+        dense = dense_lp_errors(basis, schemes, grid, X, 2.0, 1.0)
+        assert got.shape == (len(schemes), 40)
+        if family == "meyer":
+            np.testing.assert_allclose(got, dense, rtol=1e-12)
+            return
+        window, _ = interval_window(grid, 1.0)
+        starts, stops = _node_spans(basis, schemes[-1].indices(), grid)
+        assert np.sum((starts < window.stop) & (stops > window.start)) < schemes[-1].count()
+        # deep rank-one errors cancel to ~1e-8 of the signal, where any two
+        # summation orders differ; so both sides are held to a long-double
+        # reference, and the restricted pass may be no farther from it
+        ref = dense_lp_errors(basis, schemes, grid, X, 2.0, 1.0, np.longdouble)
+        off_got = np.max(np.abs(got - ref) / ref, axis=1).astype(float)
+        off_dense = np.max(np.abs(dense - ref) / ref, axis=1).astype(float)
+        assert np.all(off_got <= 4.0 * off_dense + 1e-14), (off_got, off_dense)
+
+    def test_schemes_must_fit_in_the_last(self, db3):
+        paths = simulate_paths(make_ou(1.0), 8.0, 2.0**-5, 2, 5)
+        args = (paths.grid, paths.values, 2.0, 1.0)
+        with pytest.raises(ValidationError, match="contained in the last"):
+            batch_lp_errors(db3, [TruncationScheme(2, (2, 3)), TruncationScheme(1, (1,))], *args)
+        with pytest.raises(ValidationError, match="at least one"):
+            batch_lp_errors(db3, [], *args)
+
+    def test_coverage_is_checked_on_the_whole_last_scheme(self, db3):
+        # the effective supports of (m, 0, -6) and (m, 0, 6), [-11, -1] and
+        # [1, 11], leave the grid [-10, 10], though those rows are 0 on
+        # [0, 1] and take no part in the product; the rows that do are covered
+        paths = simulate_paths(make_ou(1.0), 10.0, 2.0**-5, 2, 5)
+        args = (paths.grid, paths.values, 2.0, 1.0)
+        assert batch_lp_errors(db3, [TruncationScheme(1, (5,))], *args).shape == (1, 2)
+        with pytest.raises(SupportCoverageError) as err:
+            batch_lp_errors(db3, [TruncationScheme(1, (6,))], *args)
+        assert (err.value.j, err.value.k) == (0, -6)
+
+    def test_memory_is_kept_rows_and_window(self):
+        basis = make_basis("daubechies:4")
+        schemes = [parse_scheme_spec(s) for s in ("k0'=4;k=4,5,7", "k0'=6;k=6,7,9,13,21")]
+        n_paths = 2000
+        paths = simulate_paths(parse_model_spec("separable:gauss-bump"), 14.0, 1 / 64, n_paths, 1)
+        grid, X = paths.grid, paths.values
+        batch_lp_errors(basis, schemes, grid, X, 2.0, 1.0)  # warm the caches
+        window, _ = interval_window(grid, 1.0)
+        starts, stops = _node_spans(basis, schemes[-1].indices(), grid)
+        kept = int(np.sum((starts < window.stop) & (stops > window.start)))
+        tracemalloc.start()
+        try:
+            batch_lp_errors(basis, schemes, grid, X, 2.0, 1.0)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        # beyond X: the coefficient rows, a few window-sized matrices and the
+        # small basis matrices (78 x 897 doubles here); the full-grid product
+        # of all 130 rows would need 2.1 MB for its coefficients alone
+        n_window = window.stop - window.start
+        assert peak <= 8 * n_paths * (kept + 3 * n_window) + 1e6
 
 
 class TestSecondMoments:

@@ -158,7 +158,35 @@ class TestConfigValidation:
             cfg_with(T=1.0 + 1.0 / 16.0)  # grid step 1/8
 
 
+    def test_repeated_epsilon_rejected(self):
+        # the tails are keyed (scheme, epsilon): a repeat would lose rows
+        with pytest.raises(ValidationError, match="must not repeat"):
+            cfg_with(epsilons=[0.5, 0.6, 0.5])
+
+    @pytest.mark.parametrize("seed", [-1, 2**64, 5 + 2**64])
+    def test_seed_outside_64_bits_rejected(self, seed):
+        # the path streams key on 64 bits: 5 + 2^64 would replay seed 5
+        with pytest.raises(ValidationError, match=r"seed must be in \[0, 2\^64\)"):
+            cfg_with(seed=seed)
+
+    def test_seed_range_ends_accepted(self):
+        assert cfg_with(seed=0).seed == 0
+        assert cfg_with(seed=2**64 - 1).seed == 2**64 - 1
+
+
 class TestRunExperiment:
+    def test_unusable_bound_fails_before_sampling(self, monkeypatch):
+        # at p = 1e6 the rate constant underflows to 0, so no bound exists;
+        # that must be found before any path is drawn (and without the
+        # overflow warning of the error integral, which tier-1 makes an error)
+        def no_simulation(*args, **kwargs):
+            raise AssertionError("simulated paths before the bounds")
+
+        monkeypatch.setattr(experiment, "simulate_paths", no_simulation)
+        cfg = cfg_with(basis_spec="haar", grid_L=4.0, grid_h=0.125, p=1e6, epsilons=[0.5])
+        with pytest.raises(ValidationError, match="finite c > 0"):
+            run_experiment(cfg)
+
     def test_shapes_and_ranges(self, base_result):
         res = base_result
         assert res.per_path_errors.shape == (2, 120)

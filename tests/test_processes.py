@@ -284,6 +284,17 @@ class TestSimulation:
         with pytest.raises(ValidationError, match="n_paths must be >= 1"):
             simulate_paths(ou1, 1.0, 0.5, 0, seed=0)
 
+    @pytest.mark.parametrize("seed", [-1, -5, 2**64, 5 + 2**64])
+    def test_seed_outside_64_bits_rejected(self, ou1, seed):
+        # the streams key on 64 bits: -1 would replay 2^64 - 1, 5 + 2^64 seed 5
+        with pytest.raises(ValidationError, match=r"seed must be in \[0, 2\^64\)"):
+            simulate_paths(ou1, 1.0, 0.5, 2, seed=seed)
+
+    def test_seed_range_ends_differ(self, ou1):
+        first = simulate_paths(ou1, 1.0, 0.5, 2, seed=0).values
+        last = simulate_paths(ou1, 1.0, 0.5, 2, seed=2**64 - 1).values
+        assert not np.array_equal(first, last)
+
     @pytest.mark.parametrize(
         "L, h, message",
         [

@@ -13,6 +13,7 @@ from subwave.wavelets import (
     band_breaks,
     box_envelope,
     daubechies_filter,
+    dilated_support,
     envelope_constant,
     eval_dilated,
     exponential_envelope,
@@ -79,6 +80,41 @@ class TestEvalDilated:
             eval_dilated(haar, "m", -1, 0, 0.0)
         with pytest.raises(ValidationError):
             eval_dilated(haar, "g", 0, 0, 0.0)
+
+    @pytest.mark.parametrize("family", ["haar", "daubechies:2", "daubechies:3", "daubechies:4", "meyer"])
+    @pytest.mark.parametrize("which", ["f", "m"])
+    def test_zero_outside_dilated_support(self, family, which):
+        basis = make_basis(family)
+        step = (basis.f_wavelet if which == "f" else basis.m_wavelet).dx
+        for j in range(6):
+            # on meyer (x0 = -56) k = 55 puts the table's first node near
+            # t = 0, where 2^j t - k rounds onto x0 from just below it
+            for k in (-1000, -37, -1, 0, 5, 55, 1000):
+                lo, hi = dilated_support(basis, which, j, k)
+                width = hi - lo
+                below = np.concatenate([lo - width * np.linspace(1.0, 1e-6, 400), [np.nextafter(lo, -np.inf)]])
+                above = np.concatenate([hi + width * np.linspace(1e-6, 1.0, 400), [np.nextafter(hi, np.inf)]])
+                assert np.all(eval_dilated(basis, which, j, k, below) == 0.0)
+                assert np.all(eval_dilated(basis, which, j, k, above) == 0.0)
+                # and no wider than the table plus a step of it on each side
+                near = np.linspace(0.0, 2.5 * step / 2**j, 251)
+                assert np.any(eval_dilated(basis, which, j, k, lo + near) != 0.0)
+                assert np.any(eval_dilated(basis, which, j, k, hi - near) != 0.0)
+
+    @pytest.mark.parametrize("j", [0, 3, 5])
+    def test_haar_half_open_edge(self, haar, j):
+        # psi is -1 on [1/2, 1) and 0 from 1 on, so hi may sit on the edge
+        lo, hi = dilated_support(haar, "m", j, 3)
+        edge = 4.0 / 2**j
+        assert eval_dilated(haar, "m", j, 3, np.nextafter(edge, 0.0)) == -(2.0 ** (j / 2.0))
+        assert eval_dilated(haar, "m", j, 3, edge) == 0.0
+        assert lo <= 3.0 / 2**j and edge <= hi
+
+    def test_dilated_support_rejects_bad_args(self, haar):
+        with pytest.raises(ValidationError):
+            dilated_support(haar, "m", -1, 0)
+        with pytest.raises(ValidationError):
+            dilated_support(haar, "g", 0, 0)
 
     @pytest.mark.parametrize("j", [0, 1, 2, 3, 4])
     def test_l2_normalization(self, db3, j):
