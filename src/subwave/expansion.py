@@ -12,9 +12,11 @@ batched implementation over a matrix of paths [grid node, path]
 the [0, T] node window of ``interval_window``); ``compute_coefficients``,
 ``reconstruct`` and ``lp_error`` run it on a single path.  A basis row
 enters an inner product only on the grid nodes where it can be nonzero
-(``wavelets.dilated_support``), and ``batch_lp_errors`` serves a list of
-nested schemes from one coefficient pass over the rows of the largest
-that are nonzero on [0, T].
+(``wavelets.dilated_support``).  ``batch_lp_errors`` serves a list of
+nested schemes from the rows of the largest that are nonzero on [0, T],
+walking the paths in fixed-width blocks: each block's coefficients and
+every scheme's window error are computed while the block is in cache, and
+every per-path error is the same bit for bit whatever the number of paths.
 
 Every second moment of the coefficients comes from one function,
 ``coefficient_moments``: the Gram matrix, the cross moments with X(t) and,
@@ -48,7 +50,7 @@ from .errors import (
     SupportCoverageError,
     ValidationError,
 )
-from .processes import ProcessModel, SamplePath
+from .processes import _PATH_BLOCK, ProcessModel, SamplePath
 from .quad import gauss_legendre, gauss_nodes, piecewise_simpson_nodes, trapezoid_weights
 from .wavelets import WaveletPair, band_breaks, dilated_support, eval_dilated, lipschitz_fit
 
@@ -229,15 +231,15 @@ def _rows_on(basis: WaveletPair, idx, spans, grid, nodes: slice) -> np.ndarray:
     return B
 
 
-def _sliced_coefficients(basis: WaveletPair, idx, spans, grid, X) -> np.ndarray:
-    """Trapezoid inner products [row, path] of the columns of X with the
-    rows ``idx``, summed over the union of their node spans only: one
-    matrix product with a contiguous block of rows of X (a view)."""
+def _weighted_rows(basis: WaveletPair, idx, spans, grid):
+    """The rows ``idx`` times the trapezoid weights of ``grid``, on the
+    union of their node spans only, and that union as a slice: the
+    coefficients of the columns of X are ``Bw @ X[nodes]``."""
     if not idx:
-        return np.zeros((0, X.shape[1]))
+        return np.zeros((0, 0)), slice(0, 0)
     nodes = slice(int(spans[0].min()), int(spans[1].max()))
     B = _rows_on(basis, idx, spans, grid, nodes)
-    return (B * trapezoid_weights(grid)[nodes]) @ X[nodes]
+    return B * trapezoid_weights(grid)[nodes], nodes
 
 
 def batch_coefficients(basis: WaveletPair, scheme: TruncationScheme, grid, X) -> np.ndarray:
@@ -250,7 +252,8 @@ def batch_coefficients(basis: WaveletPair, scheme: TruncationScheme, grid, X) ->
     check_support_coverage(basis, scheme, grid)
     grid = np.asarray(grid, dtype=float)
     idx = scheme.indices()
-    return _sliced_coefficients(basis, idx, _node_spans(basis, idx, grid), grid, X)
+    Bw, nodes = _weighted_rows(basis, idx, _node_spans(basis, idx, grid), grid)
+    return Bw @ X[nodes]
 
 
 def batch_reconstruct(basis: WaveletPair, scheme: TruncationScheme, coefs, t) -> np.ndarray:
@@ -272,11 +275,15 @@ def batch_lp_errors(basis: WaveletPair, schemes, grid, X, p: float, T: float) ->
     """Per-path int_0^T |X(t) - X_n(t)|^p dt [scheme, path] for the columns
     of X and each of the ``schemes``, which the last one must contain.
 
-    One coefficient pass serves every scheme: it takes the rows of the
-    last scheme that are nonzero somewhere in [0, T], as no other row
-    changes an expansion there.  Each scheme is reconstructed on the nodes
-    in [0, T] only, from that one coefficient matrix, by zeroing the rows
-    it does not keep in the window's basis matrix.
+    Only the rows of the last scheme that are nonzero somewhere in [0, T]
+    take part, as no other row changes an expansion there.  The paths go
+    in the sampler's blocks of ``_PATH_BLOCK``, read as rows of ``X.T``
+    (contiguous when X is the transposed path-major buffer of a
+    ``SampleBatch``), the last block zero-padded to the full width.  Per
+    block, one product gives the coefficients, and each scheme is
+    reconstructed on the nodes in [0, T] only, by zeroing the rows it does
+    not keep in the window's basis matrix.  Every product has the same
+    shape, so path i's errors do not depend on the number of paths.
     """
     schemes = tuple(schemes)
     if not schemes:
@@ -292,14 +299,24 @@ def batch_lp_errors(basis: WaveletPair, schemes, grid, X, p: float, T: float) ->
     kept = np.flatnonzero((starts < window.stop) & (stops > window.start))
     rows = [idx[r] for r in kept]
     spans = (starts[kept], stops[kept])
-    coefs = _sliced_coefficients(basis, rows, spans, grid, X)
+    Bw, nodes = _weighted_rows(basis, rows, spans, grid)
     B = _rows_on(basis, rows, spans, grid, window)
-    errors = np.empty((len(schemes), X.shape[1]))
-    for s, scheme in enumerate(schemes):
+    masked = []  # per scheme: B.T with the rows it does not keep zeroed
+    for scheme in schemes:
         member = set(scheme.indices())
         keep = np.array([i in member for i in rows], dtype=float)
-        recon = (B * keep[:, None]).T @ coefs
-        errors[s] = _window_integral(X[window], recon, w, p)
+        masked.append((B * keep[:, None]).T)
+    paths = X.T
+    errors = np.empty((len(schemes), len(paths)))
+    for start in range(0, len(paths), _PATH_BLOCK):
+        block = paths[start : start + _PATH_BLOCK]
+        count = len(block)
+        if count < _PATH_BLOCK:
+            block = np.concatenate([block, np.zeros((_PATH_BLOCK - count, len(grid)))])
+        coefs = Bw @ block[:, nodes].T
+        values = block[:, window].T
+        for s, M in enumerate(masked):
+            errors[s, start : start + count] = _window_integral(values, M @ coefs, w, p)[:count]
     return errors
 
 

@@ -16,10 +16,12 @@ Wood & Chan 1994); a path is one ``irfft`` of a spectrum drawn directly
 from its normals.  Any other model, or an embedding with negative
 eigenvalues, uses the dense ``eigh`` factor of K.  One simulation returns
 one ``SampleBatch``: the grid, validated once, and the grid x path matrix
-of values; indexing it gives ``SamplePath`` views.  The normals come from
-one counter-based stream per block of 256 paths, and the blocks are filled
-in parallel, one thread per usable CPU, so path i depends only on
-(seed, i), whatever the number of paths or of threads.
+of values, a transposed view of one path-major buffer in which every path
+is contiguous; indexing it gives ``SamplePath`` views.  The normals come
+from one counter-based stream per block of 256 paths, each sampler writes
+whole paths into the buffer in place, and the blocks are filled in
+parallel, one thread per usable CPU, so path i depends only on (seed, i),
+whatever the number of paths or of threads.
 
 The constructors the model specs call are memoised, so one spec always
 gives the same model object: a process that parses a spec again (a loop
@@ -42,7 +44,7 @@ from .wavelets import WaveletPair
 
 _MAX_GRID_POINTS = 10_000
 _PATH_BLOCK = 256  # paths per block of normals and per random stream
-_SLAB = 32  # rows of normals drawn and mapped at a time: bounds the scratch memory
+_SLAB = 32  # paths per call of the circulant map: bounds its scratch memory
 
 
 @dataclass(frozen=True)
@@ -128,10 +130,11 @@ class SamplePath:
 class SampleBatch:
     """The paths of one ``simulate_paths`` call on one uniform grid.
 
-    ``values`` is the n x N grid x path matrix: column i is path i.
-    Indexing gives ``SamplePath`` views of the columns (an int, negative
-    too, gives one path; a slice gives a list), and iteration yields every
-    path in order.
+    ``values`` is the n x N grid x path matrix: column i is path i.  From
+    ``simulate_paths`` it is the transposed view of an N x n path-major
+    buffer, so each column is contiguous.  Indexing gives ``SamplePath``
+    views of the columns (an int, negative too, gives one path; a slice
+    gives a list), and iteration yields every path in order.
     """
 
     grid: np.ndarray
@@ -254,11 +257,12 @@ def _covariance_factor(model: ProcessModel, grid: np.ndarray) -> np.ndarray:
 
 def _linear_sampler(
     model: ProcessModel, grid: np.ndarray
-) -> tuple[int, Callable[[np.ndarray], np.ndarray]]:
+) -> tuple[int, Callable[[np.ndarray, np.ndarray], None]]:
     """The exact linear map L (n x k, L L^T = K on the grid) of the model.
 
-    Returns k and a function taking a (B, k) block of standard normals,
-    one row per path, to the (n, B) block of samples L z.
+    Returns k and a function ``sample(Z, out)`` taking a (B, k) block of
+    standard normals, one row per path, and writing the B paths L z as
+    the rows of the (B, n) array ``out``.
 
     * rank-one (g set): k = 1 and L = g(grid).
     * stationary (R_hat set): K is the symmetric Toeplitz matrix of the lag
@@ -280,7 +284,11 @@ def _linear_sampler(
     n = len(grid)
     if model.separable_g is not None:
         g = np.asarray(model.separable_g(grid), dtype=float)
-        return 1, lambda Z: g[:, None] * Z[:, 0]
+
+        def rank_one(Z, out):
+            np.multiply(Z[:, :1], g, out=out)
+
+        return 1, rank_one
     if model.spectral_density is not None:
         c = np.asarray(model.covariance(grid, grid[0]), dtype=float)
         m = 2 * (n - 1)
@@ -290,21 +298,21 @@ def _linear_sampler(
             variance[[0, -1]] = m
             root = np.sqrt(np.clip(lam, 0.0, None) * variance)
 
-            def circulant(Z):
+            def circulant(Z, out):
                 spectrum = np.empty((len(Z), n), dtype=complex)
                 np.multiply(Z[:, :n], root, out=spectrum.real)
                 np.multiply(Z[:, n:], root[1:-1], out=spectrum.imag[:, 1:-1])
                 spectrum.imag[:, [0, -1]] = 0.0
-                return np.fft.irfft(spectrum, n=m)[:, :n].T
+                out[...] = np.fft.irfft(spectrum, n=m)[:, :n]
 
             return m, circulant
     F = _covariance_factor(model, grid)
 
-    def dense(Z):
+    def dense(Z, out):
         # a product of one fixed width rounds each column the same way
         padded = np.zeros((_PATH_BLOCK, n))
         padded[: len(Z)] = Z
-        return (F @ padded.T)[:, : len(Z)]
+        out[...] = (F @ padded.T)[:, : len(Z)].T
 
     return n, dense
 
@@ -339,15 +347,17 @@ def simulate_paths(
     The samples are L z for the model's exact linear map L (L L^T = K on
     the grid, see ``_linear_sampler``): g(t) z for a rank-one model,
     circulant embedding for a stationary one, the dense ``eigh`` factor
-    otherwise.  The paths come in blocks of ``_PATH_BLOCK``; block b draws
-    its rows of k normals in order from one counter-based stream keyed by
-    (seed, b), ``_SLAB`` rows at a time (the dense factor takes the whole
-    block), and maps each slab into its own columns of the result.  The
+    otherwise.  The paths are the rows of one N x n buffer, and the
+    batch's ``values`` is its transposed view.  They come in blocks of
+    ``_PATH_BLOCK``; block b draws its rows of k normals in order from one
+    counter-based stream keyed by (seed, b) and maps them into its own
+    rows of the buffer: the circulant map ``_SLAB`` rows at a time, which
+    bounds its scratch memory, the others the whole block at once.  The
     blocks are filled in parallel by a pool of ``_worker_count()`` threads
     (one block runs inline); numpy's generator, FFT and BLAS release the
-    GIL.  Every sampler maps a row the same way
-    whatever the slab holds, so path i is bit for bit a function of
-    (model, grid, seed, i) alone, for any n_paths and any thread count.
+    GIL.  Every sampler maps a row the same way whatever else the call
+    holds, so path i is bit for bit a function of (model, grid, seed, i)
+    alone, for any n_paths and any thread count.
     """
     if not model.gaussian:
         raise ValidationError("only Gaussian models can be simulated")
@@ -356,17 +366,18 @@ def simulate_paths(
     check_seed(seed)
     grid = simulation_grid(L, h)
     k, sample = _linear_sampler(model, grid)
-    # the dense factor (k = n) maps a whole block at its padded width; the
-    # other maps go a slab at a time, which bounds their scratch memory
-    rows = _PATH_BLOCK if k == len(grid) else _SLAB
-    X = np.empty((len(grid), n_paths))
+    # the circulant map (k = 2(n - 1)) holds a spectrum and an irfft per
+    # row, so it goes a slab at a time; the dense map takes the whole block
+    # at its padded width, and the rank-one map writes its output directly
+    rows = _SLAB if k > len(grid) else _PATH_BLOCK
+    paths = np.empty((n_paths, len(grid)))
 
     def fill(block):
         rng = _block_rng(seed, block)
         stop = min((block + 1) * _PATH_BLOCK, n_paths)
         for start in range(block * _PATH_BLOCK, stop, rows):
             end = min(start + rows, stop)
-            X[:, start:end] = sample(rng.standard_normal((end - start, k)))
+            sample(rng.standard_normal((end - start, k)), paths[start:end])
 
     blocks = range(-(-n_paths // _PATH_BLOCK))
     workers = min(_worker_count(), len(blocks))
@@ -380,7 +391,7 @@ def simulate_paths(
 
         with ThreadPoolExecutor(workers) as pool:
             list(pool.map(fill, blocks))
-    return SampleBatch(grid=grid, values=X, seed=seed)
+    return SampleBatch(grid=grid, values=paths.T, seed=seed)
 
 
 def dump_paths(paths, out_dir) -> list[str]:

@@ -320,6 +320,40 @@ class TestNestedLpErrors:
         off_dense = np.max(np.abs(dense - ref) / ref, axis=1).astype(float)
         assert np.all(off_got <= 4.0 * off_dense + 1e-14), (off_got, off_dense)
 
+    @pytest.mark.parametrize("counts", [(300, 600), (100, 2000), (257, 1000)])
+    @pytest.mark.parametrize(
+        "model_spec, family",
+        [("separable:gauss-bump", "daubechies:4"), ("ou:1", "meyer"), ("ou:1", "daubechies:4")],
+    )
+    def test_errors_do_not_depend_on_path_count(self, model_spec, family, counts):
+        # path i's errors are a function of (seed, i) alone, bit for bit
+        basis = make_basis(family)
+        if family == "meyer":
+            L, h, specs = 52.0, 1 / 8, ("k0'=1;k=1", "k0'=2;k=2,3")
+        else:
+            L, h, specs = 14.0, 1 / 64, COMPACT_SCHEMES
+        schemes = [parse_scheme_spec(s) for s in specs]
+        model = parse_model_spec(model_spec)
+        few, many = (
+            batch_lp_errors(basis, schemes, paths.grid, paths.values, 2.0, 1.0)
+            for paths in (simulate_paths(model, L, h, n, 6) for n in counts)
+        )
+        assert np.array_equal(few, many[:, : counts[0]])
+
+    # deep rank-one errors cancel to ~1e-8 of the signal, so another BLAS
+    # summation order moves them far more than OU's (OpenBLAS's thread
+    # count alone moves them by up to 2.5e-9 relative on 2,000 paths)
+    @pytest.mark.parametrize("model_spec, rtol", [("ou:1", 1e-12), ("separable:gauss-bump", 1e-8)])
+    def test_grid_major_input_takes_the_same_blocks(self, model_spec, rtol):
+        # a caller's C-ordered grid x path matrix goes through X.T, strided
+        basis = make_basis("daubechies:4")
+        schemes = [parse_scheme_spec(s) for s in COMPACT_SCHEMES]
+        paths = simulate_paths(parse_model_spec(model_spec), 14.0, 1 / 64, 300, 2)
+        X = np.ascontiguousarray(paths.values)
+        got = batch_lp_errors(basis, schemes, paths.grid, X, 2.0, 1.0)
+        want = batch_lp_errors(basis, schemes, paths.grid, paths.values, 2.0, 1.0)
+        np.testing.assert_allclose(got, want, rtol=rtol)
+
     def test_schemes_must_fit_in_the_last(self, db3):
         paths = simulate_paths(make_ou(1.0), 8.0, 2.0**-5, 2, 5)
         args = (paths.grid, paths.values, 2.0, 1.0)

@@ -3,6 +3,9 @@ import dataclasses
 import importlib
 import json
 import math
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import numpy as np
@@ -218,6 +221,36 @@ class TestRunExperiment:
         tails = base_result.tails_csv().splitlines()
         assert tails[0] == "scheme_index,epsilon,empirical,bound,valid,stderr"
         assert len(tails) == 1 + 2 * 3
+
+
+class TestQuartiles:
+    def test_equal_numpy_percentile_bit_for_bit(self):
+        rng = np.random.default_rng(0)
+        for n in range(100, 2002):
+            errors = rng.lognormal(-3.0, 2.0, n)
+            tied = np.round(rng.exponential(1.0, n), 1)  # many ties, no -0.0
+            for x in (errors, tied):
+                got = np.array(experiment._quartiles(x))
+                assert got.tobytes() == np.percentile(x, [25, 50, 75]).tobytes(), n
+
+    def test_a_run_never_imports_numpy_ma(self, tmp_path):
+        # np.percentile imports numpy.ma on its first call in a process
+        src = Path(experiment.__file__).resolve().parents[1]
+        script = (
+            "import json, sys\n"
+            "from subwave import experiment\n"
+            "cfg = experiment.config_from_dict(json.loads(sys.argv[1]))\n"
+            "experiment.write_outputs(experiment.run_experiment(cfg), sys.argv[2])\n"
+            "print(sorted(m for m in sys.modules if m == 'numpy.ma' or m.startswith('numpy.ma.')))\n"
+        )
+        doc = {**BASE, "basis_spec": "haar", "grid_L": 4.0, "n_paths": 100}
+        out = subprocess.run(
+            [sys.executable, "-c", script, json.dumps(doc), str(tmp_path / "out")],
+            env={**os.environ, "PYTHONPATH": str(src)},
+            capture_output=True, text=True, timeout=120, check=True,
+        )
+        assert (tmp_path / "out" / "report.json").is_file()
+        assert out.stdout.strip() == "[]"
 
 
 class TestOnePipeline:

@@ -216,9 +216,19 @@ class TestSimulation:
             assert isinstance(paths, SampleBatch)
             assert paths.values.shape == (17, 5) and len(paths) == 5
             for i, p in enumerate(paths):
-                assert p.values.base is paths.values
+                assert np.shares_memory(p.values, paths.values)
                 assert p.grid is paths.grid and p.seed == 2 and p.path_index == i
                 assert np.array_equal(p.values, paths.values[:, i])
+
+    @pytest.mark.parametrize("name", ["ou1", "gauss_bump", "damped_ou"])
+    def test_each_path_is_contiguous(self, name, request):
+        # the batch is the transposed view of one path-major buffer
+        model = _damped_ou() if name == "damped_ou" else request.getfixturevalue(name)
+        paths = simulate_paths(model, 2.0, 0.125, 300, seed=3)
+        assert paths.values.T.flags.c_contiguous
+        for p in paths[::37]:
+            assert p.values.flags.c_contiguous
+            assert np.shares_memory(p.values, paths.values)
 
     def test_batch_indexing(self, ou1):
         paths = simulate_paths(ou1, 2.0, 0.25, 5, seed=2)
@@ -254,7 +264,9 @@ class TestSimulation:
         k, sample = _linear_sampler(model, paths.grid)
         for i in (0, 9, 255, 256, 299):
             rows = _block_rng(4, i // 256).standard_normal((i % 256 + 1, k))
-            assert np.array_equal(paths[i].values, sample(rows)[:, -1])
+            out = np.empty((len(rows), len(paths.grid)))
+            sample(rows, out)
+            assert np.array_equal(paths[i].values, out[-1])
 
     @pytest.mark.parametrize("n_paths", [600, 1000])
     @pytest.mark.parametrize("name", ["ou1", "gauss_bump", "damped_ou"])
@@ -267,8 +279,9 @@ class TestSimulation:
         assert np.array_equal(batches[0].values, batches[1].values)
 
     def test_sampler_memory_is_bounded(self):
-        # beyond the result, each worker holds a few slabs of normals,
-        # spectra and samples (a slab of the 3,393-node grid is ~1.7 MB)
+        # beyond the path-major result, each worker holds a few slabs of
+        # normals, spectra and irfft output (32 rows of the 3,393-node grid
+        # and its 6,784-point embedding, ~1.7 MB each)
         args = (make_ou(1.0), 53.0, 1 / 32, 2000, 6)
         simulate_paths(*args)  # warm: FFT plans and generator set-up
         tracemalloc.start()
@@ -384,7 +397,9 @@ class TestLinearSampler:
         grid = self.GRID
         width, sample = _linear_sampler(model, grid)
         assert width == k
-        L = sample(np.eye(k))
+        rows = np.full((k, len(grid)), np.nan)
+        sample(np.eye(k), rows)  # row i is L e_i
+        L = rows.T
         assert L.shape == (len(grid), k)
         K = model.covariance(grid[:, None], grid[None, :])
         F = _covariance_factor(model, grid)  # the dense eigh oracle
