@@ -53,7 +53,7 @@ _LOG_FLOAT_MAX = math.log(sys.float_info.max)
 class TailBoundReport:
     """One evaluation of the exceedance bound.
 
-    ``bound`` is 2 exp(-phi*((epsilon/c)^(1/p))), always in (0, 2];
+    ``bound`` is 2 exp(-phi*((epsilon/c)^(1/p))), always in [0, 2];
     ``valid`` records whether epsilon clears the threshold, and ``route``
     which construction produced the c constant.
     """
@@ -159,7 +159,10 @@ def tail_probability_bound(
     if not epsilon > 0:
         raise ValidationError("bound needs epsilon > 0")
     thr = epsilon_threshold(nf, c, p)
-    bound = 2.0 * math.exp(-conjugate(nf, (epsilon / c) ** (1.0 / p)))
+    try:
+        bound = 2.0 * math.exp(-conjugate(nf, (epsilon / c) ** (1.0 / p)))
+    except OverflowError:  # phi* past the float range: 2 exp(-inf)
+        bound = 0.0
     return TailBoundReport(
         c_constant=c,
         epsilon=epsilon,

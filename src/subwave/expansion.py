@@ -6,17 +6,16 @@ Index convention: the truncated expansion keeps the scaling band
 Coefficient order is always: scaling k = -k0'..k0', then per level j
 ascending, k = -k_j..k_j.
 
-Coefficients, reconstruction and the Lp([0,T]) error integral have one
-batched implementation over a matrix of paths [grid node, path]
-(``batch_coefficients``, ``batch_reconstruct``, ``batch_lp_errors``, with
-the [0, T] node window of ``interval_window``); ``compute_coefficients``,
-``reconstruct`` and ``lp_error`` run it on a single path.  A basis row
-enters an inner product only on the grid nodes where it can be nonzero
-(``wavelets.dilated_support``).  ``batch_lp_errors`` serves a list of
-nested schemes from the rows of the largest that are nonzero on [0, T],
-walking the paths in fixed-width blocks: each block's coefficients and
-every scheme's window error are computed while the block is in cache, and
-every per-path error is the same bit for bit whatever the number of paths.
+One pipeline expands paths: every basis row comes from one evaluator
+(``_rows``, behind ``basis_matrix``), and every coefficient from one
+product ``Bw @ X[nodes]`` of rows times trapezoid weights over the union
+of the grid nodes where they can be nonzero (``_weighted_rows``,
+``wavelets.dilated_support``).  ``compute_coefficients`` runs it on one
+path and ``lp_error`` integrates over the [0, T] nodes
+(``interval_window``).  Only ``batch_lp_errors``, which serves nested
+schemes from the rows of the largest that are nonzero on [0, T], walks a
+batch of paths, in fixed-width zero-padded blocks, so every per-path error
+is the same bit for bit whatever the number of paths.
 
 Every second moment of the coefficients comes from one function,
 ``coefficient_moments``: the Gram matrix, the cross moments with X(t) and,
@@ -180,13 +179,19 @@ def check_support_coverage(basis: WaveletPair, scheme: TruncationScheme, grid):
             )
 
 
+def _rows(basis: WaveletPair, idx, t) -> np.ndarray:
+    """Dilated basis values [row, point] at the points ``t``, one row per
+    index (kind, j, k) of ``idx``: the one evaluator of the basis rows."""
+    t = np.asarray(t, dtype=float)
+    B = np.empty((len(idx),) + t.shape)
+    for r, (kind, j, k) in enumerate(idx):
+        B[r] = eval_dilated(basis, kind, j, k, t)
+    return B
+
+
 def basis_matrix(basis: WaveletPair, scheme: TruncationScheme, t) -> np.ndarray:
     """Rows of dilated basis values on ``t``, one row per scheme index."""
-    t = np.asarray(t, dtype=float)
-    rows = [eval_dilated(basis, kind, j, k, t) for kind, j, k in scheme.indices()]
-    if not rows:
-        return np.zeros((0, len(t)))
-    return np.array(rows)
+    return _rows(basis, scheme.indices(), t)
 
 
 # ---------------------------------------------------------------------------
@@ -220,17 +225,6 @@ def _node_spans(basis: WaveletPair, idx, grid):
     return np.searchsorted(grid, bounds[:, 0], "left"), np.searchsorted(grid, bounds[:, 1], "right")
 
 
-def _rows_on(basis: WaveletPair, idx, spans, grid, nodes: slice) -> np.ndarray:
-    """Basis rows ``idx`` on the nodes grid[nodes], each evaluated only on
-    its own span (``_node_spans``) and 0 elsewhere."""
-    B = np.zeros((len(idx), nodes.stop - nodes.start))
-    for r, ((kind, j, k), a, b) in enumerate(zip(idx, *spans)):
-        a, b = max(int(a), nodes.start), min(int(b), nodes.stop)
-        if a < b:
-            B[r, a - nodes.start : b - nodes.start] = eval_dilated(basis, kind, j, k, grid[a:b])
-    return B
-
-
 def _weighted_rows(basis: WaveletPair, idx, spans, grid):
     """The rows ``idx`` times the trapezoid weights of ``grid``, on the
     union of their node spans only, and that union as a slice: the
@@ -238,33 +232,11 @@ def _weighted_rows(basis: WaveletPair, idx, spans, grid):
     if not idx:
         return np.zeros((0, 0)), slice(0, 0)
     nodes = slice(int(spans[0].min()), int(spans[1].max()))
-    B = _rows_on(basis, idx, spans, grid, nodes)
-    return B * trapezoid_weights(grid)[nodes], nodes
-
-
-def batch_coefficients(basis: WaveletPair, scheme: TruncationScheme, grid, X) -> np.ndarray:
-    """Trapezoid inner products [coefficient, path] of the columns of X with
-    the indexed (real-valued) basis functions, whose effective supports
-    (``Envelope.effective_support``) the ascending grid must cover.  Each
-    function enters only on the nodes where it can be nonzero
-    (``dilated_support``).
-    """
-    check_support_coverage(basis, scheme, grid)
-    grid = np.asarray(grid, dtype=float)
-    idx = scheme.indices()
-    Bw, nodes = _weighted_rows(basis, idx, _node_spans(basis, idx, grid), grid)
-    return Bw @ X[nodes]
-
-
-def batch_reconstruct(basis: WaveletPair, scheme: TruncationScheme, coefs, t) -> np.ndarray:
-    """Truncated expansions [point, path] of the coefficient columns at ``t``."""
-    return basis_matrix(basis, scheme, t).T @ coefs
+    return _rows(basis, idx, grid[nodes]) * trapezoid_weights(grid)[nodes], nodes
 
 
 def _window_integral(values, recon, w, p: float):
     """w @ |values - recon|^p: the Lp error integral over a node window."""
-    if p < 1:
-        raise ValidationError("p must be >= 1")
     d = np.subtract(values, recon)
     np.abs(d, out=d)
     d **= p
@@ -285,6 +257,8 @@ def batch_lp_errors(basis: WaveletPair, schemes, grid, X, p: float, T: float) ->
     not keep in the window's basis matrix.  Every product has the same
     shape, so path i's errors do not depend on the number of paths.
     """
+    if not p >= 1:
+        raise ValidationError("p must be >= 1")
     schemes = tuple(schemes)
     if not schemes:
         raise ValidationError("need at least one truncation scheme")
@@ -298,9 +272,8 @@ def batch_lp_errors(basis: WaveletPair, schemes, grid, X, p: float, T: float) ->
     starts, stops = _node_spans(basis, idx, grid)
     kept = np.flatnonzero((starts < window.stop) & (stops > window.start))
     rows = [idx[r] for r in kept]
-    spans = (starts[kept], stops[kept])
-    Bw, nodes = _weighted_rows(basis, rows, spans, grid)
-    B = _rows_on(basis, rows, spans, grid, window)
+    Bw, nodes = _weighted_rows(basis, rows, (starts[kept], stops[kept]), grid)
+    B = _rows(basis, rows, grid[window])
     masked = []  # per scheme: B.T with the rows it does not keep zeroed
     for scheme in schemes:
         member = set(scheme.indices())
@@ -323,19 +296,22 @@ def batch_lp_errors(basis: WaveletPair, schemes, grid, X, p: float, T: float) ->
 def compute_coefficients(
     path: SamplePath, basis: WaveletPair, scheme: TruncationScheme
 ) -> CoefficientSet:
-    """The coefficients of one path (``batch_coefficients`` on a batch of one)."""
-    vals = batch_coefficients(basis, scheme, path.grid, path.values[:, None])[:, 0]
-    idx = list(zip(scheme.indices(), vals.tolist()))
-    xi = {k: v for (kind, _, k), v in idx if kind == "f"}
-    eta = {(j, k): v for (kind, j, k), v in idx if kind == "m"}
+    """Trapezoid inner products of one path with the scheme's basis rows,
+    whose effective supports the path grid must cover (``_weighted_rows``)."""
+    check_support_coverage(basis, scheme, path.grid)
+    grid = np.asarray(path.grid, dtype=float)
+    idx = scheme.indices()
+    Bw, nodes = _weighted_rows(basis, idx, _node_spans(basis, idx, grid), grid)
+    vals = dict(zip(idx, (Bw @ path.values[nodes]).tolist()))
+    xi = {k: v for (kind, _, k), v in vals.items() if kind == "f"}
+    eta = {(j, k): v for (kind, j, k), v in vals.items() if kind == "m"}
     return CoefficientSet(xi=xi, eta=eta, scheme=scheme)
 
 
 def reconstruct(coeffs: CoefficientSet, basis: WaveletPair, t_grid) -> np.ndarray:
     """Evaluate the truncated expansion at the given points."""
-    t_grid = np.asarray(t_grid, dtype=float)
-    recon = batch_reconstruct(basis, coeffs.scheme, coeffs.vector()[:, None], t_grid.reshape(-1))
-    return recon.reshape(t_grid.shape)
+    t = np.asarray(t_grid, dtype=float)
+    return (basis_matrix(basis, coeffs.scheme, t.reshape(-1)).T @ coeffs.vector()).reshape(t.shape)
 
 
 def lp_error(path: SamplePath, recon, p: float, T: float) -> float:
@@ -346,6 +322,10 @@ def lp_error(path: SamplePath, recon, p: float, T: float) -> float:
     the integral itself (not its p-th root), which is the quantity the
     exceedance bounds refer to.
     """
+    if not p >= 1:
+        raise ValidationError("p must be >= 1")
+    if np.shape(recon) != np.shape(path.values):
+        raise ValidationError(f"recon has shape {np.shape(recon)}, the path {np.shape(path.values)}")
     window, w = interval_window(path.grid, T)
     return float(_window_integral(path.values[window], np.asarray(recon)[window], w, p))
 

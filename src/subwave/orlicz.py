@@ -36,6 +36,8 @@ _VALIDATION_GRID = sorted(
 
 # Largest bracket endpoint the conjugate search will expand to.
 _BRACKET_CAP = 2.0**60
+# Relative width of [a, b] at which the golden-section search stops.
+_GOLDEN_REL_TOL = 1e-12
 
 
 @dataclass(frozen=True)
@@ -179,13 +181,13 @@ def _bracket_endpoint(phi, xa: float) -> float:
     return y
 
 
-def _golden_max(g, a: float, b: float, rel_tol: float = 1e-12) -> float:
+def _golden_max(g, a: float, b: float) -> float:
     """Golden-section maximum of a unimodal g on [a, b]; returns max value."""
     inv = (math.sqrt(5.0) - 1.0) / 2.0
     c = b - inv * (b - a)
     d = a + inv * (b - a)
     gc, gd = g(c), g(d)
-    while (b - a) > rel_tol * max(1.0, abs(b)):
+    while (b - a) > _GOLDEN_REL_TOL * max(1.0, abs(b)):
         if gc >= gd:
             b, d, gd = d, c, gc
             c = b - inv * (b - a)

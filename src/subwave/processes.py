@@ -318,8 +318,11 @@ def _linear_sampler(
 
 
 def check_seed(seed: int) -> None:
-    """Reject a seed outside [0, 2^64): the path streams key on 64 bits of
-    it, so any other value would give the paths of a seed in that range."""
+    """Reject a seed that is not an integer in [0, 2^64): the path streams
+    key on 64 bits of int(seed), so any other value would give the paths of
+    a seed in that range (1.5 those of 1)."""
+    if isinstance(seed, bool) or not isinstance(seed, (int, np.integer)):
+        raise ValidationError(f"seed must be an integer, got {seed!r}")
     if not 0 <= seed < 2**64:
         raise ValidationError(f"seed must be in [0, 2^64), got {seed}")
 

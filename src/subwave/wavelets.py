@@ -44,8 +44,14 @@ from .errors import NumericError, ValidationError
 
 _SQRT2 = math.sqrt(2.0)
 
-# Daubechies construction constants: refinement depth / dyadic step.
+# Daubechies construction constants: refinement depth / dyadic step of
+# the value tables, and the factors m0(y / 2^j), j = 1.._PRODUCT_DEPTH, of
+# the truncated infinite product behind the transforms.
 _CASCADE_LEVELS = 12
+_PRODUCT_DEPTH = 40
+
+# Tail mass beyond an effective support, relative to the whole envelope.
+_TAIL_MASS = 1e-6
 
 # Meyer tabulation: half-width and dyadic step of the value table, the
 # period P of the inverse FFT that computes it (the table holds the
@@ -82,9 +88,9 @@ class Envelope:
         if np.any(np.diff(tails) > 1e-12):
             raise ValidationError("tail integral must be nonincreasing")
 
-    def effective_support(self, tail_mass: float = 1e-6) -> float:
-        """Smallest s with tail_integral(s) <= tail_mass * total_integral."""
-        target = tail_mass * self.total_integral
+    def effective_support(self) -> float:
+        """Smallest s with tail_integral(s) <= _TAIL_MASS * total_integral."""
+        target = _TAIL_MASS * self.total_integral
         lo, hi = 0.0, 1.0
         while self.tail_integral(hi) > target:
             hi *= 2.0
@@ -336,7 +342,7 @@ def _make_daubechies(n_moments: int) -> WaveletPair:
     )
 
 
-def _filter_product_hat(y, h, g=None, depth: int = 40):
+def _filter_product_hat(y, h, g=None):
     """Fourier transform via the refinement product.
 
     f-wavelet: prod_{j>=1} m0(y / 2^j); m-wavelet: m1(y/2) * fhat(y/2),
@@ -351,7 +357,7 @@ def _filter_product_hat(y, h, g=None, depth: int = 40):
     def product(w):
         out = np.ones(len(w), dtype=complex)
         v = np.array(w, dtype=float)
-        for _ in range(depth):
+        for _ in range(_PRODUCT_DEPTH):
             v = v / 2.0
             out *= m0(v)
         return out

@@ -140,6 +140,12 @@ class TestTailProbabilityBound:
         assert not rep.valid
         assert 0.0 < rep.bound <= 2.0
 
+    @pytest.mark.parametrize("nf", [make_gaussian(), make_power_family(1.5)])
+    def test_conjugate_past_float_range_gives_zero(self, nf):
+        # phi*(1e300) = 1e600 / 2 (or 1e900 / 3) overflows: 2 exp(-inf) = 0
+        rep = tail_probability_bound(nf, 1.0, 1.0, 1e300)
+        assert rep.bound == 0.0 and rep.valid
+
     def test_power_example(self):
         rep = tail_probability_bound(make_power_family(1.5), 1.0, 2.0, 8.0)
         assert rep.bound == pytest.approx(

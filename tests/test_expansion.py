@@ -21,9 +21,7 @@ from subwave.expansion import (
     _node_spans,
     _tensor_moments,
     basis_matrix,
-    batch_coefficients,
     batch_lp_errors,
-    batch_reconstruct,
     coefficient_moments,
     compute_coefficients,
     interval_window,
@@ -203,6 +201,13 @@ class TestLpError:
         with pytest.raises(ValidationError):
             lp_error(self._path(), self._path().values, 0.5, 1.0)
 
+    @pytest.mark.parametrize("extra", [7, -1])
+    def test_rejects_recon_of_another_length(self, extra):
+        p = self._path()
+        recon = np.zeros(p.values.size + extra)
+        with pytest.raises(ValidationError, match="recon has shape"):
+            lp_error(p, recon, 2.0, 1.0)
+
     def test_rejects_uncovered_interval(self):
         with pytest.raises(ValidationError):
             lp_error(self._path(), self._path().values, 2.0, 5.0)
@@ -239,22 +244,34 @@ class TestLpError:
 
 
 class TestBatchOfOne:
-    """The single-path functions run the batched pipeline on one column."""
+    """The single-path functions and the batch agree with the dense products."""
 
     def test_columns_match_single_paths(self, db3):
         paths = simulate_paths(make_ou(1.0), 8.0, 2.0**-5, 4, 5)
-        grid = paths[0].grid
-        X = np.column_stack([p.values for p in paths])
+        grid, X = paths.grid, paths.values
         scheme = TruncationScheme(2, (2, 3))
-        C = batch_coefficients(db3, scheme, grid, X)
-        R = batch_reconstruct(db3, scheme, C, grid)
+        weighted = basis_matrix(db3, scheme, grid) * trapezoid_weights(grid)
         E = batch_lp_errors(db3, [scheme], grid, X, 2.0, 1.0)[0]
+        dense = dense_lp_errors(db3, [scheme], grid, X, 2.0, 1.0)[0]
         for i, path in enumerate(paths):
             coeffs = compute_coefficients(path, db3, scheme)
-            recon = reconstruct(coeffs, db3, grid)
-            assert np.allclose(coeffs.vector(), C[:, i], rtol=1e-12, atol=1e-15)
-            assert np.allclose(recon, R[:, i], rtol=1e-12, atol=1e-15)
-            assert lp_error(path, recon, 2.0, 1.0) == pytest.approx(E[i], rel=1e-12)
+            np.testing.assert_allclose(coeffs.vector(), weighted @ path.values, rtol=1e-12, atol=1e-15)
+            err = lp_error(path, reconstruct(coeffs, db3, grid), 2.0, 1.0)
+            assert err == pytest.approx(E[i], rel=1e-12)
+            assert err == pytest.approx(dense[i], rel=1e-12)
+
+    @pytest.mark.parametrize("family", ["haar", "daubechies:4", "meyer"])
+    def test_basis_matrix_rows_are_eval_dilated(self, family):
+        # unsorted points, off the grid and outside the supports, and a scalar
+        basis = make_basis(family)
+        scheme = TruncationScheme(2, (2, 3))
+        t = np.random.default_rng(3).uniform(-9.0, 9.0, 301)
+        B = basis_matrix(basis, scheme, t)
+        at = basis_matrix(basis, scheme, 0.3)
+        assert B.shape == (scheme.count(), t.size) and at.shape == (scheme.count(),)
+        for r, (kind, j, k) in enumerate(scheme.indices()):
+            assert np.array_equal(B[r], eval_dilated(basis, kind, j, k, t))
+            assert at[r] == eval_dilated(basis, kind, j, k, 0.3)
 
     def test_reconstruct_at_a_point(self, db3):
         path = simulate_paths(make_ou(1.0), 8.0, 2.0**-5, 1, 5)[0]

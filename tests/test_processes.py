@@ -303,6 +303,16 @@ class TestSimulation:
         with pytest.raises(ValidationError, match=r"seed must be in \[0, 2\^64\)"):
             simulate_paths(ou1, 1.0, 0.5, 2, seed=seed)
 
+    @pytest.mark.parametrize("seed", [1.5, 2.0, True, np.float64(3.0)])
+    def test_non_integer_seed_rejected(self, ou1, seed):
+        # int(1.5) keys the streams of seed 1, so 1.5 would alias it
+        with pytest.raises(ValidationError, match="seed must be an integer"):
+            simulate_paths(ou1, 2.0, 0.125, 3, seed)
+
+    def test_numpy_integer_seed_accepted(self, ou1):
+        a = simulate_paths(ou1, 2.0, 0.125, 3, np.uint64(2**64 - 1)).values
+        assert np.array_equal(a, simulate_paths(ou1, 2.0, 0.125, 3, 2**64 - 1).values)
+
     def test_seed_range_ends_differ(self, ou1):
         first = simulate_paths(ou1, 1.0, 0.5, 2, seed=0).values
         last = simulate_paths(ou1, 1.0, 0.5, 2, seed=2**64 - 1).values

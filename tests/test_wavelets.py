@@ -246,7 +246,7 @@ class TestEnvelopes:
             env.effective_support()
 
     def test_effective_support_box(self):
-        s = box_envelope(1.0, 3.0).effective_support(1e-6)
+        s = box_envelope(1.0, 3.0).effective_support()
         assert s == pytest.approx(3.0, abs=1e-4)
 
     @pytest.mark.parametrize("family", ["haar", "daubechies:3", "meyer"])
