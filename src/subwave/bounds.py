@@ -159,15 +159,11 @@ def tail_probability_bound(
     if not epsilon > 0:
         raise ValidationError("bound needs epsilon > 0")
     thr = epsilon_threshold(nf, c, p)
-    try:
-        bound = 2.0 * math.exp(-conjugate(nf, (epsilon / c) ** (1.0 / p)))
-    except OverflowError:  # phi* past the float range: 2 exp(-inf)
-        bound = 0.0
     return TailBoundReport(
         c_constant=c,
         epsilon=epsilon,
         threshold=thr,
-        bound=bound,
+        bound=2.0 * math.exp(-conjugate(nf, (epsilon / c) ** (1.0 / p))),
         valid=bool(epsilon > thr),
         route=route,
     )

@@ -8,14 +8,15 @@ ascending, k = -k_j..k_j.
 
 One pipeline expands paths: every basis row comes from one evaluator
 (``_rows``, behind ``basis_matrix``), and every coefficient from one
-product ``Bw @ X[nodes]`` of rows times trapezoid weights over the union
-of the grid nodes where they can be nonzero (``_weighted_rows``,
+product of rows times trapezoid weights with path values, over the union
+of the grid nodes where the rows can be nonzero (``_weighted_rows``,
 ``wavelets.dilated_support``).  ``compute_coefficients`` runs it on one
 path and ``lp_error`` integrates over the [0, T] nodes
 (``interval_window``).  Only ``batch_lp_errors``, which serves nested
 schemes from the rows of the largest that are nonzero on [0, T], walks a
-batch of paths, in fixed-width zero-padded blocks, so every per-path error
-is the same bit for bit whatever the number of paths.
+``SampleBatch``, whose rows are its paths, in fixed-width zero-padded
+blocks, so every per-path error is the same bit for bit whatever the
+number of paths.
 
 Every second moment of the coefficients comes from one function,
 ``coefficient_moments``: the Gram matrix, the cross moments with X(t) and,
@@ -49,7 +50,7 @@ from .errors import (
     SupportCoverageError,
     ValidationError,
 )
-from .processes import _PATH_BLOCK, ProcessModel, SamplePath
+from .processes import _PATH_BLOCK, ProcessModel, SampleBatch, SamplePath
 from .quad import gauss_legendre, gauss_nodes, piecewise_simpson_nodes, trapezoid_weights
 from .wavelets import WaveletPair, band_breaks, dilated_support, eval_dilated, lipschitz_fit
 
@@ -228,7 +229,7 @@ def _node_spans(basis: WaveletPair, idx, grid):
 def _weighted_rows(basis: WaveletPair, idx, spans, grid):
     """The rows ``idx`` times the trapezoid weights of ``grid``, on the
     union of their node spans only, and that union as a slice: the
-    coefficients of the columns of X are ``Bw @ X[nodes]``."""
+    coefficients of a path x are ``Bw @ x[nodes]``."""
     if not idx:
         return np.zeros((0, 0)), slice(0, 0)
     nodes = slice(int(spans[0].min()), int(spans[1].max()))
@@ -243,19 +244,18 @@ def _window_integral(values, recon, w, p: float):
     return w @ d
 
 
-def batch_lp_errors(basis: WaveletPair, schemes, grid, X, p: float, T: float) -> np.ndarray:
-    """Per-path int_0^T |X(t) - X_n(t)|^p dt [scheme, path] for the columns
-    of X and each of the ``schemes``, which the last one must contain.
+def batch_lp_errors(basis: WaveletPair, schemes, paths: SampleBatch, p: float, T: float) -> np.ndarray:
+    """Per-path int_0^T |X(t) - X_n(t)|^p dt [scheme, path] for the batch's
+    paths and each of the ``schemes``, which the last one must contain.
 
     Only the rows of the last scheme that are nonzero somewhere in [0, T]
     take part, as no other row changes an expansion there.  The paths go
-    in the sampler's blocks of ``_PATH_BLOCK``, read as rows of ``X.T``
-    (contiguous when X is the transposed path-major buffer of a
-    ``SampleBatch``), the last block zero-padded to the full width.  Per
-    block, one product gives the coefficients, and each scheme is
-    reconstructed on the nodes in [0, T] only, by zeroing the rows it does
-    not keep in the window's basis matrix.  Every product has the same
-    shape, so path i's errors do not depend on the number of paths.
+    in the sampler's blocks of ``_PATH_BLOCK`` rows of ``paths.values``,
+    the last block zero-padded to the full width.  Per block, one product
+    gives the coefficients, and each scheme is reconstructed on the nodes
+    in [0, T] only, by zeroing the rows it does not keep in the window's
+    basis matrix.  Every product has the same shape, so path i's errors
+    do not depend on the number of paths.
     """
     if not p >= 1:
         raise ValidationError("p must be >= 1")
@@ -265,8 +265,8 @@ def batch_lp_errors(basis: WaveletPair, schemes, grid, X, p: float, T: float) ->
     full = schemes[-1]
     if not all(full.contains(s) for s in schemes):
         raise ValidationError(f"every scheme must be contained in the last, {full.spec_string()}")
+    grid, X = paths.grid, paths.values
     check_support_coverage(basis, full, grid)
-    grid = np.asarray(grid, dtype=float)
     window, w = interval_window(grid, T)
     idx = full.indices()
     starts, stops = _node_spans(basis, idx, grid)
@@ -279,10 +279,9 @@ def batch_lp_errors(basis: WaveletPair, schemes, grid, X, p: float, T: float) ->
         member = set(scheme.indices())
         keep = np.array([i in member for i in rows], dtype=float)
         masked.append((B * keep[:, None]).T)
-    paths = X.T
-    errors = np.empty((len(schemes), len(paths)))
-    for start in range(0, len(paths), _PATH_BLOCK):
-        block = paths[start : start + _PATH_BLOCK]
+    errors = np.empty((len(schemes), len(X)))
+    for start in range(0, len(X), _PATH_BLOCK):
+        block = X[start : start + _PATH_BLOCK]
         count = len(block)
         if count < _PATH_BLOCK:
             block = np.concatenate([block, np.zeros((_PATH_BLOCK - count, len(grid)))])

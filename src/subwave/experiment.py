@@ -24,10 +24,16 @@ import numpy as np
 
 from .bounds import TailBoundReport, c_n_infty_integral, tail_probability_bound
 from .errors import ValidationError
-from .expansion import TruncationScheme, batch_lp_errors, interval_window, parse_scheme_spec
+from .expansion import (
+    TruncationScheme,
+    batch_lp_errors,
+    check_support_coverage,
+    interval_window,
+    parse_scheme_spec,
+)
 # Not called here, but kept importable from this module: the benchmark's
-# traced run (bench/layers.py) wraps them by module attribute.
-from .expansion import basis_matrix, check_support_coverage  # noqa: F401
+# traced run (bench/layers.py) wraps it by module attribute.
+from .expansion import basis_matrix  # noqa: F401
 from .orlicz import parse_nfunction_spec
 from .processes import check_seed, parse_model_spec, simulate_paths, simulation_grid
 from .wavelets import make_basis
@@ -80,10 +86,13 @@ class ExperimentConfig:
         # unknown specs fail here, before a run makes its output directory
         # (under 0.1 ms once the basis is built: model and basis are memoised)
         parse_model_spec(self.model_spec)
-        make_basis(self.basis_spec)
+        basis = make_basis(self.basis_spec)
         parse_nfunction_spec(self.nfunction_spec)
-        # 0 and T must be nodes of the simulation grid
-        interval_window(simulation_grid(self.grid_L, self.grid_h), self.T)
+        # 0 and T must be nodes of the simulation grid, and the grid must
+        # cover every support the expansion reads
+        grid = simulation_grid(self.grid_L, self.grid_h)
+        interval_window(grid, self.T)
+        check_support_coverage(basis, self.schemes[-1], grid)
 
     def to_json_dict(self) -> dict:
         return {f.name: _to_json(getattr(self, f.name)) for f in fields(self)}
@@ -218,7 +227,7 @@ def run_experiment(cfg: ExperimentConfig) -> ExperimentResult:
             )
 
     paths = simulate_paths(model, cfg.grid_L, cfg.grid_h, cfg.n_paths, cfg.seed)
-    errors = batch_lp_errors(basis, cfg.schemes, paths.grid, paths.values, cfg.p, cfg.T)
+    errors = batch_lp_errors(basis, cfg.schemes, paths, cfg.p, cfg.T)
 
     tails: Dict[Tuple[int, float], float] = {}
     summary = []

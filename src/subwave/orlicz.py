@@ -219,10 +219,14 @@ def conjugate(nf: NFunction, x: float) -> float:
     Uses the closed form when the family carries one, otherwise a
     golden-section search on the concave objective y -> x*y - phi(y) over
     [0, y_max] with y_max expanded until phi(y_max)/y_max > |x|.  Evenness of
-    phi makes the conjugate even, so only |x| is searched.
+    phi makes the conjugate even, so only |x| is searched.  A closed form
+    past the float range gives inf.
     """
     if nf.conjugate_closed_form is not None:
-        return nf.conjugate_closed_form(x)
+        try:
+            return nf.conjugate_closed_form(x)
+        except OverflowError:
+            return math.inf
     return numeric_conjugate(nf.phi, x)
 
 

@@ -15,13 +15,12 @@ uniform grid, which embeds in a circulant matrix (Dietrich & Newsam 1997;
 Wood & Chan 1994); a path is one ``irfft`` of a spectrum drawn directly
 from its normals.  Any other model, or an embedding with negative
 eigenvalues, uses the dense ``eigh`` factor of K.  One simulation returns
-one ``SampleBatch``: the grid, validated once, and the grid x path matrix
-of values, a transposed view of one path-major buffer in which every path
-is contiguous; indexing it gives ``SamplePath`` views.  The normals come
-from one counter-based stream per block of 256 paths, each sampler writes
-whole paths into the buffer in place, and the blocks are filled in
-parallel, one thread per usable CPU, so path i depends only on (seed, i),
-whatever the number of paths or of threads.
+one ``SampleBatch``: the grid, validated once, and the path x grid matrix
+of values, whose row i is path i; indexing it gives ``SamplePath`` views.
+The normals come from one counter-based stream per block of 256 paths,
+each sampler writes whole paths into the matrix in place, and the blocks
+are filled in parallel, one thread per usable CPU, so path i depends only
+on (seed, i), whatever the number of paths or of threads.
 
 The constructors the model specs call are memoised, so one spec always
 gives the same model object: a process that parses a spec again (a loop
@@ -53,7 +52,8 @@ class ProcessModel:
 
     The model is stationary exactly when it carries ``spectral_density``
     (R_hat, with R(t,s) a function of t - s), and rank-one exactly when it
-    carries ``separable_g`` and ``separable_g_hat`` (R(t,s) = g(t) g(s)).
+    carries ``separable_g`` and ``separable_g_hat`` (R(t,s) = g(t) g(s));
+    it carries at most one of the two descriptions.
     """
 
     covariance: Callable[[np.ndarray, np.ndarray], np.ndarray]
@@ -90,6 +90,8 @@ def _validate_covariance(model: ProcessModel) -> None:
             raise ValidationError("Gaussian model must have C_X = 1")
     if (model.separable_g is None) != (model.separable_g_hat is None):
         raise ValidationError("a rank-one model needs both g and g_hat")
+    if model.separable_g is not None and model.spectral_density is not None:
+        raise ValidationError("a model carries R_hat or g/g_hat, not both")
     if model.spectral_density is not None:
         s = np.linspace(-3.0, 3.0, 7)
         lag = model.covariance(s + 1.25, s * 0 + 1.25)
@@ -130,11 +132,11 @@ class SamplePath:
 class SampleBatch:
     """The paths of one ``simulate_paths`` call on one uniform grid.
 
-    ``values`` is the n x N grid x path matrix: column i is path i.  From
-    ``simulate_paths`` it is the transposed view of an N x n path-major
-    buffer, so each column is contiguous.  Indexing gives ``SamplePath``
-    views of the columns (an int, negative too, gives one path; a slice
-    gives a list), and iteration yields every path in order.
+    ``values`` is the N x n path x grid matrix: row i is path i.  It is
+    kept as a C-contiguous float array (the sampler's as it is, any other
+    copied once), so every path is contiguous.  Indexing gives
+    ``SamplePath`` views of the rows (an int, negative too, gives one path;
+    a slice gives a list), and iteration yields every path in order.
     """
 
     grid: np.ndarray
@@ -143,17 +145,19 @@ class SampleBatch:
 
     def __post_init__(self):
         if np.ndim(self.values) != 2:
-            raise ValidationError("batch values must be a grid x path matrix")
-        _check_grid(self.grid, len(self.values))
+            raise ValidationError("batch values must be a path x grid matrix")
+        object.__setattr__(self, "grid", np.asarray(self.grid, dtype=float))
+        object.__setattr__(self, "values", np.ascontiguousarray(self.values, dtype=float))
+        _check_grid(self.grid, self.values.shape[1])
 
     def __len__(self) -> int:
-        return self.values.shape[1]
+        return len(self.values)
 
     def __getitem__(self, i):
         i = range(len(self))[i]
         if isinstance(i, range):
             return [self[j] for j in i]
-        return SamplePath(self.grid, self.values[:, i], self.seed, i)
+        return SamplePath(self.grid, self.values[i], self.seed, i)
 
     def __iter__(self):
         return (self[i] for i in range(len(self)))
@@ -350,17 +354,17 @@ def simulate_paths(
     The samples are L z for the model's exact linear map L (L L^T = K on
     the grid, see ``_linear_sampler``): g(t) z for a rank-one model,
     circulant embedding for a stationary one, the dense ``eigh`` factor
-    otherwise.  The paths are the rows of one N x n buffer, and the
-    batch's ``values`` is its transposed view.  They come in blocks of
-    ``_PATH_BLOCK``; block b draws its rows of k normals in order from one
-    counter-based stream keyed by (seed, b) and maps them into its own
-    rows of the buffer: the circulant map ``_SLAB`` rows at a time, which
-    bounds its scratch memory, the others the whole block at once.  The
-    blocks are filled in parallel by a pool of ``_worker_count()`` threads
-    (one block runs inline); numpy's generator, FFT and BLAS release the
-    GIL.  Every sampler maps a row the same way whatever else the call
-    holds, so path i is bit for bit a function of (model, grid, seed, i)
-    alone, for any n_paths and any thread count.
+    otherwise.  The paths are the rows of the batch's N x n ``values``,
+    filled in place.  They come in blocks of ``_PATH_BLOCK``; block b
+    draws its rows of k normals in order from one counter-based stream
+    keyed by (seed, b) and maps them into its own rows of ``values``: the
+    circulant map ``_SLAB`` rows at a time, which bounds its scratch
+    memory, the others the whole block at once.  The blocks are filled in
+    parallel by a pool of ``_worker_count()`` threads (one block runs
+    inline); numpy's generator, FFT and BLAS release the GIL.  Every
+    sampler maps a row the same way whatever else the call holds, so path
+    i is bit for bit a function of (model, grid, seed, i) alone, for any
+    n_paths and any thread count.
     """
     if not model.gaussian:
         raise ValidationError("only Gaussian models can be simulated")
@@ -394,7 +398,7 @@ def simulate_paths(
 
         with ThreadPoolExecutor(workers) as pool:
             list(pool.map(fill, blocks))
-    return SampleBatch(grid=grid, values=paths.T, seed=seed)
+    return SampleBatch(grid=grid, values=paths, seed=seed)
 
 
 def dump_paths(paths, out_dir) -> list[str]:

@@ -1,4 +1,5 @@
 import dataclasses
+import itertools
 import math
 
 import numpy as np
@@ -20,7 +21,9 @@ from subwave.expansion import (
 )
 from subwave.orlicz import make_gaussian, make_power_family
 from subwave.processes import parse_model_spec
+from subwave.wavelets import make_basis
 from subwave.bounds import (
+    _lattice_scheme,
     _level_series,
     _numeric_threshold,
     c_n_infty_integral,
@@ -344,8 +347,6 @@ class TestUniformMoments:
 
     @pytest.mark.parametrize("family", ["haar", "daubechies:3"])
     def test_truncated_window_bases_keep_spectral_bound(self, ou1, family):
-        from subwave.wavelets import make_basis
-
         b = make_basis(family)
         series = _level_series(ou1, b, 0.5)
         for j in range(6):
@@ -358,6 +359,21 @@ class TestUniformMoments:
         scheme = parse_scheme_spec(spec)
         uniform = c_n_infty_uniform(ou1, meyer, scheme, 2.0, 1.0, 0.5)
         assert uniform >= c_n_infty_integral(ou1, meyer, scheme, 2.0, 1.0)
+
+    @pytest.mark.parametrize("basis_spec", ["haar", "daubechies:2", "daubechies:4", "meyer"])
+    @pytest.mark.parametrize("model_spec", ["ou:1", "separable:gauss-bump"])
+    def test_uniform_dominates_integral_on_the_planner_lattice(self, model_spec, basis_spec):
+        # the sup-based constant bounds the integral one (Minkowski) on every
+        # scheme the planner walks; OU on daubechies:4 takes the tensor Gram,
+        # seconds per scheme beyond ~35 coefficients, so those are left out
+        model, basis = parse_model_spec(model_spec), make_basis(basis_spec)
+        for (n, m), T in itertools.product([(1, 0), (2, 1), (3, 2)], [1.0, 2.5]):
+            scheme = _lattice_scheme(n, m, T)
+            if (model_spec, basis_spec) == ("ou:1", "daubechies:4") and scheme.count() > 35:
+                continue
+            for p in (1.0, 2.0, 3.0):
+                uniform = c_n_infty_uniform(model, basis, scheme, p, T, 0.5)
+                assert uniform >= c_n_infty_integral(model, basis, scheme, p, T), (n, m, T, p)
 
 
 class TestSeriesCondition:

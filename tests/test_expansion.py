@@ -36,6 +36,7 @@ from subwave.expansion import (
 )
 from subwave.processes import (
     ProcessModel,
+    SampleBatch,
     SamplePath,
     make_ou,
     parse_model_spec,
@@ -246,13 +247,13 @@ class TestLpError:
 class TestBatchOfOne:
     """The single-path functions and the batch agree with the dense products."""
 
-    def test_columns_match_single_paths(self, db3):
+    def test_rows_match_single_paths(self, db3):
         paths = simulate_paths(make_ou(1.0), 8.0, 2.0**-5, 4, 5)
-        grid, X = paths.grid, paths.values
+        grid = paths.grid
         scheme = TruncationScheme(2, (2, 3))
         weighted = basis_matrix(db3, scheme, grid) * trapezoid_weights(grid)
-        E = batch_lp_errors(db3, [scheme], grid, X, 2.0, 1.0)[0]
-        dense = dense_lp_errors(db3, [scheme], grid, X, 2.0, 1.0)[0]
+        E = batch_lp_errors(db3, [scheme], paths, 2.0, 1.0)[0]
+        dense = dense_lp_errors(db3, [scheme], grid, paths.values.T, 2.0, 1.0)[0]
         for i, path in enumerate(paths):
             coeffs = compute_coefficients(path, db3, scheme)
             np.testing.assert_allclose(coeffs.vector(), weighted @ path.values, rtol=1e-12, atol=1e-15)
@@ -288,7 +289,8 @@ class TestBatchOfOne:
 
 
 def dense_lp_errors(basis, schemes, grid, X, p, T, dtype=float):
-    """The oracle: one full-grid product and reconstruction per scheme."""
+    """The oracle: one full-grid product and reconstruction per scheme, on
+    the grid x path matrix X."""
     window, w = interval_window(grid, T)
     X, w = X.astype(dtype), w.astype(dtype)
     weights = trapezoid_weights(grid).astype(dtype)
@@ -319,8 +321,8 @@ class TestNestedLpErrors:
             L, h, specs = 14.0, 1 / 64, COMPACT_SCHEMES
         schemes = [parse_scheme_spec(s) for s in specs]
         paths = simulate_paths(parse_model_spec(model_spec), L, h, 40, 3)
-        grid, X = paths.grid, paths.values
-        got = batch_lp_errors(basis, schemes, grid, X, 2.0, 1.0)
+        grid, X = paths.grid, paths.values.T
+        got = batch_lp_errors(basis, schemes, paths, 2.0, 1.0)
         dense = dense_lp_errors(basis, schemes, grid, X, 2.0, 1.0)
         assert got.shape == (len(schemes), 40)
         if family == "meyer":
@@ -352,28 +354,26 @@ class TestNestedLpErrors:
         schemes = [parse_scheme_spec(s) for s in specs]
         model = parse_model_spec(model_spec)
         few, many = (
-            batch_lp_errors(basis, schemes, paths.grid, paths.values, 2.0, 1.0)
+            batch_lp_errors(basis, schemes, paths, 2.0, 1.0)
             for paths in (simulate_paths(model, L, h, n, 6) for n in counts)
         )
         assert np.array_equal(few, many[:, : counts[0]])
 
-    # deep rank-one errors cancel to ~1e-8 of the signal, so another BLAS
-    # summation order moves them far more than OU's (OpenBLAS's thread
-    # count alone moves them by up to 2.5e-9 relative on 2,000 paths)
-    @pytest.mark.parametrize("model_spec, rtol", [("ou:1", 1e-12), ("separable:gauss-bump", 1e-8)])
-    def test_grid_major_input_takes_the_same_blocks(self, model_spec, rtol):
-        # a caller's C-ordered grid x path matrix goes through X.T, strided
+    @pytest.mark.parametrize("model_spec", ["ou:1", "separable:gauss-bump"])
+    def test_batch_of_grid_major_values(self, model_spec):
+        # a caller's C-ordered grid x path matrix, made a batch, is stored
+        # path-major like the sampler's, so every product rounds the same
         basis = make_basis("daubechies:4")
         schemes = [parse_scheme_spec(s) for s in COMPACT_SCHEMES]
         paths = simulate_paths(parse_model_spec(model_spec), 14.0, 1 / 64, 300, 2)
-        X = np.ascontiguousarray(paths.values)
-        got = batch_lp_errors(basis, schemes, paths.grid, X, 2.0, 1.0)
-        want = batch_lp_errors(basis, schemes, paths.grid, paths.values, 2.0, 1.0)
-        np.testing.assert_allclose(got, want, rtol=rtol)
+        X = np.ascontiguousarray(paths.values.T)
+        batch = SampleBatch(paths.grid, X.T, paths.seed)
+        got = batch_lp_errors(basis, schemes, batch, 2.0, 1.0)
+        assert np.array_equal(got, batch_lp_errors(basis, schemes, paths, 2.0, 1.0))
 
     def test_schemes_must_fit_in_the_last(self, db3):
         paths = simulate_paths(make_ou(1.0), 8.0, 2.0**-5, 2, 5)
-        args = (paths.grid, paths.values, 2.0, 1.0)
+        args = (paths, 2.0, 1.0)
         with pytest.raises(ValidationError, match="contained in the last"):
             batch_lp_errors(db3, [TruncationScheme(2, (2, 3)), TruncationScheme(1, (1,))], *args)
         with pytest.raises(ValidationError, match="at least one"):
@@ -384,7 +384,7 @@ class TestNestedLpErrors:
         # [1, 11], leave the grid [-10, 10], though those rows are 0 on
         # [0, 1] and take no part in the product; the rows that do are covered
         paths = simulate_paths(make_ou(1.0), 10.0, 2.0**-5, 2, 5)
-        args = (paths.grid, paths.values, 2.0, 1.0)
+        args = (paths, 2.0, 1.0)
         assert batch_lp_errors(db3, [TruncationScheme(1, (5,))], *args).shape == (1, 2)
         with pytest.raises(SupportCoverageError) as err:
             batch_lp_errors(db3, [TruncationScheme(1, (6,))], *args)
@@ -395,20 +395,20 @@ class TestNestedLpErrors:
         schemes = [parse_scheme_spec(s) for s in ("k0'=4;k=4,5,7", "k0'=6;k=6,7,9,13,21")]
         n_paths = 2000
         paths = simulate_paths(parse_model_spec("separable:gauss-bump"), 14.0, 1 / 64, n_paths, 1)
-        grid, X = paths.grid, paths.values
-        batch_lp_errors(basis, schemes, grid, X, 2.0, 1.0)  # warm the caches
+        grid = paths.grid
+        batch_lp_errors(basis, schemes, paths, 2.0, 1.0)  # warm the caches
         window, _ = interval_window(grid, 1.0)
         starts, stops = _node_spans(basis, schemes[-1].indices(), grid)
         kept = int(np.sum((starts < window.stop) & (stops > window.start)))
         tracemalloc.start()
         try:
-            batch_lp_errors(basis, schemes, grid, X, 2.0, 1.0)
+            batch_lp_errors(basis, schemes, paths, 2.0, 1.0)
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
-        # beyond X: the coefficient rows, a few window-sized matrices and the
-        # small basis matrices (78 x 897 doubles here); the full-grid product
-        # of all 130 rows would need 2.1 MB for its coefficients alone
+        # beyond the paths: the coefficient rows, a few window-sized matrices
+        # and the small basis matrices (78 x 897 doubles here); the full-grid
+        # product of all 130 rows would need 2.1 MB for its coefficients alone
         n_window = window.stop - window.start
         assert peak <= 8 * n_paths * (kept + 3 * n_window) + 1e6
 

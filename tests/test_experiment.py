@@ -11,8 +11,8 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from subwave import experiment
-from subwave.errors import ValidationError
+from subwave import cli, experiment
+from subwave.errors import SupportCoverageError, ValidationError
 from subwave.expansion import compute_coefficients, lp_error, reconstruct
 from subwave.experiment import (
     config_from_dict,
@@ -175,6 +175,23 @@ class TestConfigValidation:
     def test_seed_range_ends_accepted(self):
         assert cfg_with(seed=0).seed == 0
         assert cfg_with(seed=2**64 - 1).seed == 2**64 - 1
+
+    @pytest.mark.parametrize("basis_spec, grid_L", [("haar", 1.5), ("meyer", 20.0)])
+    def test_grid_must_cover_the_supports(self, tmp_path, monkeypatch, basis_spec, grid_L):
+        # (f, 0, -2) of haar lives on [-3, -1]; meyer's supports are wider
+        # than 20; a run fails on the config, before any work or output
+        doc = dict(BASE, basis_spec=basis_spec, grid_L=grid_L)
+        with pytest.raises(SupportCoverageError, match="does not cover the effective support"):
+            config_from_dict(doc)
+
+        def no_simulation(*args, **kwargs):
+            raise AssertionError("simulated paths before the coverage check")
+
+        monkeypatch.setattr(experiment, "simulate_paths", no_simulation)
+        (tmp_path / "cfg.json").write_text(json.dumps(doc))
+        argv = ["experiment", "--config", str(tmp_path / "cfg.json"), "--out", str(tmp_path / "out")]
+        assert cli.main(argv) == 2
+        assert not (tmp_path / "out").exists()
 
 
 class TestRunExperiment:

@@ -50,6 +50,13 @@ class TestBuiltinFamilies:
         assert density(p, 4.0) == 2.0
         assert p.q_constant == math.inf
 
+    @pytest.mark.parametrize("family", ["gaussian", "power:1.5"])
+    def test_conjugate_past_float_range_is_inf(self, family):
+        # (1e200)^2 / 2 and (1e200)^3 / 3 leave the float range
+        nf = parse_nfunction_spec(family)
+        assert conjugate(nf, 1e200) == math.inf
+        assert conjugate(nf, -1e200) == math.inf
+
     def test_density_rejects_negative(self):
         with pytest.raises(ValidationError):
             density(make_gaussian(), -1.0)

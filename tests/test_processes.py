@@ -1,3 +1,4 @@
+import dataclasses
 import math
 import tracemalloc
 from pathlib import Path
@@ -142,6 +143,15 @@ class TestModelValidation:
                     **half,
                 )
 
+    def test_one_spectral_description(self, ou1, gauss_bump):
+        # a stationary model with g/g_hat, or a rank-one one with R_hat,
+        # would take the rank-one route in one place and the stationary one
+        # in another
+        rank_one = {"separable_g": gauss_bump.separable_g, "separable_g_hat": gauss_bump.separable_g_hat}
+        for model, extra in ((ou1, rank_one), (gauss_bump, {"spectral_density": ou1.spectral_density})):
+            with pytest.raises(ValidationError, match="R_hat or g/g_hat, not both"):
+                dataclasses.replace(model, **extra)
+
     def test_spec_strings(self):
         ou = parse_model_spec("ou:1.5")
         assert ou.spectral_density is not None and ou.separable_g is None
@@ -210,22 +220,22 @@ class TestSimulation:
             z = p.values[np.argmax(g)]  # value at t=0, where g=1
             assert np.allclose(p.values, z * g, atol=1e-10)
 
-    def test_paths_are_columns_of_one_batch(self, ou1, gauss_bump):
+    def test_paths_are_rows_of_one_batch(self, ou1, gauss_bump):
         for model in (ou1, gauss_bump):
             paths = simulate_paths(model, 2.0, 0.25, 5, seed=2)
             assert isinstance(paths, SampleBatch)
-            assert paths.values.shape == (17, 5) and len(paths) == 5
+            assert paths.values.shape == (5, 17) and len(paths) == 5
             for i, p in enumerate(paths):
                 assert np.shares_memory(p.values, paths.values)
                 assert p.grid is paths.grid and p.seed == 2 and p.path_index == i
-                assert np.array_equal(p.values, paths.values[:, i])
+                assert np.array_equal(p.values, paths.values[i])
 
     @pytest.mark.parametrize("name", ["ou1", "gauss_bump", "damped_ou"])
     def test_each_path_is_contiguous(self, name, request):
-        # the batch is the transposed view of one path-major buffer
+        # the batch is one C-contiguous path x grid matrix
         model = _damped_ou() if name == "damped_ou" else request.getfixturevalue(name)
         paths = simulate_paths(model, 2.0, 0.125, 300, seed=3)
-        assert paths.values.T.flags.c_contiguous
+        assert paths.values.flags.c_contiguous
         for p in paths[::37]:
             assert p.values.flags.c_contiguous
             assert np.shares_memory(p.values, paths.values)
@@ -234,7 +244,7 @@ class TestSimulation:
         paths = simulate_paths(ou1, 2.0, 0.25, 5, seed=2)
         last = paths[-1]
         assert last.path_index == 4
-        assert np.array_equal(last.values, paths.values[:, 4])
+        assert np.array_equal(last.values, paths.values[4])
         assert [p.path_index for p in paths[1:4]] == [1, 2, 3]
         assert [p.path_index for p in paths[::-2]] == [4, 2, 0]
         assert paths[7:] == []
@@ -245,12 +255,20 @@ class TestSimulation:
 
     def test_batch_invariants(self):
         grid = np.linspace(-1.0, 1.0, 9)
-        with pytest.raises(ValidationError, match="grid x path"):
+        with pytest.raises(ValidationError, match="path x grid"):
             SampleBatch(grid=grid, values=np.zeros(9), seed=0)
         with pytest.raises(ValidationError, match="equal length"):
-            SampleBatch(grid=grid, values=np.zeros((8, 2)), seed=0)
+            SampleBatch(grid=grid, values=np.zeros((9, 2)), seed=0)
         with pytest.raises(ValidationError, match="uniform"):
-            SampleBatch(grid=grid**3, values=np.zeros((9, 2)), seed=0)
+            SampleBatch(grid=grid**3, values=np.zeros((2, 9)), seed=0)
+        # a C-contiguous float matrix is kept as it is; any other is copied
+        # into one, so every batch's paths are contiguous rows
+        values = np.zeros((2, 9))
+        assert SampleBatch(grid=grid, values=values, seed=0).values is values
+        for other in (np.zeros((9, 2)).T, np.zeros((2, 9), dtype=int)):
+            batch = SampleBatch(grid=list(grid), values=other, seed=0)
+            assert batch.values.flags.c_contiguous and batch.values.dtype == float
+            assert batch.grid.dtype == float and batch[1].values.shape == (9,)
 
     @pytest.mark.parametrize("name", ["ou1", "gauss_bump", "damped_ou"])
     def test_path_does_not_depend_on_path_count(self, name, request):
@@ -258,7 +276,7 @@ class TestSimulation:
         model = _damped_ou() if name == "damped_ou" else request.getfixturevalue(name)
         batches = [simulate_paths(model, 2.0, 0.125, n, seed=4) for n in (3, 10, 300, 600)]
         for few, many in zip(batches[:-1], batches[1:]):
-            assert np.array_equal(few.values, many.values[:, : len(few)])
+            assert np.array_equal(few.values, many.values[: len(few)])
         # path i is L z_i, z_i row i mod 256 of the stream of block i // 256
         paths = batches[2]
         k, sample = _linear_sampler(model, paths.grid)
