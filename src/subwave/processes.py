@@ -30,6 +30,7 @@ of runs, not a single CLI call) reuses the moment caches keyed on it.
 import csv
 import math
 import os
+import threading
 from dataclasses import dataclass
 from functools import lru_cache
 from pathlib import Path
@@ -266,7 +267,7 @@ def _linear_sampler(
 
     Returns k and a function ``sample(Z, out)`` taking a (B, k) block of
     standard normals, one row per path, and writing the B paths L z as
-    the rows of the (B, n) array ``out``.
+    the rows of the (B, n) array ``out``; it may overwrite Z.
 
     * rank-one (g set): k = 1 and L = g(grid).
     * stationary (R_hat set): K is the symmetric Toeplitz matrix of the lag
@@ -279,8 +280,10 @@ def _linear_sampler(
       real and imaginary parts N(0, m/2).  So k = m and the spectrum is
       drawn directly: a row's first n normals are the real parts, its other
       n - 2 the imaginary parts of entries 1..n-2, all scaled by one
-      ``root`` vector, and one irfft per row follows.  The first n rows of
-      that map satisfy L L^T = (C)_{n x n} = K.
+      ``root`` vector, and one irfft per row follows, written back over
+      the spent normals.  Each thread builds its spectra in one buffer of
+      its own, reused from call to call.  The first n rows of that map
+      satisfy L L^T = (C)_{n x n} = K.
     * anything else, or an indefinite embedding: k = n and L is the dense
       ``eigh`` factor of K, applied to the block zero-padded to
       ``_PATH_BLOCK`` rows (B <= ``_PATH_BLOCK``).
@@ -302,12 +305,18 @@ def _linear_sampler(
             variance[[0, -1]] = m
             root = np.sqrt(np.clip(lam, 0.0, None) * variance)
 
+            scratch = threading.local()
+
             def circulant(Z, out):
-                spectrum = np.empty((len(Z), n), dtype=complex)
+                # imaginary parts 0 and n - 1 stay at the buffer's zeros
+                spectrum = getattr(scratch, "spectrum", None)
+                if spectrum is None or len(spectrum) < len(Z):
+                    spectrum = scratch.spectrum = np.zeros((len(Z), n), dtype=complex)
+                spectrum = spectrum[: len(Z)]
                 np.multiply(Z[:, :n], root, out=spectrum.real)
                 np.multiply(Z[:, n:], root[1:-1], out=spectrum.imag[:, 1:-1])
-                spectrum.imag[:, [0, -1]] = 0.0
-                out[...] = np.fft.irfft(spectrum, n=m)[:, :n]
+                np.fft.irfft(spectrum, n=m, out=Z)
+                out[...] = Z[:, :n]
 
             return m, circulant
     F = _covariance_factor(model, grid)
@@ -360,8 +369,12 @@ def simulate_paths(
     keyed by (seed, b) and maps them into its own rows of ``values``: the
     circulant map ``_SLAB`` rows at a time, which bounds its scratch
     memory, the others the whole block at once.  The blocks are filled in
-    parallel by a pool of ``_worker_count()`` threads (one block runs
-    inline); numpy's generator, FFT and BLAS release the GIL.  Every
+    parallel by ``_worker_count()`` threads, thread w taking blocks w,
+    w + workers, ... (one block runs inline).  Each thread draws into one
+    buffer of normals for all its blocks, and the circulant map keeps one
+    spectrum per thread: fresh scratch for every slab costs more in page
+    faults than the map itself.  numpy's generator, FFT and BLAS release
+    the GIL.  Every
     sampler maps a row the same way whatever else the call holds, so path
     i is bit for bit a function of (model, grid, seed, i) alone, for any
     n_paths and any thread count.
@@ -378,26 +391,27 @@ def simulate_paths(
     # at its padded width, and the rank-one map writes its output directly
     rows = _SLAB if k > len(grid) else _PATH_BLOCK
     paths = np.empty((n_paths, len(grid)))
+    blocks = -(-n_paths // _PATH_BLOCK)
+    workers = min(_worker_count(), blocks)
 
-    def fill(block):
-        rng = _block_rng(seed, block)
-        stop = min((block + 1) * _PATH_BLOCK, n_paths)
-        for start in range(block * _PATH_BLOCK, stop, rows):
-            end = min(start + rows, stop)
-            sample(rng.standard_normal((end - start, k)), paths[start:end])
+    def fill(worker):
+        Z = np.empty((rows, k))
+        for block in range(worker, blocks, workers):
+            rng = _block_rng(seed, block)
+            stop = min((block + 1) * _PATH_BLOCK, n_paths)
+            for start in range(block * _PATH_BLOCK, stop, rows):
+                z = rng.standard_normal(out=Z[: min(rows, stop - start)])
+                sample(z, paths[start : start + len(z)])
 
-    blocks = range(-(-n_paths // _PATH_BLOCK))
-    workers = min(_worker_count(), len(blocks))
     if workers == 1:
-        for block in blocks:
-            fill(block)
+        fill(0)
     else:
         # imported on first use: concurrent.futures loads logging, ~8 ms of
         # start-up that a process which simulates nothing should not pay
         from concurrent.futures import ThreadPoolExecutor
 
         with ThreadPoolExecutor(workers) as pool:
-            list(pool.map(fill, blocks))
+            list(pool.map(fill, range(workers)))
     return SampleBatch(grid=grid, values=paths, seed=seed)
 
 

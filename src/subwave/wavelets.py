@@ -27,9 +27,10 @@ Shipped families:
                       values by exact dyadic refinement (12 levels, grid
                       step 2^-12), compactly supported.
 * ``meyer``           closed-form Fourier expressions, band-limited; time
-                      domain tabulated by one inverse FFT of the sampled
-                      transform (exact up to periodisation at period 2048);
-                      polynomial-decay rational envelope.
+                      domain tabulated from the transform sampled at its
+                      nonzero harmonics, summed over the table window by
+                      one chirp-z transform (exact up to periodisation at
+                      period 2048); polynomial-decay rational envelope.
 """
 
 import math
@@ -54,7 +55,7 @@ _PRODUCT_DEPTH = 40
 _TAIL_MASS = 1e-6
 
 # Meyer tabulation: half-width and dyadic step of the value table, the
-# period P of the inverse FFT that computes it (the table holds the
+# period P whose harmonics sample the transform (the table holds the
 # P-periodised function, see ``_fourier_table``), and the envelope shape
 # parameter b in Phi(x) = A * (1 + x/b)^-4.
 _MEYER_TABLE_HALFWIDTH = 56.0
@@ -413,26 +414,45 @@ def _meyer_m_hat(y):
     return np.exp(-0.5j * y) * _meyer_m_hat_abs(y)
 
 
-def _fourier_table(profile, center):
+def _fourier_table(profile, center, edge):
     """Tabulate w(x) = (1/2pi) int profile(|y|) exp(i (x - center) y) dy.
 
     This is the inverse transform of the Hermitian spectrum
     exp(-i*center*y) * profile(|y|); the result is real and symmetric about
     ``center``.  By Poisson summation the trapezoid rule in y with step
-    2pi/P is exactly the P-periodised function sum_n w(x + nP), so one
-    inverse FFT of size P/dx gives it at step dx.  Inside the table window
-    |x - center| <= H the periodisation adds at most 2 sum_{n>=1} Phi(nP - H),
-    with Phi the rational envelope: below 4e-12 at P = 2048, H = 56.  The
-    true tails are far smaller, and the table agrees with an independent
-    quadrature of the integral to a few ulps.
+    2pi/P is exactly the P-periodised function sum_n w(x + nP), so at step
+    dx, with n = P/dx, the table holds
+
+        w(center + i dx) = (a_0 + 2 sum_{k=1..K} a_k cos(2pi i k / n)) / (n dx)
+
+    for the harmonics a_k = profile(2pi k / P); the profile vanishes above
+    ``edge``, so K = floor(edge P / 2pi) loses nothing.  Only the half
+    window 0 <= i <= H/dx is summed, by a chirp-z transform: i k =
+    (i^2 + k^2 - (i - k)^2) / 2 turns the sum into one linear convolution
+    with the chirp exp(-i pi m^2 / n), done by FFT at the next power of two
+    above H/dx + K, with each phase m^2 reduced mod 2n in exact integers.
+    Inside the table window |x - center| <= H the periodisation adds at
+    most 2 sum_{n>=1} Phi(nP - H), with Phi the rational envelope: below
+    4e-12 at P = 2048, H = 56.  The true tails are far smaller, and the
+    table agrees with an independent quadrature of the integral, and with
+    the full-period inverse FFT of the same spectrum, to a few ulps.
     """
     dx = _MEYER_TABLE_STEP
     n = round(_MEYER_PERIOD / dx)
     half = round(_MEYER_TABLE_HALFWIDTH / dx)
-    y = 2.0 * math.pi / _MEYER_PERIOD * np.arange(n // 2 + 1)
-    vals = np.fft.irfft(profile(y), n=n) / dx
-    window = np.concatenate([vals[-half:], vals[: half + 1]])
-    return _TableFunc(center - half * dx, dx, window)
+    K = math.floor(edge * _MEYER_PERIOD / (2.0 * math.pi))
+    a = profile(2.0 * math.pi / _MEYER_PERIOD * np.arange(K + 1))
+    a[1:] *= 2.0
+    m = np.arange(-K, half + 1, dtype=np.int64)
+    chirp = np.exp(1j * math.pi / n * (m * m % (2 * n)))  # even in m
+    size = 1 << (half + K).bit_length()
+    u = np.zeros(size, dtype=complex)
+    u[: K + 1] = a * chirp[K : 2 * K + 1]
+    v = np.zeros(size, dtype=complex)
+    v[m % size] = chirp.conj()
+    conv = np.fft.ifft(np.fft.fft(u) * np.fft.fft(v))[: half + 1]
+    vals = (chirp[K:] * conv).real / (n * dx)
+    return _TableFunc(center - half * dx, dx, np.concatenate([vals[:0:-1], vals]))
 
 
 def _fit_rational_envelope(table: _TableFunc, scale: float) -> Envelope:
@@ -442,8 +462,8 @@ def _fit_rational_envelope(table: _TableFunc, scale: float) -> Envelope:
 
 
 def _make_meyer() -> WaveletPair:
-    f_w = _fourier_table(_meyer_f_hat_abs, 0.0)
-    m_w = _fourier_table(_meyer_m_hat_abs, 0.5)
+    f_w = _fourier_table(_meyer_f_hat_abs, 0.0, _MEYER_BREAKS["f"][-1])
+    m_w = _fourier_table(_meyer_m_hat_abs, 0.5, _MEYER_BREAKS["m"][-1])
     env_f = _fit_rational_envelope(f_w, _MEYER_ENVELOPE_SCALE)
     env_m = _fit_rational_envelope(m_w, _MEYER_ENVELOPE_SCALE)
     return WaveletPair(

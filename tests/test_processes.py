@@ -296,10 +296,28 @@ class TestSimulation:
             batches.append(simulate_paths(model, 2.0, 0.125, n_paths, seed=8))
         assert np.array_equal(batches[0].values, batches[1].values)
 
+    @pytest.mark.parametrize("workers", [1, 2])
+    def test_reused_scratch_matches_a_fresh_run(self, ou1, workers, monkeypatch):
+        # 33 paths leave a partial slab, 257 a partial block, 700 both; each
+        # worker's normals and spectrum carry over from slab to slab and
+        # from block to block, so nothing of one slab may leak into the next
+        monkeypatch.setattr(processes, "_worker_count", lambda: workers)
+        many = simulate_paths(ou1, 8.0, 1 / 16, 2000, seed=21)
+        for n in (33, 257, 700):
+            few = simulate_paths(ou1, 8.0, 1 / 16, n, seed=21)
+            assert np.array_equal(few.values, many.values[:n])
+        # and each path is its own rows mapped by a sampler made for them alone
+        for i in (31, 32, 255, 256, 699, 1999):
+            k, sample = _linear_sampler(ou1, many.grid)
+            z = _block_rng(21, i // 256).standard_normal((i % 256 + 1, k))[-1:]
+            out = np.empty((1, len(many.grid)))
+            sample(z, out)
+            assert np.array_equal(many[i].values, out[0])
+
     def test_sampler_memory_is_bounded(self):
-        # beyond the path-major result, each worker holds a few slabs of
-        # normals, spectra and irfft output (32 rows of the 3,393-node grid
-        # and its 6,784-point embedding, ~1.7 MB each)
+        # beyond the path-major result, each worker holds one slab of normals
+        # and one of spectra (32 rows of the 3,393-node grid and its
+        # 6,784-point embedding, ~1.7 MB each)
         args = (make_ou(1.0), 53.0, 1 / 32, 2000, 6)
         simulate_paths(*args)  # warm: FFT plans and generator set-up
         tracemalloc.start()

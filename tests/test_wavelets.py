@@ -7,9 +7,12 @@ from scipy.integrate import quad
 
 from subwave.errors import NumericError, ValidationError
 from subwave.wavelets import (
+    _MEYER_PERIOD,
     Envelope,
     _StepFunc,
     _TableFunc,
+    _meyer_f_hat_abs,
+    _meyer_m_hat_abs,
     band_breaks,
     box_envelope,
     daubechies_filter,
@@ -164,6 +167,25 @@ class TestMeyerTables:
             for u in x - center
         ]
         assert np.max(np.abs(w(x) - oracle)) <= 1e-13
+
+    @pytest.mark.parametrize("which", ["f", "m"])
+    def test_values_match_full_period_inverse_fft(self, meyer, which):
+        # the same P-periodised function from every harmonic up to n/2 and
+        # every one of the n = P/dx nodes of the period
+        center, _ = self.CASES[which]
+        w = meyer.f_wavelet if which == "f" else meyer.m_wavelet
+        profile = _meyer_f_hat_abs if which == "f" else _meyer_m_hat_abs
+        n = round(_MEYER_PERIOD / w.dx)
+        half = len(w.values) // 2
+        spectrum = profile(2.0 * math.pi / _MEYER_PERIOD * np.arange(n // 2 + 1))
+        full = np.fft.irfft(spectrum, n=n) / w.dx
+        oracle = np.concatenate([full[-half:], full[: half + 1]])
+        assert len(w.values) == 2 * half + 1 and w.x0 == center - half * w.dx
+        assert np.max(np.abs(w.values - oracle)) <= 4 * np.spacing(np.max(np.abs(oracle)))
+        # the harmonics above K = floor(edge P / 2pi) are exact zeros
+        K = math.floor(band_breaks(meyer, which)[-1] * _MEYER_PERIOD / (2.0 * math.pi))
+        assert K == {"f": 1365, "m": 2730}[which]
+        assert spectrum[K] > 0.0 and not np.any(spectrum[K + 1 :])
 
 
 class TestEnvelopes:
