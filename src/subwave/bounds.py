@@ -54,16 +54,19 @@ class TailBoundReport:
     """One evaluation of the exceedance bound.
 
     ``bound`` is 2 exp(-phi*((epsilon/c)^(1/p))), always in [0, 2];
-    ``valid`` records whether epsilon clears the threshold, and ``route``
-    which construction produced the c constant.
+    ``route`` names the construction that produced the c constant.
     """
 
     c_constant: float
     epsilon: float
     threshold: float
     bound: float
-    valid: bool
     route: str = "direct"
+
+    @property
+    def valid(self) -> bool:
+        """Whether epsilon clears the threshold, where the theory asserts the bound."""
+        return bool(self.epsilon > self.threshold)
 
     def to_json_dict(self) -> dict:
         return {
@@ -164,7 +167,6 @@ def tail_probability_bound(
         epsilon=epsilon,
         threshold=thr,
         bound=2.0 * math.exp(-conjugate(nf, (epsilon / c) ** (1.0 / p))),
-        valid=bool(epsilon > thr),
         route=route,
     )
 
@@ -214,8 +216,8 @@ def c_n_infty_integral(
     """
     if not 1 <= p < math.inf:
         raise ValidationError("p must be >= 1 and finite")
-    if not T > 0:
-        raise ValidationError("T must be > 0")
+    if not 0 < T < math.inf:
+        raise ValidationError("T must be finite and > 0")
     t, w = simpson_nodes(0.0, T, 256)
     E = _ms_error_curve(model, basis, scheme, t)
     if np.min(E) < -1e-8:
@@ -335,8 +337,8 @@ def c_n_infty_uniform(
     """
     if not 1 <= p < math.inf:
         raise ValidationError("p must be >= 1 and finite")
-    if not T > 0:
-        raise ValidationError("T must be > 0")
+    if not 0 < T < math.inf:
+        raise ValidationError("T must be finite and > 0")
     if scheme.k0_prime < T + 1:
         raise ValidationError("C_phi(T, k0') needs k0' >= T + 1")
     series = _level_series(model, basis, alpha)

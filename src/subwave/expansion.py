@@ -4,7 +4,8 @@ coefficient second moments.
 Index convention: the truncated expansion keeps the scaling band
 |k| <= k0' at level 0 and detail levels j = 0..n-1 with |k| <= k_j.
 Coefficient order is always: scaling k = -k0'..k0', then per level j
-ascending, k = -k_j..k_j.
+ascending, k = -k_j..k_j (``TruncationScheme.indices``).  A path's
+coefficients are one vector in that order, ``CoefficientSet.values``.
 
 One pipeline expands paths: every basis row comes from one evaluator
 (``_rows``, behind ``basis_matrix``), and every coefficient from one
@@ -39,7 +40,7 @@ the Parseval values and the xi bound take the engine's panels of the band.
 import math
 from dataclasses import dataclass
 from functools import lru_cache
-from typing import Dict, Tuple
+from typing import Tuple
 
 import numpy as np
 
@@ -70,13 +71,18 @@ class TruncationScheme:
     """Index cuts of a truncated expansion.
 
     ``k0_prime = -1`` encodes an empty scaling band (no terms at all when
-    ``levels`` is empty too); otherwise k0_prime >= 0.
+    ``levels`` is empty too); otherwise k0_prime >= 0.  Every cut is an
+    int or a numpy integer (not a bool), stored as an int.
     """
 
     k0_prime: int
     levels: Tuple[int, ...] = ()
 
     def __post_init__(self):
+        cuts = (self.k0_prime, *self.levels)
+        if any(isinstance(k, bool) or not isinstance(k, (int, np.integer)) for k in cuts):
+            raise ValidationError(f"scheme cuts must be integers, got {cuts!r}")
+        object.__setattr__(self, "k0_prime", int(self.k0_prime))
         object.__setattr__(self, "levels", tuple(int(k) for k in self.levels))
         if self.k0_prime < -1:
             raise ValidationError("k0_prime must be >= 0 (or -1 for an empty band)")
@@ -125,29 +131,16 @@ def parse_scheme_spec(spec: str) -> TruncationScheme:
 
 @dataclass(frozen=True)
 class CoefficientSet:
-    """Computed expansion coefficients matching a scheme's index set."""
+    """Computed expansion coefficients: ``values[i]`` is the coefficient of
+    ``scheme.indices()[i]``."""
 
-    xi: Dict[int, float]
-    eta: Dict[Tuple[int, int], float]
     scheme: TruncationScheme
+    values: np.ndarray
 
     def __post_init__(self):
-        want_xi = set(range(-self.scheme.k0_prime, self.scheme.k0_prime + 1))
-        if set(self.xi) != want_xi:
-            raise ValidationError("scaling coefficients do not match the scheme")
-        want_eta = {
-            (j, k)
-            for j, kj in enumerate(self.scheme.levels)
-            for k in range(-kj, kj + 1)
-        }
-        if set(self.eta) != want_eta:
-            raise ValidationError("detail coefficients do not match the scheme")
-
-    def vector(self) -> np.ndarray:
-        vals = []
-        for kind, j, k in self.scheme.indices():
-            vals.append(self.xi[k] if kind == "f" else self.eta[(j, k)])
-        return np.array(vals)
+        object.__setattr__(self, "values", np.asarray(self.values, dtype=float))
+        if self.values.shape != (self.scheme.count(),):
+            raise ValidationError(f"values has shape {self.values.shape}, the scheme ({self.scheme.count()},)")
 
 
 # ---------------------------------------------------------------------------
@@ -257,8 +250,8 @@ def batch_lp_errors(basis: WaveletPair, schemes, paths: SampleBatch, p: float, T
     basis matrix.  Every product has the same shape, so path i's errors
     do not depend on the number of paths.
     """
-    if not p >= 1:
-        raise ValidationError("p must be >= 1")
+    if not 1 <= p < math.inf:
+        raise ValidationError("p must be >= 1 and finite")
     schemes = tuple(schemes)
     if not schemes:
         raise ValidationError("need at least one truncation scheme")
@@ -301,16 +294,13 @@ def compute_coefficients(
     grid = np.asarray(path.grid, dtype=float)
     idx = scheme.indices()
     Bw, nodes = _weighted_rows(basis, idx, _node_spans(basis, idx, grid), grid)
-    vals = dict(zip(idx, (Bw @ path.values[nodes]).tolist()))
-    xi = {k: v for (kind, _, k), v in vals.items() if kind == "f"}
-    eta = {(j, k): v for (kind, j, k), v in vals.items() if kind == "m"}
-    return CoefficientSet(xi=xi, eta=eta, scheme=scheme)
+    return CoefficientSet(scheme, Bw @ path.values[nodes])
 
 
 def reconstruct(coeffs: CoefficientSet, basis: WaveletPair, t_grid) -> np.ndarray:
     """Evaluate the truncated expansion at the given points."""
     t = np.asarray(t_grid, dtype=float)
-    return (basis_matrix(basis, coeffs.scheme, t.reshape(-1)).T @ coeffs.vector()).reshape(t.shape)
+    return (basis_matrix(basis, coeffs.scheme, t.reshape(-1)).T @ coeffs.values).reshape(t.shape)
 
 
 def lp_error(path: SamplePath, recon, p: float, T: float) -> float:
@@ -321,8 +311,8 @@ def lp_error(path: SamplePath, recon, p: float, T: float) -> float:
     the integral itself (not its p-th root), which is the quantity the
     exceedance bounds refer to.
     """
-    if not p >= 1:
-        raise ValidationError("p must be >= 1")
+    if not 1 <= p < math.inf:
+        raise ValidationError("p must be >= 1 and finite")
     if np.shape(recon) != np.shape(path.values):
         raise ValidationError(f"recon has shape {np.shape(recon)}, the path {np.shape(path.values)}")
     window, w = interval_window(path.grid, T)

@@ -244,7 +244,7 @@ class TestCnInftyIntegral:
 
     @pytest.mark.parametrize("T", [0.0, -1.0])
     def test_rejects_nonpositive_T(self, ou1, haar, T):
-        with pytest.raises(ValidationError, match="T must be > 0"):
+        with pytest.raises(ValidationError, match="T must be finite and > 0"):
             c_n_infty_integral(ou1, haar, parse_scheme_spec("k0'=2;k=2,3"), 2.0, T)
 
     def test_fresh_parses_share_moment_caches(self, haar):
@@ -308,7 +308,7 @@ class TestCnInftyUniform:
 
     @pytest.mark.parametrize("T", [0.0, -1.0])
     def test_rejects_nonpositive_T(self, ou1, haar, T):
-        with pytest.raises(ValidationError, match="T must be > 0"):
+        with pytest.raises(ValidationError, match="T must be finite and > 0"):
             c_n_infty_uniform(ou1, haar, parse_scheme_spec("k0'=3;k=3,4"), 2.0, T, 0.5)
 
     def test_preconditions(self, ou1, meyer):
@@ -502,6 +502,14 @@ class TestNonFiniteInput:
             c_n_infty_integral(ou1, haar, scheme, p, 1.0)
         with pytest.raises(ValidationError, match="p must be >= 1 and finite"):
             c_n_infty_uniform(ou1, haar, scheme, p, 1.0, 0.5)
+
+    @pytest.mark.parametrize("T", [math.inf, math.nan])
+    def test_rate_constants_need_finite_T(self, ou1, haar, T):
+        scheme = parse_scheme_spec("k0'=3;k=3,4")
+        with pytest.raises(ValidationError, match="T must be finite and > 0"):
+            c_n_infty_integral(ou1, haar, scheme, 2.0, T)
+        with pytest.raises(ValidationError, match="T must be finite and > 0"):
+            c_n_infty_uniform(ou1, haar, scheme, 2.0, T, 0.5)
 
     @pytest.mark.parametrize(
         "T, alpha, message",

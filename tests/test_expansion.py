@@ -86,11 +86,25 @@ class TestTruncationScheme:
         with pytest.raises(ValidationError):
             parse_scheme_spec(bad)
 
+    @pytest.mark.parametrize(
+        "k0, levels",
+        [(2, (2.7, 3)), (1.5, ()), (True, ()), (2, (2, False)), (2.0, (2,)), (2, ("3",))],
+        ids=["float-level", "float-k0", "bool-k0", "bool-level", "integral-float-k0", "str-level"],
+    )
+    def test_cuts_must_be_integers(self, k0, levels):
+        with pytest.raises(ValidationError, match="scheme cuts must be integers"):
+            TruncationScheme(k0, levels)
+
+    def test_numpy_integer_cuts_are_ints(self):
+        s = TruncationScheme(np.int64(2), (np.int32(2), np.uint8(3)))
+        assert s == TruncationScheme(2, (2, 3)) and s.spec_string() == "k0'=2;k=2,3"
+        assert all(type(k) is int for k in (s.k0_prime, *s.levels))
+
     def test_coefficient_set_must_match_scheme(self):
         s = TruncationScheme(k0_prime=0, levels=())
         with pytest.raises(ValidationError):
-            CoefficientSet(xi={1: 0.0}, eta={}, scheme=s)
-        CoefficientSet(xi={0: 1.0}, eta={}, scheme=s)
+            CoefficientSet(s, [0.0, 0.0])
+        assert CoefficientSet(s, [1.0]).values.tolist() == [1.0]
 
 
 class TestCoefficients:
@@ -98,7 +112,7 @@ class TestCoefficients:
         grid = np.arange(-8.0, 8.0 + 2.0**-8, 2.0**-8)
         path = make_path(grid, np.zeros_like(grid))
         coeffs = compute_coefficients(path, db2, TruncationScheme(2, (2, 2)))
-        assert np.all(coeffs.vector() == 0.0)
+        assert np.all(coeffs.values == 0.0)
 
     def test_haar_coefficient_matches_quadrature_oracle(self, haar):
         # X = g * z with g the Gaussian bump; eta_00 = z * int g psi
@@ -107,22 +121,21 @@ class TestCoefficients:
         g = np.exp(-0.5 * grid**2)
         path = make_path(grid, z * g)
         coeffs = compute_coefficients(path, haar, TruncationScheme(0, (0,)))
+        eta_00 = coeffs.values[coeffs.scheme.indices().index(("m", 0, 0))]
         gfun = lambda t: math.exp(-0.5 * t * t)
         upper, _ = quad(gfun, 0.0, 0.5, epsabs=1e-13)
         lower, _ = quad(gfun, 0.5, 1.0, epsabs=1e-13)
         # trapezoid is first order across the Haar jumps: tolerance ~ grid step
-        assert coeffs.eta[(0, 0)] == pytest.approx(z * (upper - lower), abs=1e-3)
+        assert eta_00 == pytest.approx(z * (upper - lower), abs=1e-3)
 
     def test_self_coefficient_is_one(self, db2):
         h = 2.0**-12
         grid = np.arange(-6.0, 9.0 + h, h)
         path = make_path(grid, eval_dilated(db2, "m", 0, 0, grid))
         coeffs = compute_coefficients(path, db2, TruncationScheme(2, (2, 2)))
-        for (j, k), v in coeffs.eta.items():
-            target = 1.0 if (j, k) == (0, 0) else 0.0
+        for index, v in zip(coeffs.scheme.indices(), coeffs.values):
+            target = 1.0 if index == ("m", 0, 0) else 0.0
             assert v == pytest.approx(target, abs=1e-3)
-        for v in coeffs.xi.values():
-            assert abs(v) < 1e-3
 
     def test_support_coverage_error(self, meyer):
         grid = np.arange(-4.0, 4.0 + 0.125, 0.125)
@@ -135,17 +148,13 @@ class TestCoefficients:
 class TestReconstruct:
     def test_zero_coefficients(self, db2):
         s = TruncationScheme(1, (1,))
-        coeffs = CoefficientSet(
-            xi={k: 0.0 for k in (-1, 0, 1)},
-            eta={(0, k): 0.0 for k in (-1, 0, 1)},
-            scheme=s,
-        )
+        coeffs = CoefficientSet(s, np.zeros(6))
         t = np.linspace(-2, 2, 33)
         assert np.all(reconstruct(coeffs, db2, t) == 0.0)
 
     def test_single_scaling_term_reproduces_basis(self, db2):
         s = TruncationScheme(0, ())
-        coeffs = CoefficientSet(xi={0: 1.0}, eta={}, scheme=s)
+        coeffs = CoefficientSet(s, [1.0])
         t = np.linspace(-1, 4, 101)
         assert np.allclose(reconstruct(coeffs, db2, t), db2.f_wavelet(t))
 
@@ -161,7 +170,7 @@ class TestReconstruct:
         coeffs = compute_coefficients(path, db3, scheme)
         recon = reconstruct(coeffs, db3, path.grid)
         err_sq = np.sum((path.values - recon) ** 2) * h
-        tail = np.sum(path.values**2) * h - np.sum(coeffs.vector() ** 2)
+        tail = np.sum(path.values**2) * h - np.sum(coeffs.values**2)
         assert err_sq == pytest.approx(tail, abs=1e-6)
 
     def test_nested_schemes_reduce_l2_error(self, db3):
@@ -201,6 +210,24 @@ class TestLpError:
     def test_rejects_small_p(self):
         with pytest.raises(ValidationError):
             lp_error(self._path(), self._path().values, 0.5, 1.0)
+
+    @pytest.mark.parametrize("p", [math.inf, math.nan])
+    def test_rejects_non_finite_p(self, haar, p):
+        path = self._path()
+        batch = SampleBatch(path.grid, np.zeros((2, path.grid.size)), 0)
+        with pytest.raises(ValidationError, match="p must be >= 1 and finite"):
+            lp_error(path, path.values + 1.0, p, 1.0)
+        with pytest.raises(ValidationError, match="p must be >= 1 and finite"):
+            batch_lp_errors(haar, [TruncationScheme(0, ())], batch, p, 1.0)
+
+    @pytest.mark.parametrize("T", [math.inf, math.nan])
+    def test_rejects_non_finite_T(self, haar, T):
+        path = self._path()
+        batch = SampleBatch(path.grid, np.zeros((2, path.grid.size)), 0)
+        with pytest.raises(ValidationError, match="nonempty interval inside the path grid"):
+            lp_error(path, path.values + 1.0, 2.0, T)
+        with pytest.raises(ValidationError, match="nonempty interval inside the path grid"):
+            batch_lp_errors(haar, [TruncationScheme(0, ())], batch, 2.0, T)
 
     @pytest.mark.parametrize("extra", [7, -1])
     def test_rejects_recon_of_another_length(self, extra):
@@ -256,7 +283,7 @@ class TestBatchOfOne:
         dense = dense_lp_errors(db3, [scheme], grid, paths.values.T, 2.0, 1.0)[0]
         for i, path in enumerate(paths):
             coeffs = compute_coefficients(path, db3, scheme)
-            np.testing.assert_allclose(coeffs.vector(), weighted @ path.values, rtol=1e-12, atol=1e-15)
+            np.testing.assert_allclose(coeffs.values, weighted @ path.values, rtol=1e-12, atol=1e-15)
             err = lp_error(path, reconstruct(coeffs, db3, grid), 2.0, 1.0)
             assert err == pytest.approx(E[i], rel=1e-12)
             assert err == pytest.approx(dense[i], rel=1e-12)
@@ -284,7 +311,7 @@ class TestBatchOfOne:
     def test_empty_scheme_reconstructs_zero(self, db3):
         path = simulate_paths(make_ou(1.0), 8.0, 2.0**-5, 1, 5)[0]
         coeffs = compute_coefficients(path, db3, TruncationScheme(-1, ()))
-        assert coeffs.vector().shape == (0,)
+        assert coeffs.values.shape == (0,)
         assert np.all(reconstruct(coeffs, db3, path.grid) == 0.0)
 
 
@@ -659,8 +686,10 @@ class TestOneBandRule:
 
 class TestUnreachedValidation:
     def test_detail_keys_must_match_scheme(self):
-        with pytest.raises(ValidationError, match="detail coefficients do not match"):
-            CoefficientSet(xi={0: 0.0}, eta={(0, 0): 0.0}, scheme=TruncationScheme(0, (1,)))
+        # four indices: one scaling and three detail coefficients
+        for values in (np.zeros(2), np.zeros((4, 1))):
+            with pytest.raises(ValidationError, match=r"the scheme \(4,\)"):
+                CoefficientSet(TruncationScheme(0, (1,)), values)
 
     def test_parseval_needs_a_spectral_density(self, gauss_bump, meyer):
         with pytest.raises(ValidationError, match="needs a spectral density"):
