@@ -39,8 +39,10 @@ from .wavelets import (
 )
 from .processes import (
     ProcessModel,
+    RankOne,
     SampleBatch,
     SamplePath,
+    Stationary,
     dump_paths,
     make_gauss_bump,
     make_ou,
@@ -60,7 +62,6 @@ from .expansion import (
     second_moment_eta,
     second_moment_eta_parseval,
     second_moment_eta_spectral_bound,
-    second_moment_eta_spectral_bound_ns,
     second_moment_xi_bound,
 )
 from .bounds import (

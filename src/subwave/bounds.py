@@ -38,11 +38,10 @@ from .expansion import (
     coefficient_moments,
     second_moment_eta_parseval,
     second_moment_eta_spectral_bound,
-    second_moment_eta_spectral_bound_ns,
     second_moment_xi_bound,
 )
 from .orlicz import NFunction, conjugate
-from .processes import ProcessModel
+from .processes import ProcessModel, RankOne, Stationary
 from .quad import simpson_nodes
 from .wavelets import WaveletPair, lattice_constant, lattice_tail_constant
 
@@ -184,9 +183,9 @@ def _ms_error_curve(model, basis, scheme, t):
     t = np.asarray(t, dtype=float)
     B = basis_matrix(basis, scheme, t)
     idx = tuple(scheme.indices())
-    if model.separable_g is not None:
+    if isinstance(model.structure, RankOne):
         gamma = coefficient_moments(model, basis, idx)
-        return (np.asarray(model.separable_g(t), dtype=float) - gamma @ B) ** 2
+        return (np.asarray(model.structure.g(t), dtype=float) - gamma @ B) ** 2
     G, M = coefficient_moments(model, basis, idx, tuple(t.tolist()))
     r_tt = np.asarray(model.covariance(t, t), dtype=float)
     return r_tt - 2.0 * np.sum(M * B, axis=0) + np.sum((G @ B) * B, axis=0)
@@ -252,12 +251,10 @@ class _LevelSeries:
     """
 
     def __init__(self, model: ProcessModel, basis: WaveletPair, alpha: float):
-        if model.spectral_density is not None:
+        if isinstance(model.structure, Stationary):
             self.route, self.q = "stationary", 2.0 ** (-alpha / 2.0)
-            spectral_bound = second_moment_eta_spectral_bound
-        elif model.separable_g_hat is not None:
+        elif isinstance(model.structure, RankOne):
             self.route, self.q = "rank-one", 2.0 ** (-alpha)
-            spectral_bound = second_moment_eta_spectral_bound_ns
         else:
             raise ValidationError(
                 "uniform-route constants need a stationary spectral density "
@@ -265,7 +262,7 @@ class _LevelSeries:
             )
         self.convergent = self.q < 1.0 - _CONVERGENCE_TOL
         self.xi_moment = second_moment_xi_bound(model, basis)
-        self._bound0 = math.sqrt(spectral_bound(model, basis, 0, alpha))
+        self._bound0 = math.sqrt(second_moment_eta_spectral_bound(model, basis, 0, alpha))
         levels = range(_MAX_LEVEL + 1)
         if self.route == "stationary" and band_limited(basis):
             self.terms = [

@@ -51,7 +51,7 @@ from .errors import (
     SupportCoverageError,
     ValidationError,
 )
-from .processes import _PATH_BLOCK, ProcessModel, SampleBatch, SamplePath
+from .processes import _PATH_BLOCK, ProcessModel, RankOne, SampleBatch, SamplePath, Stationary
 from .quad import gauss_legendre, gauss_nodes, piecewise_simpson_nodes, trapezoid_weights
 from .wavelets import WaveletPair, band_breaks, dilated_support, eval_dilated, lipschitz_fit
 
@@ -79,7 +79,10 @@ class TruncationScheme:
     levels: Tuple[int, ...] = ()
 
     def __post_init__(self):
-        cuts = (self.k0_prime, *self.levels)
+        try:
+            cuts = (self.k0_prime, *self.levels)
+        except TypeError:  # levels not a sequence, e.g. a bare int
+            raise ValidationError(f"scheme cuts must be integers, got levels {self.levels!r}") from None
         if any(isinstance(k, bool) or not isinstance(k, (int, np.integer)) for k in cuts):
             raise ValidationError(f"scheme cuts must be integers, got {cuts!r}")
         object.__setattr__(self, "k0_prime", int(self.k0_prime))
@@ -404,8 +407,7 @@ def coefficient_moments(model: ProcessModel, basis: WaveletPair, idx: tuple, t: 
 def _frequency_side(model: ProcessModel, basis: WaveletPair) -> bool:
     """True when ``coefficient_moments`` integrates on the frequency side:
     a band-limited basis and a stationary or rank-one model."""
-    spectral = model.spectral_density is not None or model.separable_g_hat is not None
-    return band_limited(basis) and spectral
+    return band_limited(basis) and isinstance(model.structure, (Stationary, RankOne))
 
 
 def _tensor_moments(model: ProcessModel, basis: WaveletPair, idx, t):
@@ -420,12 +422,11 @@ def _tensor_moments(model: ProcessModel, basis: WaveletPair, idx, t):
     for kind, j, k in idx:
         x, w, vals = _scaled_nodes(basis, kind)
         nodes.append(((x + k) / 2.0**j, w, vals, 2.0 ** (-j / 2.0)))
-    if model.separable_g is not None:
+    if isinstance(model.structure, RankOne):
         # summed as w * g * v: near-complete schemes cancel g - gamma . B to
         # ~1e-7 of g, where another summation order shows at 1e-9 in c
-        return np.array(
-            [s * np.sum(w * np.asarray(model.separable_g(u), dtype=float) * v) for u, w, v, s in nodes]
-        )
+        g = model.structure.g
+        return np.array([s * np.sum(w * np.asarray(g(u), dtype=float) * v) for u, w, v, s in nodes])
     nodes = [(u, w * v * s) for u, w, v, s in nodes]
     G, M = np.empty((len(nodes), len(nodes))), np.empty((len(nodes), len(t)))
     for a, (ua, wa) in enumerate(nodes):
@@ -482,7 +483,7 @@ def _frequency_moments(model: ProcessModel, basis: WaveletPair, idx, t):
     hi = np.array([2.0**j * band_breaks(basis, kind)[-1] for kind, j, _ in idx])
     k_rate = np.array([(abs(k) + 1.0) / 2.0**j for _, j, k in idx])
     t_rate = float(np.max(np.abs(t), initial=0.0))
-    rank_one = model.separable_g_hat is not None
+    rank_one = isinstance(model.structure, RankOne)
     gamma = np.zeros(len(idx))
     G, M = np.zeros((len(idx), len(idx))), np.zeros((len(idx), len(t)))
     x, w = gauss_legendre(_PANEL_NODES)
@@ -500,9 +501,9 @@ def _frequency_moments(model: ProcessModel, basis: WaveletPair, idx, t):
             zc, wc = z[s : s + _CHUNK_NODES], wz[s : s + _CHUNK_NODES]
             A = _dilated_hats(basis, sub, zc)
             if rank_one:
-                gamma[act] += ((wc * model.separable_g_hat(zc)) @ np.conj(A)).real
+                gamma[act] += ((wc * model.structure.g_hat(zc)) @ np.conj(A)).real
                 continue
-            B = np.conj(A) * (wc * np.asarray(model.spectral_density(zc), dtype=float))[:, None]
+            B = np.conj(A) * (wc * np.asarray(model.structure.r_hat(zc), dtype=float))[:, None]
             G[np.ix_(act, act)] += (B.T @ A).real
             if t.size:
                 M[act] += (B.T @ np.exp(-1j * np.outer(zc, t))).real
@@ -518,7 +519,7 @@ def second_moment_eta(model: ProcessModel, basis: WaveletPair, j: int, k: int) -
     if j < 0:
         raise ValidationError("level j must be >= 0")
     moments = coefficient_moments(model, basis, (("m", j, k),))
-    val = float(moments[0] ** 2) if model.separable_g is not None else float(moments[0][0, 0])
+    val = float(moments[0] ** 2) if isinstance(model.structure, RankOne) else float(moments[0][0, 0])
     if val < -1e-8:
         raise NumericError(f"second moment quadrature came out negative ({val:.3e})")
     return max(val, 0.0)
@@ -564,7 +565,7 @@ def _hat_nodes(basis: WaveletPair, which: str):
 def _parseval_integral(model: ProcessModel, basis: WaveletPair, which: str, j: int) -> float:
     """(1/2pi) int |R_hat(2^j u)| |w_hat(u)|^2 du over the window nodes of w_hat."""
     u, w, h = _hat_nodes(basis, which)
-    rh = np.abs(np.asarray(model.spectral_density(2.0**j * u), dtype=float))
+    rh = np.abs(np.asarray(model.structure.r_hat(2.0**j * u), dtype=float))
     return float(np.sum(w * h**2 * rh)) / (2.0 * math.pi)
 
 
@@ -574,7 +575,7 @@ def second_moment_eta_parseval(model: ProcessModel, basis: WaveletPair, j: int) 
     For nonnegative spectral densities this equals E|eta_jk|^2 exactly; in
     general it is the upper bound the dominance tests compare against.
     """
-    if model.spectral_density is None:
+    if not isinstance(model.structure, Stationary):
         raise ValidationError("frequency-side moment needs a spectral density")
     return _parseval_integral(model, basis, "m", j)
 
@@ -622,39 +623,33 @@ def _abs_weight_integral(func, order: float) -> float:
 def second_moment_eta_spectral_bound(
     model: ProcessModel, basis: WaveletPair, j: int, order: float
 ) -> float:
-    """k-independent bound on E|eta_jk|^2 for stationary short-memory models:
+    """k-independent bound on E|eta_jk|^2 from the model's spectral data.
+
+    Stationary short-memory models, with C the Lipschitz constant of the
+    wavelet transform at exponent order/2 (the transform enters squared):
 
         C^2 / (pi 2^{1 + j(1+order)}) * int |R_hat(z)| |z|^order dz,
 
-    where C is the Lipschitz constant of the wavelet transform at exponent
-    order/2 (the transform enters squared).  Decays exactly by 2^-(1+order)
-    per level.
+    which decays exactly by 2^-(1+order) per level.  Rank-one models
+    R(u,v) = g(u) g(v), with C the Lipschitz constant at exponent ``order``:
+
+        C^2 / ((2 pi)^2 2^{j(1+2 order)}) * (int |g_hat(z)| |z|^order dz)^2.
     """
-    if model.spectral_density is None:
-        raise ValidationError("spectral bound needs a stationary model with R_hat")
+    if not isinstance(model.structure, (Stationary, RankOne)):
+        raise ValidationError("spectral bound needs a stationary or rank-one model")
     if order <= 0:
         raise ValidationError("order must be positive")
-    C = _lipschitz_constant(basis, order / 2.0)
-    W = _abs_weight_integral(model.spectral_density, order)
-    return C * C * W / (math.pi * 2.0 ** (1.0 + j * (1.0 + order)))
-
-
-def second_moment_eta_spectral_bound_ns(
-    model: ProcessModel, basis: WaveletPair, j: int, order: float
-) -> float:
-    """Analogue for rank-one models R(u,v) = g(u) g(v):
-
-        C^2 / ((2 pi)^2 2^{j(1+2 order)}) * (int |g_hat(z)| |z|^order dz)^2,
-
-    with C the Lipschitz constant at exponent ``order`` itself.
-    """
-    if model.separable_g_hat is None:
-        raise ValidationError("rank-one spectral bound needs g_hat")
-    if order <= 0:
-        raise ValidationError("order must be positive")
+    if isinstance(model.structure, Stationary):
+        C = _lipschitz_constant(basis, order / 2.0)
+        W = _abs_weight_integral(model.structure.r_hat, order)
+        return C * C * W / (math.pi * 2.0 ** (1.0 + j * (1.0 + order)))
     C = _lipschitz_constant(basis, order)
-    w1 = _abs_weight_integral(model.separable_g_hat, order)
+    w1 = _abs_weight_integral(model.structure.g_hat, order)
     return C * C * (w1 * w1) / ((2.0 * math.pi) ** 2 * 2.0 ** (j * (1.0 + 2.0 * order)))
+
+
+# the rank-one name, kept for bench/layers.py; goes when it calls the one above
+second_moment_eta_spectral_bound_ns = second_moment_eta_spectral_bound
 
 
 def second_moment_xi_bound(model: ProcessModel, basis: WaveletPair) -> float:
@@ -663,11 +658,11 @@ def second_moment_xi_bound(model: ProcessModel, basis: WaveletPair) -> float:
     Stationary: (1/2 pi) int |R_hat(z)| |phi_hat(z)|^2 dz.  Rank-one:
     ((1/2 pi) int |g_hat(z)| |phi_hat(z)| dz)^2.
     """
-    if model.spectral_density is not None:
+    if isinstance(model.structure, Stationary):
         return _parseval_integral(model, basis, "f", 0)
-    if model.separable_g_hat is not None:
+    if isinstance(model.structure, RankOne):
         u, w, ph = _hat_nodes(basis, "f")
-        gh = np.abs(np.asarray(model.separable_g_hat(u), dtype=float))
+        gh = np.abs(np.asarray(model.structure.g_hat(u), dtype=float))
         val = float(np.sum(w * gh * ph)) / (2.0 * math.pi)
         return val * val
     raise ValidationError("scaling-coefficient bound needs spectral data")

@@ -161,11 +161,27 @@ def load_config(path) -> ExperimentConfig:
 
 @dataclass(frozen=True)
 class ExperimentResult:
+    """The Lp errors of every (scheme, path) and the bound of every
+    (scheme, epsilon); the tails and the summary are derived from them."""
+
     config: ExperimentConfig
     per_path_errors: np.ndarray  # [scheme, path]
-    empirical_tail: Dict[Tuple[int, float], float]
     theoretical_bound: Dict[Tuple[int, float], TailBoundReport]
-    summary: List[dict]
+
+    @property
+    def empirical_tail(self) -> Dict[Tuple[int, float], float]:
+        """The share of paths whose error exceeds epsilon, per (scheme, epsilon)."""
+        return {(s, eps): freq for s, eps, freq, _, _ in self._tail_rows()}
+
+    @property
+    def summary(self) -> List[dict]:
+        """Per scheme: its spec, its rate constant and the quartiles of its errors."""
+        rows = []
+        for s, (scheme, errors) in enumerate(zip(self.config.schemes, self.per_path_errors)):
+            q1, q2, q3 = _quartiles(errors)
+            c = self.theoretical_bound[(s, self.config.epsilons[0])].c_constant
+            rows.append({"scheme": scheme.spec_string(), "c_n_infty": c, "median": q2, "q1": q1, "q3": q3})
+        return rows
 
     def results_csv(self) -> str:
         lines = ["scheme_index,path_index,lp_error"]
@@ -179,7 +195,7 @@ class ExperimentResult:
         Carlo standard error) per (scheme, epsilon), in sorted order."""
         n = self.per_path_errors.shape[1]
         for (s, eps), rep in sorted(self.theoretical_bound.items()):
-            freq = self.empirical_tail[(s, eps)]
+            freq = float(np.mean(self.per_path_errors[s] > eps))
             yield s, eps, freq, rep, math.sqrt(freq * (1.0 - freq) / n)
 
     def tails_csv(self) -> str:
@@ -218,39 +234,14 @@ def run_experiment(cfg: ExperimentConfig) -> ExperimentResult:
     nf = parse_nfunction_spec(cfg.nfunction_spec)
 
     bounds: Dict[Tuple[int, float], TailBoundReport] = {}
-    c_consts = []
     for s_idx, scheme in enumerate(cfg.schemes):
-        c_consts.append(c_n_infty_integral(model, basis, scheme, cfg.p, cfg.T))
+        c = c_n_infty_integral(model, basis, scheme, cfg.p, cfg.T)
         for eps in cfg.epsilons:
-            bounds[(s_idx, eps)] = tail_probability_bound(
-                nf, c_consts[-1], cfg.p, eps, route="integral"
-            )
+            bounds[(s_idx, eps)] = tail_probability_bound(nf, c, cfg.p, eps, route="integral")
 
     paths = simulate_paths(model, cfg.grid_L, cfg.grid_h, cfg.n_paths, cfg.seed)
     errors = batch_lp_errors(basis, cfg.schemes, paths, cfg.p, cfg.T)
-
-    tails: Dict[Tuple[int, float], float] = {}
-    summary = []
-    for s_idx, (scheme, c_const) in enumerate(zip(cfg.schemes, c_consts)):
-        for eps in cfg.epsilons:
-            tails[(s_idx, eps)] = float(np.mean(errors[s_idx] > eps))
-        q1, q2, q3 = _quartiles(errors[s_idx])
-        summary.append(
-            {
-                "scheme": scheme.spec_string(),
-                "c_n_infty": c_const,
-                "median": q2,
-                "q1": q1,
-                "q3": q3,
-            }
-        )
-    return ExperimentResult(
-        config=cfg,
-        per_path_errors=errors,
-        empirical_tail=tails,
-        theoretical_bound=bounds,
-        summary=summary,
-    )
+    return ExperimentResult(config=cfg, per_path_errors=errors, theoretical_bound=bounds)
 
 
 def tightness_report(result: ExperimentResult) -> dict:

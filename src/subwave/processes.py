@@ -1,11 +1,11 @@
 """Zero-mean second-order process models and exact Gaussian path simulation.
 
-A model bundles the covariance R(t,s), one spectral description (the
-spectral density R_hat of a stationary model, or g and g_hat of a rank-one
-model X(t) = g(t) Z), the sub-Gaussian norm function tau(t), and the
-determinative constant C_X relating tau to the second moment.  Gaussian
-models have tau = sqrt(R(t,t)) and C_X = 1 exactly; only Gaussian models
-are simulated, but every bound computation accepts a general C_X.
+A model bundles the covariance R(t,s), one structure (``Stationary(R_hat)``,
+``RankOne(g, g_hat)`` for X(t) = g(t) Z, or None for a general covariance),
+the sub-Gaussian norm function tau(t), and the determinative constant C_X
+relating tau to the second moment.  Gaussian models have tau = sqrt(R(t,t))
+and C_X = 1 exactly; only Gaussian models are simulated, but every bound
+computation accepts a general C_X.
 
 Simulation is exact: the samples on a grid are L z for standard normals z
 and a linear map L with L L^T equal to the covariance matrix K.  L comes
@@ -34,12 +34,12 @@ import threading
 from dataclasses import dataclass
 from functools import lru_cache
 from pathlib import Path
-from typing import Callable, Optional
+from typing import Callable, Union
 
 import numpy as np
 
 from .errors import NumericError, ValidationError
-from .quad import simpson_nodes, trapezoid_weights
+from .quad import simpson_nodes
 from .wavelets import WaveletPair
 
 _MAX_GRID_POINTS = 10_000
@@ -48,27 +48,45 @@ _SLAB = 32  # paths per call of the circulant map: bounds its scratch memory
 
 
 @dataclass(frozen=True)
-class ProcessModel:
-    """Second-order process with covariance, spectral data and tau-norm.
+class Stationary:
+    """Stationary: R(t,s) = r(t - s), with spectral density R_hat (r's transform)."""
 
-    The model is stationary exactly when it carries ``spectral_density``
-    (R_hat, with R(t,s) a function of t - s), and rank-one exactly when it
-    carries ``separable_g`` and ``separable_g_hat`` (R(t,s) = g(t) g(s));
-    it carries at most one of the two descriptions.
+    r_hat: Callable[[np.ndarray], np.ndarray]
+
+
+@dataclass(frozen=True)
+class RankOne:
+    """Rank-one: X(t) = g(t) Z, Z standard normal, R(t,s) = g(t) g(s); g_hat is g's transform."""
+
+    g: Callable[[np.ndarray], np.ndarray]
+    g_hat: Callable[[np.ndarray], np.ndarray]
+
+
+@dataclass(frozen=True)
+class ProcessModel:
+    """Second-order process with covariance, structure and tau-norm.
+
+    Each layer that depends on the structure tests its type in one place.
+    Both structures are hashable values, so a model keys the moment caches.
     """
 
     covariance: Callable[[np.ndarray, np.ndarray], np.ndarray]
     det_constant: float
     tau_phi: Callable[[np.ndarray], np.ndarray]
-    spectral_density: Optional[Callable[[np.ndarray], np.ndarray]] = None
-    separable_g: Optional[Callable[[np.ndarray], np.ndarray]] = None
-    separable_g_hat: Optional[Callable[[np.ndarray], np.ndarray]] = None
+    structure: Union[Stationary, RankOne, None] = None
     gaussian: bool = True
 
     def __post_init__(self):
         if not self.det_constant > 0:
             raise ValidationError("determinative constant must be positive")
+        if not isinstance(self.structure, (Stationary, RankOne, type(None))):
+            raise ValidationError(f"structure must be Stationary, RankOne or None, got {self.structure!r}")
         _validate_covariance(self)
+
+    @property
+    def spectral_density(self):
+        # R_hat or None, kept for bench/layers.py; goes when it reads ``structure``
+        return self.structure.r_hat if isinstance(self.structure, Stationary) else None
 
 
 def _validate_covariance(model: ProcessModel) -> None:
@@ -89,11 +107,7 @@ def _validate_covariance(model: ProcessModel) -> None:
             raise ValidationError("Gaussian model must have tau(t) = sqrt(R(t,t))")
         if abs(model.det_constant - 1.0) > 1e-12:
             raise ValidationError("Gaussian model must have C_X = 1")
-    if (model.separable_g is None) != (model.separable_g_hat is None):
-        raise ValidationError("a rank-one model needs both g and g_hat")
-    if model.separable_g is not None and model.spectral_density is not None:
-        raise ValidationError("a model carries R_hat or g/g_hat, not both")
-    if model.spectral_density is not None:
+    if isinstance(model.structure, Stationary):
         s = np.linspace(-3.0, 3.0, 7)
         lag = model.covariance(s + 1.25, s * 0 + 1.25)
         lag2 = model.covariance(s - 0.75, s * 0 - 0.75)
@@ -182,7 +196,9 @@ def _ou_model(lam: float) -> ProcessModel:
         covariance=lambda t, s: np.exp(-lam * np.abs(np.asarray(t) - np.asarray(s))),
         det_constant=1.0,
         tau_phi=lambda t: np.ones_like(np.asarray(t, dtype=float)),
-        spectral_density=lambda z: 2.0 * lam / (lam**2 + np.asarray(z, dtype=float) ** 2),
+        structure=Stationary(
+            r_hat=lambda z: 2.0 * lam / (lam**2 + np.asarray(z, dtype=float) ** 2)
+        ),
     )
 
 
@@ -195,8 +211,7 @@ def make_separable(g: Callable, g_hat: Callable) -> ProcessModel:
         covariance=lambda t, s: np.asarray(g(np.asarray(t))) * np.asarray(g(np.asarray(s))),
         det_constant=1.0,
         tau_phi=lambda t: np.abs(np.asarray(g(np.asarray(t)))),
-        separable_g=g,
-        separable_g_hat=g_hat,
+        structure=RankOne(g=g, g_hat=g_hat),
     )
 
 
@@ -269,8 +284,8 @@ def _linear_sampler(
     standard normals, one row per path, and writing the B paths L z as
     the rows of the (B, n) array ``out``; it may overwrite Z.
 
-    * rank-one (g set): k = 1 and L = g(grid).
-    * stationary (R_hat set): K is the symmetric Toeplitz matrix of the lag
+    * ``RankOne``: k = 1 and L = g(grid).
+    * ``Stationary``: K is the symmetric Toeplitz matrix of the lag
       row c_j = R(t_j, t_0).  Its minimal circulant embedding C (size
       m = 2(n - 1), first row c_0..c_{n-1}, c_{n-2}..c_1) has eigenvalues
       lambda = rfft(row) (Dietrich & Newsam 1997; Wood & Chan 1994).  When
@@ -289,14 +304,14 @@ def _linear_sampler(
       ``_PATH_BLOCK`` rows (B <= ``_PATH_BLOCK``).
     """
     n = len(grid)
-    if model.separable_g is not None:
-        g = np.asarray(model.separable_g(grid), dtype=float)
+    if isinstance(model.structure, RankOne):
+        g = np.asarray(model.structure.g(grid), dtype=float)
 
         def rank_one(Z, out):
             np.multiply(Z[:, :1], g, out=out)
 
         return 1, rank_one
-    if model.spectral_density is not None:
+    if isinstance(model.structure, Stationary):
         c = np.asarray(model.covariance(grid, grid[0]), dtype=float)
         m = 2 * (n - 1)
         lam = np.fft.rfft(np.concatenate([c, c[-2:0:-1]])).real

@@ -513,7 +513,9 @@ def band_breaks(basis: WaveletPair, which: str) -> Optional[Tuple[float, ...]]:
     return _MEYER_BREAKS[which] if basis.family == "meyer" else None
 
 
-def _dilated_table(basis: WaveletPair, which: str, j: int) -> _TableFunc:
+def _dilated_table(basis: WaveletPair, which: str, j: int, k: int) -> _TableFunc:
+    if any(isinstance(i, bool) or not isinstance(i, (int, np.integer)) for i in (j, k)):
+        raise ValidationError(f"level j and shift k must be integers, got {j!r}, {k!r}")
     if j < 0:
         raise ValidationError("dilation level j must be >= 0")
     if which == "f":
@@ -526,9 +528,10 @@ def _dilated_table(basis: WaveletPair, which: str, j: int) -> _TableFunc:
 def eval_dilated(basis: WaveletPair, which: str, j: int, k: int, t):
     """2^{j/2} w(2^j t - k) for the selected mother function w.
 
-    ``which`` is "f" (scaling) or "m" (wavelet); j >= 0.
+    ``which`` is "f" (scaling) or "m" (wavelet); j >= 0 and k are ints or
+    numpy integers, not bools.
     """
-    w = _dilated_table(basis, which, j)
+    w = _dilated_table(basis, which, j, k)
     t = np.asarray(t, dtype=float)
     return 2.0 ** (j / 2.0) * w(2.0**j * t - k)
 
@@ -542,7 +545,7 @@ def dilated_support(basis: WaveletPair, which: str, j: int, k: int) -> Tuple[flo
     each side, mapped by x -> (x + k) / 2^j.  The step is far wider than
     the rounding of 2^j t - k, so no t outside [lo, hi] reaches the table.
     """
-    w = _dilated_table(basis, which, j)
+    w = _dilated_table(basis, which, j, k)
     scale = 2.0**-j
     return (w.x0 - w.dx + k) * scale, (w.x0 + (len(w.values) + 1) * w.dx + k) * scale
 

@@ -23,7 +23,6 @@ from subwave.expansion import (
     TruncationScheme,
     second_moment_eta,
     second_moment_eta_spectral_bound,
-    second_moment_eta_spectral_bound_ns,
 )
 from subwave.experiment import config_from_dict, run_experiment, tightness_report
 from subwave.orlicz import (
@@ -124,7 +123,7 @@ def test_criterion_5_spectral_dominance_and_slopes():
     ok = ok and bool(np.all(np.abs(slopes + 1.5) < 1e-12))
 
     bounds_ns = [
-        second_moment_eta_spectral_bound_ns(sep, meyer, j, 1.0) for j in range(5)
+        second_moment_eta_spectral_bound(sep, meyer, j, 1.0) for j in range(5)
     ]
     for j in range(5):
         for k in range(-10, 11):

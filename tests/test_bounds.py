@@ -316,7 +316,7 @@ class TestCnInftyUniform:
         with pytest.raises(ValidationError, match="p must be >= 1"):
             c_n_infty_uniform(ou1, meyer, scheme, 0.5, 1.0, 0.5)
         # neither a spectral density nor a rank-one g_hat
-        bare = dataclasses.replace(ou1, spectral_density=None)
+        bare = dataclasses.replace(ou1, structure=None)
         with pytest.raises(ValidationError, match="uniform-route constants need"):
             c_n_infty_uniform(bare, meyer, scheme, 2.0, 1.0, 0.5)
 

@@ -1,3 +1,4 @@
+import dataclasses
 import math
 import tracemalloc
 
@@ -31,13 +32,13 @@ from subwave.expansion import (
     second_moment_eta,
     second_moment_eta_parseval,
     second_moment_eta_spectral_bound,
-    second_moment_eta_spectral_bound_ns,
     second_moment_xi_bound,
 )
 from subwave.processes import (
     ProcessModel,
     SampleBatch,
     SamplePath,
+    Stationary,
     make_ou,
     parse_model_spec,
     simulate_paths,
@@ -88,8 +89,8 @@ class TestTruncationScheme:
 
     @pytest.mark.parametrize(
         "k0, levels",
-        [(2, (2.7, 3)), (1.5, ()), (True, ()), (2, (2, False)), (2.0, (2,)), (2, ("3",))],
-        ids=["float-level", "float-k0", "bool-k0", "bool-level", "integral-float-k0", "str-level"],
+        [(2, (2.7, 3)), (1.5, ()), (True, ()), (2, (2, False)), (2.0, (2,)), (2, ("3",)), (2, 3)],
+        ids=["float-level", "float-k0", "bool-k0", "bool-level", "integral-float-k0", "str-level", "int-levels"],
     )
     def test_cuts_must_be_integers(self, k0, levels):
         with pytest.raises(ValidationError, match="scheme cuts must be integers"):
@@ -561,9 +562,9 @@ class TestSpectralBounds:
 
     def test_level_scaling_exact_ns(self, gauss_bump, meyer):
         a = 1.0
-        b0 = second_moment_eta_spectral_bound_ns(gauss_bump, meyer, 0, a)
+        b0 = second_moment_eta_spectral_bound(gauss_bump, meyer, 0, a)
         for j in range(1, 5):
-            bj = second_moment_eta_spectral_bound_ns(gauss_bump, meyer, j, a)
+            bj = second_moment_eta_spectral_bound(gauss_bump, meyer, j, a)
             assert bj / b0 == pytest.approx(2.0 ** (-j * (1 + 2 * a)), rel=1e-12)
 
     @pytest.mark.parametrize("family", ["meyer", "daubechies:3"])
@@ -578,24 +579,25 @@ class TestSpectralBounds:
 
     def test_ns_dominates_exact_moments(self, gauss_bump, meyer):
         for j in range(5):
-            bound = second_moment_eta_spectral_bound_ns(gauss_bump, meyer, j, 1.0)
+            bound = second_moment_eta_spectral_bound(gauss_bump, meyer, j, 1.0)
             for k in range(-10, 11):
                 assert second_moment_eta(gauss_bump, meyer, j, k) <= bound + 1e-9
 
     def test_separable_weight_integral_value(self, gauss_bump, meyer):
         # int |g_hat(z)| |z| dz = 2 sqrt(2 pi) for the Gaussian bump
-        got = second_moment_eta_spectral_bound_ns(gauss_bump, meyer, 0, 1.0)
+        got = second_moment_eta_spectral_bound(gauss_bump, meyer, 0, 1.0)
         from subwave.expansion import _lipschitz_constant
 
         C = _lipschitz_constant(meyer, 1.0)
         expect = C * C * (2.0 * math.sqrt(2.0 * math.pi)) ** 2 / (2.0 * math.pi) ** 2
         assert got == pytest.approx(expect, rel=1e-9)
 
-    def test_requires_matching_model_kind(self, ou1, gauss_bump, meyer):
-        with pytest.raises(ValidationError):
-            second_moment_eta_spectral_bound(gauss_bump, meyer, 0, 0.5)
-        with pytest.raises(ValidationError):
-            second_moment_eta_spectral_bound_ns(ou1, meyer, 0, 0.5)
+    def test_requires_matching_model_kind(self, ou1, meyer):
+        # both names, the rank-one one kept for the benchmark, are one function
+        general = dataclasses.replace(ou1, structure=None)
+        for bound in (second_moment_eta_spectral_bound, expansion.second_moment_eta_spectral_bound_ns):
+            with pytest.raises(ValidationError, match="needs a stationary or rank-one model"):
+                bound(general, meyer, 0, 0.5)
 
     def test_divergent_weight_detected(self, ou1, meyer):
         # OU spectrum decays like z^-2, so the weight integral needs a < 1
@@ -611,13 +613,11 @@ class TestXiBound:
         assert val == pytest.approx(2.0 * math.exp(-1.0), rel=1e-10)
 
     def test_scaling_in_spectrum(self, ou1, haar):
-        import dataclasses
-
         doubled = dataclasses.replace(
             ou1,
             covariance=lambda t, s: 2.0
             * np.exp(-np.abs(np.asarray(t) - np.asarray(s))),
-            spectral_density=lambda z: 4.0 / (1.0 + np.asarray(z, dtype=float) ** 2),
+            structure=Stationary(lambda z: 4.0 / (1.0 + np.asarray(z, dtype=float) ** 2)),
             tau_phi=lambda t: math.sqrt(2.0)
             * np.ones_like(np.asarray(t, dtype=float)),
         )
@@ -700,4 +700,4 @@ class TestUnreachedValidation:
         with pytest.raises(ValidationError, match="order must be positive"):
             second_moment_eta_spectral_bound(ou1, meyer, 0, order)
         with pytest.raises(ValidationError, match="order must be positive"):
-            second_moment_eta_spectral_bound_ns(gauss_bump, meyer, 0, order)
+            second_moment_eta_spectral_bound(gauss_bump, meyer, 0, order)

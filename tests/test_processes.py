@@ -1,4 +1,3 @@
-import dataclasses
 import math
 import tracemalloc
 from pathlib import Path
@@ -10,6 +9,8 @@ from subwave import processes
 from subwave.errors import ValidationError
 from subwave.processes import (
     ProcessModel,
+    RankOne,
+    Stationary,
     _covariance_factor,
     _linear_sampler,
     _block_rng,
@@ -41,14 +42,14 @@ class TestOU:
         assert ou1.covariance(0.0, 1.0) == pytest.approx(math.exp(-1.0))
 
     def test_spectral_density_at_zero(self, ou1):
-        assert ou1.spectral_density(0.0) == pytest.approx(2.0)
+        assert ou1.structure.r_hat(0.0) == pytest.approx(2.0)
 
     @pytest.mark.parametrize("z", [0.0, 1.0, 5.0])
     def test_spectral_density_matches_numeric_transform(self, ou1, z):
         t = np.linspace(-40.0, 40.0, 160001)
         vals = np.exp(-np.abs(t)) * np.cos(z * t)
         numeric = np.trapezoid(vals, t)
-        assert abs(numeric - ou1.spectral_density(z)) < 1e-3
+        assert abs(numeric - ou1.structure.r_hat(z)) < 1e-3
 
     def test_unit_tau(self):
         m = make_ou(2.0)
@@ -73,7 +74,7 @@ class TestSeparable:
 
     def test_g_hat_origin(self, gauss_bump):
         # the double transform g_hat(z) g_hat(w) at the origin
-        assert gauss_bump.separable_g_hat(0.0) ** 2 == pytest.approx(2.0 * math.pi)
+        assert gauss_bump.structure.g_hat(0.0) ** 2 == pytest.approx(2.0 * math.pi)
 
     def test_g_hat_matches_numeric_transform(self, gauss_bump):
         t = np.linspace(-20.0, 20.0, 40001)
@@ -113,7 +114,18 @@ class TestModelValidation:
                 covariance=lambda t, s: np.asarray(t) * np.asarray(s),
                 det_constant=1.0,
                 tau_phi=lambda t: np.abs(np.asarray(t, dtype=float)),
-                spectral_density=lambda z: np.ones_like(np.asarray(z, dtype=float)),
+                structure=Stationary(lambda z: np.ones_like(np.asarray(z, dtype=float))),
+            )
+
+    def test_structure_must_be_a_structure_value(self):
+        # a bare R_hat, as a caller of the old spectral_density= field would
+        # pass it, is neither Stationary, RankOne nor None
+        with pytest.raises(ValidationError, match="structure must be Stationary, RankOne or None"):
+            ProcessModel(
+                covariance=_ou_cov,
+                det_constant=1.0,
+                tau_phi=_ones,
+                structure=lambda z: 2.0 / (1.0 + np.asarray(z, dtype=float) ** 2),
             )
 
     @pytest.mark.parametrize(
@@ -132,31 +144,11 @@ class TestModelValidation:
         with pytest.raises(ValidationError, match=message):
             ProcessModel(covariance=cov, det_constant=det, tau_phi=tau, gaussian=gaussian)
 
-    def test_rank_one_needs_g_and_g_hat(self):
-        g = lambda t: np.exp(-0.5 * np.asarray(t, dtype=float) ** 2)
-        for half in ({"separable_g": g}, {"separable_g_hat": g}):
-            with pytest.raises(ValidationError, match="both g and g_hat"):
-                ProcessModel(
-                    covariance=lambda t, s: g(t) * g(s),
-                    det_constant=1.0,
-                    tau_phi=g,
-                    **half,
-                )
-
-    def test_one_spectral_description(self, ou1, gauss_bump):
-        # a stationary model with g/g_hat, or a rank-one one with R_hat,
-        # would take the rank-one route in one place and the stationary one
-        # in another
-        rank_one = {"separable_g": gauss_bump.separable_g, "separable_g_hat": gauss_bump.separable_g_hat}
-        for model, extra in ((ou1, rank_one), (gauss_bump, {"spectral_density": ou1.spectral_density})):
-            with pytest.raises(ValidationError, match="R_hat or g/g_hat, not both"):
-                dataclasses.replace(model, **extra)
-
     def test_spec_strings(self):
         ou = parse_model_spec("ou:1.5")
-        assert ou.spectral_density is not None and ou.separable_g is None
+        assert isinstance(ou.structure, Stationary)
         bump = parse_model_spec("separable:gauss-bump")
-        assert bump.separable_g is not None and bump.spectral_density is None
+        assert isinstance(bump.structure, RankOne)
         for bad in ("ou:", "ou:x", "separable:other", "wiener"):
             with pytest.raises(ValidationError):
                 parse_model_spec(bad)
@@ -405,7 +397,7 @@ def _squared_exponential():
         covariance=lambda t, s: np.exp(-0.5 * (np.asarray(t) - np.asarray(s)) ** 2),
         det_constant=1.0,
         tau_phi=lambda t: np.ones_like(np.asarray(t, dtype=float)),
-        spectral_density=lambda z: root_two_pi * np.exp(-0.5 * np.asarray(z, dtype=float) ** 2),
+        structure=Stationary(lambda z: root_two_pi * np.exp(-0.5 * np.asarray(z, dtype=float) ** 2)),
     )
 
 

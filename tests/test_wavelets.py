@@ -120,6 +120,21 @@ class TestEvalDilated:
         with pytest.raises(ValidationError):
             dilated_support(haar, "g", 0, 0)
 
+    @pytest.mark.parametrize("bad", [1.5, True, np.float64(2.0)], ids=["float", "bool", "numpy-float"])
+    @pytest.mark.parametrize("arg", ["j", "k"])
+    def test_indices_must_be_integers(self, haar, arg, bad):
+        # 1.5 would give 2^0.75 psi(2^1.5 t), not a basis element
+        j, k = (bad, 0) if arg == "j" else (1, bad)
+        with pytest.raises(ValidationError, match="must be integers"):
+            eval_dilated(haar, "m", j, k, 0.1)
+        with pytest.raises(ValidationError, match="must be integers"):
+            dilated_support(haar, "m", j, k)
+
+    def test_numpy_integer_indices_accepted(self, haar):
+        j, k = np.int64(1), np.int64(-1)
+        assert eval_dilated(haar, "m", j, k, -0.375) == eval_dilated(haar, "m", 1, -1, -0.375)
+        assert dilated_support(haar, "m", j, k) == dilated_support(haar, "m", 1, -1)
+
     @pytest.mark.parametrize("family", ["haar", "daubechies:2", "meyer"])
     def test_nan_maps_to_nan(self, family):
         basis = make_basis(family)
