@@ -9,7 +9,7 @@ per (scheme, path); it compares empirical exceedance frequencies against
 the bounds.  0 and T must be nodes of the simulation grid; configs where they
 are not are rejected.
 
-All randomness is keyed by the config seed through counter-based streams,
+All randomness is keyed by the config seed through independent streams,
 one per block of paths, so a config maps to byte-identical outputs, and
 path i's error row is the same for any ``n_paths``.
 """

@@ -12,15 +12,18 @@ and a linear map L with L L^T equal to the covariance matrix K.  L comes
 from the structure the model declares.  A rank-one model has L = g(grid)
 and one normal per path.  A stationary model has a Toeplitz K on the
 uniform grid, which embeds in a circulant matrix (Dietrich & Newsam 1997;
-Wood & Chan 1994); a path is one ``irfft`` of a spectrum drawn directly
-from its normals.  Any other model, or an embedding with negative
-eigenvalues, uses the dense ``eigh`` factor of K.  One simulation returns
-one ``SampleBatch``: the grid, validated once, and the path x grid matrix
-of values, whose row i is path i; indexing it gives ``SamplePath`` views.
-The normals come from one counter-based stream per block of 256 paths,
-each sampler writes whole paths into the matrix in place, and the blocks
-are filled in parallel, one thread per usable CPU, so path i depends only
-on (seed, i), whatever the number of paths or of threads.
+Wood & Chan 1994) of the shortest fast FFT length (2^a 3^b 5^c) from
+2(n - 1) up whose eigenvalues are nonnegative; a path is one ``irfft`` of
+a spectrum drawn directly from its normals.  Any other model, or a
+stationary one with no nonnegative embedding up to 8 x 2(n - 1), uses the
+dense ``eigh`` factor of K.  One simulation returns one ``SampleBatch``:
+the grid, validated once, and the path x grid matrix of values, whose row
+i is path i; indexing it gives ``SamplePath`` views.  The normals come
+from one SFC64 stream per block of 256 paths, seeded by
+SeedSequence(seed, spawn_key=(block,)); each sampler writes whole paths
+into the matrix in place, and the blocks are filled in parallel, one
+thread per usable CPU, so path i depends only on (seed, i), whatever the
+number of paths or of threads.
 
 The constructors the model specs call are memoised, so one spec always
 gives the same model object: a process that parses a spec again (a loop
@@ -39,12 +42,14 @@ from typing import Callable, Union
 import numpy as np
 
 from .errors import NumericError, ValidationError
-from .quad import simpson_nodes
+from .quad import gauss_nodes, simpson_nodes
 from .wavelets import WaveletPair
 
 _MAX_GRID_POINTS = 10_000
 _PATH_BLOCK = 256  # paths per block of normals and per random stream
 _SLAB = 32  # paths per call of the circulant map: bounds its scratch memory
+_SPECTRAL_MASS_RTOL = 1e-6  # (1/2pi) int R_hat against r(0)
+_EMBEDDING_GROWTH = 8  # circulant length cap, in multiples of the minimal 2(n - 1)
 
 
 @dataclass(frozen=True)
@@ -91,7 +96,10 @@ class ProcessModel:
 
 def _validate_covariance(model: ProcessModel) -> None:
     """Spot-check symmetry, positive semidefiniteness and the Gaussian
-    tau/covariance link on a small fixed grid."""
+    tau/covariance link on a small fixed grid, and that the structure
+    describes the covariance: R(t,s) = g(t) g(s) for a rank-one model, and
+    for a stationary one a lag function with r(0) = (1/2pi) int R_hat
+    (relative tolerance ``_SPECTRAL_MASS_RTOL``)."""
     t = np.linspace(-4.0, 4.0, 17)
     K = model.covariance(t[:, None], t[None, :])
     if np.max(np.abs(K - K.T)) > 1e-10 * (1.0 + np.max(np.abs(K))):
@@ -107,12 +115,43 @@ def _validate_covariance(model: ProcessModel) -> None:
             raise ValidationError("Gaussian model must have tau(t) = sqrt(R(t,t))")
         if abs(model.det_constant - 1.0) > 1e-12:
             raise ValidationError("Gaussian model must have C_X = 1")
+    if isinstance(model.structure, RankOne):
+        g = np.asarray(model.structure.g(t), dtype=float)
+        if np.max(np.abs(K - np.outer(g, g))) > 1e-10 * (1.0 + np.max(np.abs(K))):
+            raise ValidationError(
+                "rank-one structure does not match the covariance: R(t,s) != g(t) g(s)"
+            )
     if isinstance(model.structure, Stationary):
         s = np.linspace(-3.0, 3.0, 7)
         lag = model.covariance(s + 1.25, s * 0 + 1.25)
         lag2 = model.covariance(s - 0.75, s * 0 - 0.75)
         if np.max(np.abs(lag - lag2)) > 1e-10 * (1.0 + np.max(np.abs(lag))):
             raise ValidationError("model carries R_hat but R(t,s) is not a lag function")
+        z, w = _spectral_nodes()
+        mass = float(w @ np.asarray(model.structure.r_hat(z), dtype=float)) / (2.0 * math.pi)
+        r0 = float(d[len(t) // 2])  # R(0, 0)
+        if not math.isclose(mass, r0, rel_tol=_SPECTRAL_MASS_RTOL):
+            raise ValidationError(
+                f"R_hat does not match the covariance: (1/2pi) int R_hat = {mass!r}, r(0) = {r0!r}"
+            )
+
+
+@lru_cache(maxsize=None)
+def _spectral_nodes() -> tuple[np.ndarray, np.ndarray]:
+    """Nodes z and weights w with w @ f(z) ~ int f(z) dz over the line.
+
+    The integral is taken in theta with z = tan(theta), so dz = sec^2 d theta
+    (OU with lambda = 1 then has the constant integrand 2), by 8-point
+    Gauss-Legendre on each panel between theta = 0, +-arctan 2^k
+    (|k| <= 20) and +-pi/2: one panel per dyadic band of |z|.  OU's
+    integral comes out within 2e-12 of 2 pi for every lambda in
+    [1e-4, 1e4], so spectra on those scales are checked far inside
+    ``_SPECTRAL_MASS_RTOL``.
+    """
+    right = np.append(np.arctan(2.0 ** np.arange(-20, 21)), math.pi / 2)
+    breaks = np.concatenate([-right[::-1], [0.0], right])
+    theta, weight = (a.ravel() for a in gauss_nodes(breaks[:-1, None], breaks[1:, None], 8))
+    return np.tan(theta), weight / np.cos(theta) ** 2
 
 
 def _check_grid(grid: np.ndarray, n_values: int) -> None:
@@ -275,6 +314,42 @@ def _covariance_factor(model: ProcessModel, grid: np.ndarray) -> np.ndarray:
     return V * np.sqrt(np.clip(w, 0.0, None))
 
 
+def _fast_lengths(lo: int, hi: int) -> list[int]:
+    """The even lengths 2^a 3^b 5^c (a >= 1) in [lo, hi], ascending: the
+    lengths pocketfft transforms at full speed."""
+    lengths = [2]
+    for p in (2, 3, 5):
+        # the walk reaches the lengths it appends, so each gets every power of p
+        for m in lengths:
+            if m * p <= hi:
+                lengths.append(m * p)
+    return sorted(m for m in lengths if m >= lo)
+
+
+def _embedding_spectrum(model: ProcessModel, grid: np.ndarray):
+    """The shortest nonnegative circulant embedding of a stationary model's
+    covariance on the grid: (m, lambda), or None past the length cap.
+
+    The lengths tried are ``_fast_lengths`` from 2(n - 1) up to
+    ``_EMBEDDING_GROWTH`` times that.  At length m the embedding's first row
+    is r at the m/2 + 1 lags 0, h, ..., (m/2) h from grid[0] (the grid,
+    extended past its end at its step) followed by the lags m/2 - 1, ..., 1,
+    and its eigenvalues are lambda = rfft(row).  The first length whose
+    lambda is nonnegative up to the eigenvalue floor is taken (Wood & Chan
+    1994; Dietrich & Newsam 1997).
+    """
+    n = len(grid)
+    h = (grid[-1] - grid[0]) / (n - 1)
+    for m in _fast_lengths(2 * (n - 1), _EMBEDDING_GROWTH * 2 * (n - 1)):
+        t = grid[0] + h * np.arange(m // 2 + 1)
+        t[:n] = grid
+        c = np.asarray(model.covariance(t, grid[0]), dtype=float)
+        lam = np.fft.rfft(np.concatenate([c, c[-2:0:-1]])).real
+        if not _beyond_rounding(lam):
+            return m, lam
+    return None
+
+
 def _linear_sampler(
     model: ProcessModel, grid: np.ndarray
 ) -> tuple[int, Callable[[np.ndarray, np.ndarray], None]]:
@@ -285,23 +360,23 @@ def _linear_sampler(
     the rows of the (B, n) array ``out``; it may overwrite Z.
 
     * ``RankOne``: k = 1 and L = g(grid).
-    * ``Stationary``: K is the symmetric Toeplitz matrix of the lag
-      row c_j = R(t_j, t_0).  Its minimal circulant embedding C (size
-      m = 2(n - 1), first row c_0..c_{n-1}, c_{n-2}..c_1) has eigenvalues
-      lambda = rfft(row) (Dietrich & Newsam 1997; Wood & Chan 1994).  When
-      lambda is nonnegative up to the eigenvalue floor, C^(1/2) w =
+    * ``Stationary``: K is the symmetric Toeplitz matrix of the lags of
+      the grid.  It embeds in a circulant matrix C of size m, the shortest
+      fast length m >= 2(n - 1) whose eigenvalues lambda are nonnegative up
+      to the eigenvalue floor (``_embedding_spectrum``).  Then C^(1/2) w =
       irfft(sqrt(lambda) rfft(w)) for m white normals w, and rfft(w) has
-      independent parts: entries 0 and n - 1 real N(0, m), the others with
-      real and imaginary parts N(0, m/2).  So k = m and the spectrum is
-      drawn directly: a row's first n normals are the real parts, its other
-      n - 2 the imaginary parts of entries 1..n-2, all scaled by one
-      ``root`` vector, and one irfft per row follows, written back over
-      the spent normals.  Each thread builds its spectra in one buffer of
-      its own, reused from call to call.  The first n rows of that map
-      satisfy L L^T = (C)_{n x n} = K.
-    * anything else, or an indefinite embedding: k = n and L is the dense
-      ``eigh`` factor of K, applied to the block zero-padded to
-      ``_PATH_BLOCK`` rows (B <= ``_PATH_BLOCK``).
+      q = m/2 + 1 independent parts: entries 0 and q - 1 real N(0, m), the
+      others with real and imaginary parts N(0, m/2).  So k = m and the
+      spectrum is drawn directly: a row's first q normals are the real
+      parts, its other q - 2 the imaginary parts of entries 1..q-2, all
+      scaled by one ``root`` vector, and one irfft per row follows,
+      written back over the spent normals.  Each thread builds its spectra
+      in one buffer of its own, reused from call to call.  The first n
+      rows of that map satisfy L L^T = (C)_{n x n} = K.
+    * anything else, or a stationary model with no nonnegative embedding
+      up to the length cap: k = n and L is the dense ``eigh`` factor of K,
+      applied to the block zero-padded to ``_PATH_BLOCK`` rows
+      (B <= ``_PATH_BLOCK``).
     """
     n = len(grid)
     if isinstance(model.structure, RankOne):
@@ -311,29 +386,29 @@ def _linear_sampler(
             np.multiply(Z[:, :1], g, out=out)
 
         return 1, rank_one
-    if isinstance(model.structure, Stationary):
-        c = np.asarray(model.covariance(grid, grid[0]), dtype=float)
-        m = 2 * (n - 1)
-        lam = np.fft.rfft(np.concatenate([c, c[-2:0:-1]])).real
-        if not _beyond_rounding(lam):
-            variance = np.full(n, m / 2.0)
-            variance[[0, -1]] = m
-            root = np.sqrt(np.clip(lam, 0.0, None) * variance)
+    stationary = isinstance(model.structure, Stationary)
+    embedding = _embedding_spectrum(model, grid) if stationary else None
+    if embedding is not None:
+        m, lam = embedding
+        q = len(lam)
+        variance = np.full(q, m / 2.0)
+        variance[[0, -1]] = m
+        root = np.sqrt(np.clip(lam, 0.0, None) * variance)
 
-            scratch = threading.local()
+        scratch = threading.local()
 
-            def circulant(Z, out):
-                # imaginary parts 0 and n - 1 stay at the buffer's zeros
-                spectrum = getattr(scratch, "spectrum", None)
-                if spectrum is None or len(spectrum) < len(Z):
-                    spectrum = scratch.spectrum = np.zeros((len(Z), n), dtype=complex)
-                spectrum = spectrum[: len(Z)]
-                np.multiply(Z[:, :n], root, out=spectrum.real)
-                np.multiply(Z[:, n:], root[1:-1], out=spectrum.imag[:, 1:-1])
-                np.fft.irfft(spectrum, n=m, out=Z)
-                out[...] = Z[:, :n]
+        def circulant(Z, out):
+            # imaginary parts 0 and q - 1 stay at the buffer's zeros
+            spectrum = getattr(scratch, "spectrum", None)
+            if spectrum is None or len(spectrum) < len(Z):
+                spectrum = scratch.spectrum = np.zeros((len(Z), q), dtype=complex)
+            spectrum = spectrum[: len(Z)]
+            np.multiply(Z[:, :q], root, out=spectrum.real)
+            np.multiply(Z[:, q:], root[1:-1], out=spectrum.imag[:, 1:-1])
+            np.fft.irfft(spectrum, n=m, out=Z)
+            out[...] = Z[:, :n]
 
-            return m, circulant
+        return m, circulant
     F = _covariance_factor(model, grid)
 
     def dense(Z, out):
@@ -346,9 +421,10 @@ def _linear_sampler(
 
 
 def check_seed(seed: int) -> None:
-    """Reject a seed that is not an integer in [0, 2^64): the path streams
-    key on 64 bits of int(seed), so any other value would give the paths of
-    a seed in that range (1.5 those of 1)."""
+    """Reject a seed that is not an integer in [0, 2^64), the seed range
+    of configs and the CLI.  The path streams are keyed by int(seed), so a
+    float or a bool would give the paths of an integer seed (1.5 those of
+    1), and a negative one would reach SeedSequence's bare ValueError."""
     if isinstance(seed, bool) or not isinstance(seed, (int, np.integer)):
         raise ValidationError(f"seed must be an integer, got {seed!r}")
     if not 0 <= seed < 2**64:
@@ -356,10 +432,11 @@ def check_seed(seed: int) -> None:
 
 
 def _block_rng(seed: int, block: int) -> np.random.Generator:
-    """Counter-based stream keyed by (seed, block) for the paths
-    block * _PATH_BLOCK onwards, one row of normals per path."""
-    key = (int(block) << 64) | int(seed)
-    return np.random.Generator(np.random.Philox(key=key))
+    """The stream of the paths block * _PATH_BLOCK onwards, one row of
+    normals per path: SFC64 seeded by SeedSequence(seed, spawn_key=(block,)),
+    so each (seed, block) has its own independent stream."""
+    sequence = np.random.SeedSequence(int(seed), spawn_key=(int(block),))
+    return np.random.Generator(np.random.SFC64(sequence))
 
 
 def _worker_count() -> int:
@@ -377,22 +454,22 @@ def simulate_paths(
 
     The samples are L z for the model's exact linear map L (L L^T = K on
     the grid, see ``_linear_sampler``): g(t) z for a rank-one model,
-    circulant embedding for a stationary one, the dense ``eigh`` factor
-    otherwise.  The paths are the rows of the batch's N x n ``values``,
-    filled in place.  They come in blocks of ``_PATH_BLOCK``; block b
-    draws its rows of k normals in order from one counter-based stream
-    keyed by (seed, b) and maps them into its own rows of ``values``: the
-    circulant map ``_SLAB`` rows at a time, which bounds its scratch
-    memory, the others the whole block at once.  The blocks are filled in
-    parallel by ``_worker_count()`` threads, thread w taking blocks w,
-    w + workers, ... (one block runs inline).  Each thread draws into one
-    buffer of normals for all its blocks, and the circulant map keeps one
-    spectrum per thread: fresh scratch for every slab costs more in page
-    faults than the map itself.  numpy's generator, FFT and BLAS release
-    the GIL.  Every
-    sampler maps a row the same way whatever else the call holds, so path
-    i is bit for bit a function of (model, grid, seed, i) alone, for any
-    n_paths and any thread count.
+    circulant embedding for a stationary one (length m, the shortest fast
+    length >= 2(n - 1) with a nonnegative spectrum), the dense ``eigh``
+    factor otherwise.  The paths are the rows of the batch's N x n
+    ``values``, filled in place.  They come in blocks of ``_PATH_BLOCK``;
+    block b draws its rows of k normals in order from its own stream
+    (``_block_rng(seed, b)``) and maps them into its own rows of
+    ``values``: the circulant map ``_SLAB`` rows at a time, which bounds
+    its scratch memory, the others the whole block at once.  The blocks
+    are filled in parallel by ``_worker_count()`` threads, thread w taking
+    blocks w, w + workers, ... (one block runs inline).  Each thread draws
+    into one buffer of normals for all its blocks, and the circulant map
+    keeps one spectrum per thread: fresh scratch for every slab costs more
+    in page faults than the map itself.  numpy's generator, FFT and BLAS
+    release the GIL.  Every sampler maps a row the same way whatever else
+    the call holds, so path i is bit for bit a function of (model, grid,
+    seed, i) alone, for any n_paths and any thread count.
     """
     if not model.gaussian:
         raise ValidationError("only Gaussian models can be simulated")
@@ -401,7 +478,7 @@ def simulate_paths(
     check_seed(seed)
     grid = simulation_grid(L, h)
     k, sample = _linear_sampler(model, grid)
-    # the circulant map (k = 2(n - 1)) holds a spectrum and an irfft per
+    # the circulant map (k = m > n) holds a spectrum and an irfft per
     # row, so it goes a slab at a time; the dense map takes the whole block
     # at its padded width, and the rank-one map writes its output directly
     rows = _SLAB if k > len(grid) else _PATH_BLOCK

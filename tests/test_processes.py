@@ -117,6 +117,30 @@ class TestModelValidation:
                 structure=Stationary(lambda z: np.ones_like(np.asarray(z, dtype=float))),
             )
 
+    def test_rank_one_structure_must_match_covariance(self, gauss_bump):
+        # gauss-bump's g on OU's covariance: R(t,s) != g(t) g(s)
+        with pytest.raises(ValidationError, match=r"R\(t,s\) != g\(t\) g\(s\)"):
+            ProcessModel(
+                covariance=_ou_cov, det_constant=1.0, tau_phi=_ones, structure=gauss_bump.structure
+            )
+
+    def test_spectral_mass_must_match_variance(self):
+        # 10x OU's R_hat integrates to 10 x 2 pi, against r(0) = 1
+        with pytest.raises(ValidationError, match="R_hat does not match the covariance"):
+            ProcessModel(
+                covariance=_ou_cov,
+                det_constant=1.0,
+                tau_phi=_ones,
+                structure=Stationary(lambda z: 20.0 / (1.0 + np.asarray(z, dtype=float) ** 2)),
+            )
+
+    @pytest.mark.parametrize("lam", [1e-4, 0.02, 1.0, 1e4])
+    def test_ou_spectral_mass_on_every_scale(self, lam):
+        # OU's R_hat is a Lorentzian of width lam; each builds, as does the
+        # squared exponential (the doubled OU builds in test_expansion.py)
+        assert make_ou(lam).covariance(0.0, 0.0) == 1.0
+        _squared_exponential()
+
     def test_structure_must_be_a_structure_value(self):
         # a bare R_hat, as a caller of the old spectral_density= field would
         # pass it, is neither Stationary, RankOne nor None
@@ -308,8 +332,8 @@ class TestSimulation:
 
     def test_sampler_memory_is_bounded(self):
         # beyond the path-major result, each worker holds one slab of normals
-        # and one of spectra (32 rows of the 3,393-node grid and its
-        # 6,784-point embedding, ~1.7 MB each)
+        # and one of spectra (32 rows of the 3,393-node grid's 6,912-point
+        # embedding and of its 3,457-entry spectra, ~1.8 MB each)
         args = (make_ou(1.0), 53.0, 1 / 32, 2000, 6)
         simulate_paths(*args)  # warm: FFT plans and generator set-up
         tracemalloc.start()
@@ -327,7 +351,8 @@ class TestSimulation:
 
     @pytest.mark.parametrize("seed", [-1, -5, 2**64, 5 + 2**64])
     def test_seed_outside_64_bits_rejected(self, ou1, seed):
-        # the streams key on 64 bits: -1 would replay 2^64 - 1, 5 + 2^64 seed 5
+        # the seed range is [0, 2^64): a negative seed raises ValidationError,
+        # not SeedSequence's bare ValueError, and a wider one is refused too
         with pytest.raises(ValidationError, match=r"seed must be in \[0, 2\^64\)"):
             simulate_paths(ou1, 1.0, 0.5, 2, seed=seed)
 
@@ -401,6 +426,16 @@ def _squared_exponential():
     )
 
 
+def _cauchy(ell):
+    # R = 1 / (1 + tau^2 / ell^2), R_hat = pi ell exp(-ell |z|)
+    return ProcessModel(
+        covariance=lambda t, s: 1.0 / (1.0 + ((np.asarray(t) - np.asarray(s)) / ell) ** 2),
+        det_constant=1.0,
+        tau_phi=lambda t: np.ones_like(np.asarray(t, dtype=float)),
+        structure=Stationary(lambda z: math.pi * ell * np.exp(-ell * np.abs(np.asarray(z, dtype=float)))),
+    )
+
+
 def _damped_ou():
     # neither stationary nor rank-one
     return ProcessModel(
@@ -415,7 +450,7 @@ def _damped_ou():
 class TestLinearSampler:
     """Each sampler's linear map L, read off identity normals, has L L^T = K."""
 
-    GRID = simulation_grid(2.0, 0.125)  # n = 33, circulant size m = 64
+    GRID = simulation_grid(2.0, 0.125)  # n = 33, minimal circulant size 2(n - 1) = 64
 
     @pytest.mark.parametrize(
         "make, k",
@@ -424,11 +459,13 @@ class TestLinearSampler:
             (lambda: make_ou(1.0), 64),
             (lambda: make_ou(3.0), 64),
             (make_gauss_bump, 1),
-            # its minimal embedding has min/max eigenvalue -2.1e-5: dense fallback
-            (_squared_exponential, 33),
+            # its minimal embedding has min/max eigenvalue -2.1e-5: grown to 108
+            (_squared_exponential, 108),
+            # minimal embedding indefinite: grown to 120
+            (lambda: _cauchy(0.5), 120),
             (_damped_ou, 33),
         ],
-        ids=["ou0.5", "ou1", "ou3", "gauss-bump", "squared-exponential", "damped-ou"],
+        ids=["ou0.5", "ou1", "ou3", "gauss-bump", "squared-exponential", "cauchy0.5", "damped-ou"],
     )
     def test_map_reproduces_covariance(self, make, k):
         model = make()
@@ -445,6 +482,76 @@ class TestLinearSampler:
         assert np.max(np.abs(L @ L.T - F @ F.T)) <= 1e-10
         if k == len(grid):
             assert np.array_equal(L, F)
+
+    def test_fast_lengths_are_the_even_five_smooth_numbers(self):
+        def five_smooth(m):
+            for p in (2, 3, 5):
+                while m % p == 0:
+                    m //= p
+            return m == 1
+
+        want = [m for m in range(2, 2001, 2) if five_smooth(m)]
+        assert processes._fast_lengths(1, 2000) == want
+        assert processes._fast_lengths(212, 250) == [216, 240, 250]
+        assert processes._fast_lengths(6784, 6912) == [6912]
+
+    @pytest.mark.parametrize("L, h, m", [(2.0, 0.125, 64), (6.625, 0.125, 216), (53.0, 1 / 32, 6912)])
+    def test_width_is_the_smallest_fast_length(self, L, h, m):
+        # 2(n - 1) = 64 is already fast; 212 = 2^2 53 pads to 216 = 2^3 3^3,
+        # and the criterion-8 grid's 6,784 = 2^7 53 to 6,912 = 2^8 3^3
+        grid = simulation_grid(L, h)
+        assert m == min(processes._fast_lengths(2 * (len(grid) - 1), 10**5))
+        assert _linear_sampler(make_ou(1.0), grid)[0] == m
+
+    @pytest.mark.parametrize("make, k", [(_squared_exponential, 108), (lambda: _cauchy(0.5), 120)])
+    def test_growth_past_an_indefinite_embedding(self, make, k):
+        model, grid = make(), self.GRID
+        h = grid[1] - grid[0]
+
+        def indefinite(m):
+            row = model.covariance(grid[0] + h * np.arange(m // 2 + 1), grid[0])
+            lam = np.fft.rfft(np.concatenate([row, row[-2:0:-1]])).real
+            return lam.min() < -1e-10 * max(lam.max(), 1.0)
+
+        tried = processes._fast_lengths(64, k)
+        assert tried[0] == 64 and tried[-1] == k
+        assert all(indefinite(m) for m in tried[:-1]) and not indefinite(k)
+        assert _linear_sampler(model, grid)[0] == k
+
+    @pytest.mark.parametrize(
+        "make, growth",
+        [
+            # no nonnegative embedding up to the default cap, 8 x 64, on this grid
+            (lambda: _cauchy(1.0), None),
+            # with the cap at 1 x 64 only the indefinite minimal length is tried
+            (_squared_exponential, 1),
+        ],
+        ids=["cauchy1", "squared-exponential-cap-1"],
+    )
+    def test_dense_past_the_cap(self, make, growth, monkeypatch):
+        if growth is not None:
+            monkeypatch.setattr(processes, "_EMBEDDING_GROWTH", growth)
+        model, grid = make(), self.GRID
+        width, sample = _linear_sampler(model, grid)
+        assert width == len(grid)
+        L = np.empty((width, len(grid)))
+        sample(np.eye(width), L)
+        assert np.array_equal(L.T, _covariance_factor(model, grid))
+
+    def test_rows_of_the_criterion_8_map(self):
+        # six full rows of L L^T on the 3,393-node grid (m = 6,912), whose
+        # lag row runs past the grid's end; L is read off in column blocks
+        model, grid = make_ou(1.0), simulation_grid(53.0, 1 / 32)
+        k, sample = _linear_sampler(model, grid)
+        assert k == 6912
+        rows = np.array([0, 1, 1234, 1696, 3391, 3392])
+        LLt = np.zeros((len(rows), len(grid)))
+        for start in range(0, k, 256):
+            cols = np.empty((min(256, k - start), len(grid)))
+            sample(np.eye(len(cols), k, start), cols)  # row j is L e_(start + j)
+            LLt += cols[:, rows].T @ cols
+        K = model.covariance(grid[rows, None], grid[None, :])
+        assert np.max(np.abs(LLt - K)) <= 1e-14
 
 
 class TestValidateModel:
