@@ -29,7 +29,6 @@ from .wavelets import (
     dilated_support,
     envelope_constant,
     eval_dilated,
-    exponential_envelope,
     lattice_constant,
     lattice_tail_constant,
     lipschitz_fit,
@@ -38,11 +37,14 @@ from .wavelets import (
     tail_constant,
 )
 from .processes import (
+    Gaussian,
+    Kernel,
     ProcessModel,
     RankOne,
     SampleBatch,
     SamplePath,
     Stationary,
+    SubGaussian,
     dump_paths,
     make_gauss_bump,
     make_ou,

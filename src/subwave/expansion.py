@@ -27,7 +27,7 @@ chosen from the model and the basis alone.  On a band-limited basis
 the wavelet transforms over their finite band: a few matrix products on
 Gauss panels between the dilated kinks of the transforms
 (``wavelets.band_breaks``).  Every other
-pair (Haar, Daubechies, or a model without spectral data) integrates the
+pair (Haar, Daubechies, or a ``Kernel`` model, which has no spectral data) integrates the
 covariance against the dilated wavelets over one Simpson node set per
 wavelet; that tensor quadrature is also the test oracle of the first.
 The Parseval integral of |R_hat| |w_hat|^2 (the proof-side upper bound of
@@ -415,7 +415,7 @@ def _tensor_moments(model: ProcessModel, basis: WaveletPair, idx, t):
     dilated wavelets over the Simpson nodes of each wavelet
     (``_scaled_nodes``), mapped to u = (x + k) / 2^j.  Serves the
     compactly supported bases, whose transforms decay too slowly for the
-    frequency side, and models without spectral data; it is also the test
+    frequency side, and ``Kernel`` models (no spectral data); it is also the test
     oracle of ``_frequency_moments``.
     """
     nodes = []

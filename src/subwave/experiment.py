@@ -184,11 +184,14 @@ class ExperimentResult:
         return rows
 
     def results_csv(self) -> str:
-        lines = ["scheme_index,path_index,lp_error"]
+        """One row ``s,i,repr(error)`` per (scheme, path): each scheme's rows
+        are one join, over a path-index column formatted once."""
+        index = [f",{i}," for i in range(self.per_path_errors.shape[1])]
+        parts = ["scheme_index,path_index,lp_error\n"]
         for s, row in enumerate(self.per_path_errors.tolist()):
-            for i, err in enumerate(row):
-                lines.append(f"{s},{i},{err!r}")
-        return "\n".join(lines) + "\n"
+            if row:  # a zero-path result is the header alone
+                parts += (f"{s}", f"\n{s}".join(map(str.__add__, index, map(repr, row))), "\n")
+        return "".join(parts)
 
     def _tail_rows(self):
         """(scheme index, epsilon, empirical frequency, bound report, Monte

@@ -1,11 +1,11 @@
 """Zero-mean second-order process models and exact Gaussian path simulation.
 
-A model bundles the covariance R(t,s), one structure (``Stationary(R_hat)``,
-``RankOne(g, g_hat)`` for X(t) = g(t) Z, or None for a general covariance),
-the sub-Gaussian norm function tau(t), and the determinative constant C_X
-relating tau to the second moment.  Gaussian models have tau = sqrt(R(t,t))
-and C_X = 1 exactly; only Gaussian models are simulated, but every bound
-computation accepts a general C_X.
+A model is ``ProcessModel(structure, law)``.  The structure gives the
+covariance R(t,s): ``Stationary(r, r_hat)`` (R = r(t - s)), ``RankOne(g,
+g_hat)`` (X(t) = g(t) Z) or ``Kernel(covariance)`` (no spectral data).  The
+law gives tau(t) and the determinative constant C_X: ``Gaussian()`` has
+tau = sqrt(R(t,t)) and C_X = 1, ``SubGaussian(tau_phi, det_constant)``
+states both.  Only Gaussian models are simulated; the bounds take any C_X.
 
 Simulation is exact: the samples on a grid are L z for standard normals z
 and a linear map L with L L^T equal to the covariance matrix K.  L comes
@@ -37,7 +37,7 @@ import threading
 from dataclasses import dataclass
 from functools import lru_cache
 from pathlib import Path
-from typing import Callable, Union
+from typing import Callable, ClassVar, Union
 
 import numpy as np
 
@@ -48,15 +48,19 @@ from .wavelets import WaveletPair
 _MAX_GRID_POINTS = 10_000
 _PATH_BLOCK = 256  # paths per block of normals and per random stream
 _SLAB = 32  # paths per call of the circulant map: bounds its scratch memory
-_SPECTRAL_MASS_RTOL = 1e-6  # (1/2pi) int R_hat against r(0)
+_SPECTRAL_MASS_RTOL = 1e-6  # a transform's integral against its function at 0
 _EMBEDDING_GROWTH = 8  # circulant length cap, in multiples of the minimal 2(n - 1)
 
 
 @dataclass(frozen=True)
 class Stationary:
-    """Stationary: R(t,s) = r(t - s), with spectral density R_hat (r's transform)."""
+    """Stationary: R(t,s) = r(t - s), with spectral density r_hat (r's transform)."""
 
+    r: Callable[[np.ndarray], np.ndarray]
     r_hat: Callable[[np.ndarray], np.ndarray]
+
+    def covariance(self, t, s):
+        return self.r(np.asarray(t) - np.asarray(s))
 
 
 @dataclass(frozen=True)
@@ -66,27 +70,75 @@ class RankOne:
     g: Callable[[np.ndarray], np.ndarray]
     g_hat: Callable[[np.ndarray], np.ndarray]
 
+    def covariance(self, t, s):
+        return np.asarray(self.g(np.asarray(t))) * np.asarray(self.g(np.asarray(s)))
+
 
 @dataclass(frozen=True)
-class ProcessModel:
-    """Second-order process with covariance, structure and tau-norm.
-
-    Each layer that depends on the structure tests its type in one place.
-    Both structures are hashable values, so a model keys the moment caches.
-    """
+class Kernel:
+    """A general covariance R(t,s), with no spectral data."""
 
     covariance: Callable[[np.ndarray, np.ndarray], np.ndarray]
-    det_constant: float
+
+
+@dataclass(frozen=True)
+class Gaussian:
+    """Gaussian law: tau(t) = sqrt(R(t,t)) and C_X = 1; the law that is simulated."""
+
+    det_constant: ClassVar[float] = 1.0
+
+
+@dataclass(frozen=True)
+class SubGaussian:
+    """A phi-sub-Gaussian law given by its tau-norm function and determinative
+    constant C_X; its models are bounded, not simulated."""
+
     tau_phi: Callable[[np.ndarray], np.ndarray]
-    structure: Union[Stationary, RankOne, None] = None
-    gaussian: bool = True
+    det_constant: float
 
     def __post_init__(self):
         if not self.det_constant > 0:
             raise ValidationError("determinative constant must be positive")
-        if not isinstance(self.structure, (Stationary, RankOne, type(None))):
-            raise ValidationError(f"structure must be Stationary, RankOne or None, got {self.structure!r}")
+
+
+@dataclass(frozen=True)
+class ProcessModel:
+    """A zero-mean process: its covariance structure and its law.
+
+    The covariance comes from the structure, and tau and C_X from the law
+    (a Gaussian model's tau is sqrt(R(t,t))), so no field restates another.
+    Each layer that depends on the structure tests its type in one place.
+    Structures and laws are hashable values, so a model keys the moment
+    caches.
+    """
+
+    structure: Union[Stationary, RankOne, Kernel]
+    law: Union[Gaussian, SubGaussian] = Gaussian()
+
+    def __post_init__(self):
+        if not isinstance(self.structure, (Stationary, RankOne, Kernel)):
+            raise ValidationError(f"structure must be Stationary, RankOne or Kernel, got {self.structure!r}")
+        if not isinstance(self.law, (Gaussian, SubGaussian)):
+            raise ValidationError(f"law must be Gaussian or SubGaussian, got {self.law!r}")
         _validate_covariance(self)
+
+    @property
+    def covariance(self) -> Callable[[np.ndarray, np.ndarray], np.ndarray]:
+        return self.structure.covariance
+
+    @property
+    def gaussian(self) -> bool:
+        return isinstance(self.law, Gaussian)
+
+    @property
+    def det_constant(self) -> float:
+        return self.law.det_constant
+
+    @property
+    def tau_phi(self) -> Callable[[np.ndarray], np.ndarray]:
+        if self.gaussian:
+            return lambda t: np.sqrt(np.maximum(self.covariance(t, t), 0.0))
+        return self.law.tau_phi
 
     @property
     def spectral_density(self):
@@ -95,45 +147,40 @@ class ProcessModel:
 
 
 def _validate_covariance(model: ProcessModel) -> None:
-    """Spot-check symmetry, positive semidefiniteness and the Gaussian
-    tau/covariance link on a small fixed grid, and that the structure
-    describes the covariance: R(t,s) = g(t) g(s) for a rank-one model, and
-    for a stationary one a lag function with r(0) = (1/2pi) int R_hat
-    (relative tolerance ``_SPECTRAL_MASS_RTOL``)."""
+    """Spot-check symmetry and positive semidefiniteness on a small fixed
+    grid, and that a structure's function and transform agree at 0:
+    r(0) = (1/2pi) int R_hat for a stationary model (relative tolerance
+    ``_SPECTRAL_MASS_RTOL``), g(0) = (1/2pi) Re int g_hat for a rank-one one
+    (within ``_SPECTRAL_MASS_RTOL`` times max |g| on the grid)."""
     t = np.linspace(-4.0, 4.0, 17)
+    mid = len(t) // 2  # t = 0
     K = model.covariance(t[:, None], t[None, :])
     if np.max(np.abs(K - K.T)) > 1e-10 * (1.0 + np.max(np.abs(K))):
         raise ValidationError("covariance is not symmetric")
-    d = np.diag(K)
-    if np.any(d < -1e-12):
+    if np.any(np.diag(K) < -1e-12):
         raise ValidationError("covariance has negative variance on the grid")
     if _beyond_rounding(np.linalg.eigvalsh(K)):
         raise ValidationError("covariance is not positive semidefinite")
-    if model.gaussian:
-        tau = np.asarray(model.tau_phi(t), dtype=float)
-        if np.max(np.abs(tau - np.sqrt(np.maximum(d, 0.0)))) > 1e-8:
-            raise ValidationError("Gaussian model must have tau(t) = sqrt(R(t,t))")
-        if abs(model.det_constant - 1.0) > 1e-12:
-            raise ValidationError("Gaussian model must have C_X = 1")
-    if isinstance(model.structure, RankOne):
-        g = np.asarray(model.structure.g(t), dtype=float)
-        if np.max(np.abs(K - np.outer(g, g))) > 1e-10 * (1.0 + np.max(np.abs(K))):
-            raise ValidationError(
-                "rank-one structure does not match the covariance: R(t,s) != g(t) g(s)"
-            )
     if isinstance(model.structure, Stationary):
-        s = np.linspace(-3.0, 3.0, 7)
-        lag = model.covariance(s + 1.25, s * 0 + 1.25)
-        lag2 = model.covariance(s - 0.75, s * 0 - 0.75)
-        if np.max(np.abs(lag - lag2)) > 1e-10 * (1.0 + np.max(np.abs(lag))):
-            raise ValidationError("model carries R_hat but R(t,s) is not a lag function")
-        z, w = _spectral_nodes()
-        mass = float(w @ np.asarray(model.structure.r_hat(z), dtype=float)) / (2.0 * math.pi)
-        r0 = float(d[len(t) // 2])  # R(0, 0)
+        mass, r0 = _inverse_at_zero(model.structure.r_hat), float(K[mid, mid])
         if not math.isclose(mass, r0, rel_tol=_SPECTRAL_MASS_RTOL):
             raise ValidationError(
                 f"R_hat does not match the covariance: (1/2pi) int R_hat = {mass!r}, r(0) = {r0!r}"
             )
+    if isinstance(model.structure, RankOne):
+        g = np.asarray(model.structure.g(t), dtype=float)
+        g0 = _inverse_at_zero(model.structure.g_hat)
+        if not abs(g0 - g[mid]) <= _SPECTRAL_MASS_RTOL * np.max(np.abs(g)):
+            raise ValidationError(
+                f"g_hat does not match g: (1/2pi) Re int g_hat = {g0!r}, g(0) = {float(g[mid])!r}"
+            )
+
+
+def _inverse_at_zero(f_hat: Callable[[np.ndarray], np.ndarray]) -> float:
+    """(1/2pi) Re int f_hat over the line: the function whose transform is
+    f_hat, at 0, on the ``_spectral_nodes`` rule."""
+    z, w = _spectral_nodes()
+    return float(w @ np.asarray(f_hat(z)).real) / (2.0 * math.pi)
 
 
 @lru_cache(maxsize=None)
@@ -232,12 +279,10 @@ def make_ou(lam: float) -> ProcessModel:
 @lru_cache(maxsize=None)
 def _ou_model(lam: float) -> ProcessModel:
     return ProcessModel(
-        covariance=lambda t, s: np.exp(-lam * np.abs(np.asarray(t) - np.asarray(s))),
-        det_constant=1.0,
-        tau_phi=lambda t: np.ones_like(np.asarray(t, dtype=float)),
-        structure=Stationary(
-            r_hat=lambda z: 2.0 * lam / (lam**2 + np.asarray(z, dtype=float) ** 2)
-        ),
+        Stationary(
+            r=lambda tau: np.exp(-lam * np.abs(tau)),
+            r_hat=lambda z: 2.0 * lam / (lam**2 + np.asarray(z, dtype=float) ** 2),
+        )
     )
 
 
@@ -246,12 +291,7 @@ def make_separable(g: Callable, g_hat: Callable) -> ProcessModel:
 
     R(u,v) = g(u) g(v), so the spectral data is g_hat alone; tau(t) = |g(t)|.
     """
-    return ProcessModel(
-        covariance=lambda t, s: np.asarray(g(np.asarray(t))) * np.asarray(g(np.asarray(s))),
-        det_constant=1.0,
-        tau_phi=lambda t: np.abs(np.asarray(g(np.asarray(t)))),
-        structure=RankOne(g=g, g_hat=g_hat),
-    )
+    return ProcessModel(RankOne(g=g, g_hat=g_hat))
 
 
 @lru_cache(maxsize=None)
@@ -373,7 +413,7 @@ def _linear_sampler(
       written back over the spent normals.  Each thread builds its spectra
       in one buffer of its own, reused from call to call.  The first n
       rows of that map satisfy L L^T = (C)_{n x n} = K.
-    * anything else, or a stationary model with no nonnegative embedding
+    * ``Kernel``, or a stationary model with no nonnegative embedding
       up to the length cap: k = n and L is the dense ``eigh`` factor of K,
       applied to the block zero-padded to ``_PATH_BLOCK`` rows
       (B <= ``_PATH_BLOCK``).

@@ -126,14 +126,6 @@ def rational_envelope(amplitude: float, scale: float) -> Envelope:
     )
 
 
-def exponential_envelope(rate: float = 1.0, amplitude: float = 1.0) -> Envelope:
-    """Envelope A * exp(-rate x); used mostly as a closed-form test fixture."""
-    return Envelope(
-        big_phi=lambda x: amplitude * np.exp(-rate * np.abs(x)),
-        tail_integral=lambda a: amplitude / rate * math.exp(-rate * max(a, 0.0)),
-    )
-
-
 class _TableFunc:
     """Linear interpolation of a uniformly tabulated function, zero outside."""
 

@@ -1,4 +1,3 @@
-import dataclasses
 import itertools
 import math
 
@@ -20,7 +19,7 @@ from subwave.expansion import (
     second_moment_eta_spectral_bound,
 )
 from subwave.orlicz import make_gaussian, make_power_family
-from subwave.processes import parse_model_spec
+from subwave.processes import Kernel, ProcessModel, parse_model_spec
 from subwave.wavelets import make_basis
 from subwave.bounds import (
     _lattice_scheme,
@@ -316,7 +315,7 @@ class TestCnInftyUniform:
         with pytest.raises(ValidationError, match="p must be >= 1"):
             c_n_infty_uniform(ou1, meyer, scheme, 0.5, 1.0, 0.5)
         # neither a spectral density nor a rank-one g_hat
-        bare = dataclasses.replace(ou1, structure=None)
+        bare = ProcessModel(Kernel(ou1.covariance))
         with pytest.raises(ValidationError, match="uniform-route constants need"):
             c_n_infty_uniform(bare, meyer, scheme, 2.0, 1.0, 0.5)
 

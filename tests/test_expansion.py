@@ -1,4 +1,3 @@
-import dataclasses
 import math
 import tracemalloc
 
@@ -35,6 +34,7 @@ from subwave.expansion import (
     second_moment_xi_bound,
 )
 from subwave.processes import (
+    Kernel,
     ProcessModel,
     SampleBatch,
     SamplePath,
@@ -525,11 +525,11 @@ class TestMomentRoutes:
 
     def test_model_without_spectral_data_takes_tensor_route(self, meyer):
         damped = ProcessModel(
-            covariance=lambda t, s: np.exp(
-                -np.abs(np.asarray(t) - np.asarray(s)) - 0.1 * (np.asarray(t) ** 2 + np.asarray(s) ** 2)
-            ),
-            det_constant=1.0,
-            tau_phi=lambda t: np.exp(-0.1 * np.asarray(t, dtype=float) ** 2),
+            Kernel(
+                lambda t, s: np.exp(
+                    -np.abs(np.asarray(t) - np.asarray(s)) - 0.1 * (np.asarray(t) ** 2 + np.asarray(s) ** 2)
+                )
+            )
         )
         assert not _frequency_side(damped, meyer)
         idx = tuple(parse_scheme_spec("k0'=1;k=1").indices())
@@ -594,7 +594,7 @@ class TestSpectralBounds:
 
     def test_requires_matching_model_kind(self, ou1, meyer):
         # both names, the rank-one one kept for the benchmark, are one function
-        general = dataclasses.replace(ou1, structure=None)
+        general = ProcessModel(Kernel(ou1.covariance))
         for bound in (second_moment_eta_spectral_bound, expansion.second_moment_eta_spectral_bound_ns):
             with pytest.raises(ValidationError, match="needs a stationary or rank-one model"):
                 bound(general, meyer, 0, 0.5)
@@ -613,13 +613,11 @@ class TestXiBound:
         assert val == pytest.approx(2.0 * math.exp(-1.0), rel=1e-10)
 
     def test_scaling_in_spectrum(self, ou1, haar):
-        doubled = dataclasses.replace(
-            ou1,
-            covariance=lambda t, s: 2.0
-            * np.exp(-np.abs(np.asarray(t) - np.asarray(s))),
-            structure=Stationary(lambda z: 4.0 / (1.0 + np.asarray(z, dtype=float) ** 2)),
-            tau_phi=lambda t: math.sqrt(2.0)
-            * np.ones_like(np.asarray(t, dtype=float)),
+        doubled = ProcessModel(
+            Stationary(
+                r=lambda tau: 2.0 * np.exp(-np.abs(tau)),
+                r_hat=lambda z: 4.0 / (1.0 + np.asarray(z, dtype=float) ** 2),
+            )
         )
         assert second_moment_xi_bound(doubled, haar) == pytest.approx(
             2.0 * second_moment_xi_bound(ou1, haar), rel=1e-12
@@ -641,13 +639,7 @@ class TestXiBound:
             assert exact <= val + 1e-9
 
     def test_requires_spectral_data(self, haar):
-        from subwave.processes import ProcessModel
-
-        plain = ProcessModel(
-            covariance=lambda t, s: np.exp(-np.abs(np.asarray(t) - np.asarray(s))),
-            det_constant=1.0,
-            tau_phi=lambda t: np.ones_like(np.asarray(t, dtype=float)),
-        )
+        plain = ProcessModel(Kernel(lambda t, s: np.exp(-np.abs(np.asarray(t) - np.asarray(s)))))
         with pytest.raises(ValidationError):
             second_moment_xi_bound(plain, haar)
 

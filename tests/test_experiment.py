@@ -240,6 +240,29 @@ class TestRunExperiment:
         assert len(tails) == 1 + 2 * 3
 
 
+def _results_csv_loop(errors) -> str:
+    """The row-by-row writer ``results_csv`` replaced, kept as its oracle."""
+    lines = ["scheme_index,path_index,lp_error"]
+    for s, row in enumerate(errors.tolist()):
+        for i, err in enumerate(row):
+            lines.append(f"{s},{i},{err!r}")
+    return "\n".join(lines) + "\n"
+
+
+class TestResultsCsv:
+    # (2, 0): a zero-path result is the header alone, where a naive join
+    # would write a stray row per scheme
+    @pytest.mark.parametrize("shape", [(2, 7), (3, 1), (2, 0), (0, 0)])
+    def test_equals_the_row_loop(self, shape):
+        special = [0.0, 5e-324, 1e16, 1e-5, math.inf, math.nan, -0.0, 0.1 + 0.2]
+        errors = np.resize(np.array(special), shape)
+        result = experiment.ExperimentResult(config_from_dict(BASE), errors, {})
+        assert result.results_csv() == _results_csv_loop(errors)
+
+    def test_run_equals_the_row_loop(self, base_result):
+        assert base_result.results_csv() == _results_csv_loop(base_result.per_path_errors)
+
+
 class TestQuartiles:
     def test_equal_numpy_percentile_bit_for_bit(self):
         rng = np.random.default_rng(0)

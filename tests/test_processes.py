@@ -1,3 +1,4 @@
+import dataclasses
 import math
 import tracemalloc
 from pathlib import Path
@@ -7,10 +8,14 @@ import pytest
 
 from subwave import processes
 from subwave.errors import ValidationError
+from subwave.expansion import _frequency_side
 from subwave.processes import (
+    Gaussian,
+    Kernel,
     ProcessModel,
     RankOne,
     Stationary,
+    SubGaussian,
     _covariance_factor,
     _linear_sampler,
     _block_rng,
@@ -89,50 +94,77 @@ class TestSeparable:
         assert np.all(np.abs(w[:-1]) < 1e-10)
 
 
+class TestModelType:
+    """A model is its structure and its law; the rest is derived from them."""
+
+    GRID = np.linspace(-3.0, 3.0, 25)
+
+    def test_fields_are_structure_and_law(self):
+        assert tuple(f.name for f in dataclasses.fields(ProcessModel)) == ("structure", "law")
+
+    def test_ou_values(self, ou1):
+        t, s = self.GRID[:, None], self.GRID[None, :]
+        # bit for bit the covariance OU stated before it was derived from r
+        assert np.array_equal(ou1.covariance(t, s), np.exp(-1.0 * np.abs(np.asarray(t) - np.asarray(s))))
+        assert np.array_equal(ou1.tau_phi(self.GRID), np.ones(len(self.GRID)))
+        assert ou1.det_constant == 1.0 and ou1.gaussian and ou1.law == Gaussian()
+
+    def test_bump_values(self, gauss_bump):
+        g = gauss_bump.structure.g
+        t, s = self.GRID[:, None], self.GRID[None, :]
+        assert np.array_equal(gauss_bump.covariance(t, s), np.asarray(g(t)) * np.asarray(g(s)))
+        assert np.array_equal(gauss_bump.tau_phi(self.GRID), np.abs(g(self.GRID)))
+        assert gauss_bump.det_constant == 1.0 and gauss_bump.gaussian
+
+    def test_kernel_values(self):
+        model = _damped_ou()
+        t = self.GRID
+        assert np.array_equal(model.covariance(t, t), model.structure.covariance(t, t))
+        assert np.allclose(model.tau_phi(t), np.exp(-0.1 * t**2), rtol=1e-15, atol=0.0)
+        assert model.det_constant == 1.0 and model.gaussian
+
+    def test_sub_gaussian_values(self):
+        law = SubGaussian(lambda t: 2.0 * _ones(t), 2.0)
+        model = ProcessModel(Kernel(_ou_cov), law)
+        assert model.tau_phi is law.tau_phi and np.array_equal(model.tau_phi(self.GRID), 2.0 * _ones(self.GRID))
+        assert model.det_constant == 2.0 and not model.gaussian
+        assert model.covariance is _ou_cov
+
+    def test_kernel_takes_dense_sampler_and_tensor_engine(self, meyer):
+        model = _damped_ou()
+        grid = simulation_grid(2.0, 0.125)
+        k, _ = _linear_sampler(model, grid)
+        assert k == len(grid)
+        assert not _frequency_side(model, meyer)
+
+
 class TestModelValidation:
     def test_asymmetric_covariance_rejected(self):
         with pytest.raises(ValidationError):
             ProcessModel(
-                covariance=lambda t, s: np.asarray(t) - np.asarray(s),
-                det_constant=1.0,
-                tau_phi=lambda t: np.zeros_like(np.asarray(t, dtype=float)),
-                gaussian=False,
+                Kernel(lambda t, s: np.asarray(t) - np.asarray(s)),
+                SubGaussian(lambda t: np.zeros_like(np.asarray(t, dtype=float)), 1.0),
             )
 
-    def test_gaussian_tau_mismatch_rejected(self):
-        with pytest.raises(ValidationError):
-            ProcessModel(
-                covariance=lambda t, s: np.exp(-np.abs(np.asarray(t) - np.asarray(s))),
-                det_constant=1.0,
-                tau_phi=lambda t: 2.0 * np.ones_like(np.asarray(t, dtype=float)),
-            )
+    def test_takes_no_derived_argument(self, gauss_bump):
+        # the covariance, tau and C_X follow from the structure and the law,
+        # so gauss-bump's structure on OU's covariance cannot be written
+        for name, value in (("covariance", _ou_cov), ("tau_phi", _ones), ("det_constant", 1.0)):
+            with pytest.raises(TypeError, match=name):
+                ProcessModel(gauss_bump.structure, **{name: value})
 
-    def test_spectral_density_needs_lag_covariance(self):
-        # a model with R_hat is stationary, so R(t,s) must depend on t - s only
-        with pytest.raises(ValidationError, match="lag"):
-            ProcessModel(
-                covariance=lambda t, s: np.asarray(t) * np.asarray(s),
-                det_constant=1.0,
-                tau_phi=lambda t: np.abs(np.asarray(t, dtype=float)),
-                structure=Stationary(lambda z: np.ones_like(np.asarray(z, dtype=float))),
-            )
-
-    def test_rank_one_structure_must_match_covariance(self, gauss_bump):
-        # gauss-bump's g on OU's covariance: R(t,s) != g(t) g(s)
-        with pytest.raises(ValidationError, match=r"R\(t,s\) != g\(t\) g\(s\)"):
-            ProcessModel(
-                covariance=_ou_cov, det_constant=1.0, tau_phi=_ones, structure=gauss_bump.structure
-            )
-
-    def test_spectral_mass_must_match_variance(self):
+    def test_spectral_mass_must_match_variance(self, ou1):
         # 10x OU's R_hat integrates to 10 x 2 pi, against r(0) = 1
         with pytest.raises(ValidationError, match="R_hat does not match the covariance"):
-            ProcessModel(
-                covariance=_ou_cov,
-                det_constant=1.0,
-                tau_phi=_ones,
-                structure=Stationary(lambda z: 20.0 / (1.0 + np.asarray(z, dtype=float) ** 2)),
-            )
+            ProcessModel(Stationary(ou1.structure.r, lambda z: 10.0 * ou1.structure.r_hat(z)))
+
+    def test_g_hat_must_match_g(self, gauss_bump):
+        # 10x the bump's g_hat inverts to 10 at 0, against g(0) = 1
+        g, g_hat = gauss_bump.structure.g, gauss_bump.structure.g_hat
+        with pytest.raises(ValidationError, match="g_hat does not match g"):
+            make_separable(g, lambda z: 10.0 * g_hat(z))
+        with pytest.raises(ValidationError, match="g_hat does not match g"):
+            make_separable(g, lambda z: g_hat(z) * (1.0 + 1e-5))
 
     @pytest.mark.parametrize("lam", [1e-4, 0.02, 1.0, 1e4])
     def test_ou_spectral_mass_on_every_scale(self, lam):
@@ -141,32 +173,30 @@ class TestModelValidation:
         assert make_ou(lam).covariance(0.0, 0.0) == 1.0
         _squared_exponential()
 
-    def test_structure_must_be_a_structure_value(self):
+    def test_structure_must_be_a_structure_value(self, ou1):
         # a bare R_hat, as a caller of the old spectral_density= field would
-        # pass it, is neither Stationary, RankOne nor None
-        with pytest.raises(ValidationError, match="structure must be Stationary, RankOne or None"):
-            ProcessModel(
-                covariance=_ou_cov,
-                det_constant=1.0,
-                tau_phi=_ones,
-                structure=lambda z: 2.0 / (1.0 + np.asarray(z, dtype=float) ** 2),
-            )
+        # pass it, and the old general-covariance None are not structures
+        for bad in (lambda z: 2.0 / (1.0 + np.asarray(z, dtype=float) ** 2), None):
+            with pytest.raises(ValidationError, match="structure must be Stationary, RankOne or Kernel"):
+                ProcessModel(bad)
+        with pytest.raises(ValidationError, match="law must be Gaussian or SubGaussian"):
+            ProcessModel(ou1.structure, law=2.0)
 
     @pytest.mark.parametrize(
         "cov, det, tau, gaussian, message",
         [
-            (_ou_cov, 0.0, _ones, True, "determinative constant must be positive"),
+            (_ou_cov, 0.0, _ones, False, "determinative constant must be positive"),
             (_ou_cov, -1.0, _ones, False, "determinative constant must be positive"),
             # 1 - (t - s)^2 has a unit diagonal but a negative eigenvalue
             (lambda t, s: 1.0 - (np.asarray(t) - np.asarray(s)) ** 2, 1.0, _ones, True,
              "not positive semidefinite"),
             (lambda t, s: -_ou_cov(t, s), 1.0, _ones, False, "negative variance"),
-            (_ou_cov, 2.0, _ones, True, "C_X = 1"),
         ],
     )
     def test_model_axioms(self, cov, det, tau, gaussian, message):
+        # a Gaussian law derives tau and C_X; any other states them
         with pytest.raises(ValidationError, match=message):
-            ProcessModel(covariance=cov, det_constant=det, tau_phi=tau, gaussian=gaussian)
+            ProcessModel(Kernel(cov), Gaussian() if gaussian else SubGaussian(tau, det))
 
     def test_spec_strings(self):
         ou = parse_model_spec("ou:1.5")
@@ -388,10 +418,8 @@ class TestSimulation:
 
     def test_non_gaussian_not_simulatable(self):
         m = ProcessModel(
-            covariance=lambda t, s: np.exp(-np.abs(np.asarray(t) - np.asarray(s))),
-            det_constant=2.0,
-            tau_phi=lambda t: 2.0 * np.ones_like(np.asarray(t, dtype=float)),
-            gaussian=False,
+            Kernel(lambda t, s: np.exp(-np.abs(np.asarray(t) - np.asarray(s)))),
+            SubGaussian(lambda t: 2.0 * np.ones_like(np.asarray(t, dtype=float)), 2.0),
         )
         with pytest.raises(ValidationError):
             simulate_paths(m, 1.0, 0.5, 1, seed=0)
@@ -419,31 +447,31 @@ class TestSimulation:
 def _squared_exponential():
     root_two_pi = math.sqrt(2.0 * math.pi)
     return ProcessModel(
-        covariance=lambda t, s: np.exp(-0.5 * (np.asarray(t) - np.asarray(s)) ** 2),
-        det_constant=1.0,
-        tau_phi=lambda t: np.ones_like(np.asarray(t, dtype=float)),
-        structure=Stationary(lambda z: root_two_pi * np.exp(-0.5 * np.asarray(z, dtype=float) ** 2)),
+        Stationary(
+            r=lambda tau: np.exp(-0.5 * tau**2),
+            r_hat=lambda z: root_two_pi * np.exp(-0.5 * np.asarray(z, dtype=float) ** 2),
+        )
     )
 
 
 def _cauchy(ell):
     # R = 1 / (1 + tau^2 / ell^2), R_hat = pi ell exp(-ell |z|)
     return ProcessModel(
-        covariance=lambda t, s: 1.0 / (1.0 + ((np.asarray(t) - np.asarray(s)) / ell) ** 2),
-        det_constant=1.0,
-        tau_phi=lambda t: np.ones_like(np.asarray(t, dtype=float)),
-        structure=Stationary(lambda z: math.pi * ell * np.exp(-ell * np.abs(np.asarray(z, dtype=float)))),
+        Stationary(
+            r=lambda tau: 1.0 / (1.0 + (tau / ell) ** 2),
+            r_hat=lambda z: math.pi * ell * np.exp(-ell * np.abs(np.asarray(z, dtype=float))),
+        )
     )
 
 
 def _damped_ou():
     # neither stationary nor rank-one
     return ProcessModel(
-        covariance=lambda t, s: np.exp(
-            -np.abs(np.asarray(t) - np.asarray(s)) - 0.1 * (np.asarray(t) ** 2 + np.asarray(s) ** 2)
-        ),
-        det_constant=1.0,
-        tau_phi=lambda t: np.exp(-0.1 * np.asarray(t, dtype=float) ** 2),
+        Kernel(
+            lambda t, s: np.exp(
+                -np.abs(np.asarray(t) - np.asarray(s)) - 0.1 * (np.asarray(t) ** 2 + np.asarray(s) ** 2)
+            )
+        )
     )
 
 
@@ -578,11 +606,9 @@ class TestValidateModel:
             )  # decreasing
 
     def test_failed_domination_reported(self, meyer):
-        # tau = 1 but c_bound dips to 1.01 only at huge |t|... use growing tau
-        m = make_separable(
-            g=lambda t: 1.0 + np.asarray(t, dtype=float) ** 2,
-            g_hat=lambda z: np.zeros_like(np.asarray(z, dtype=float)),
-        )
+        # tau = 1 + t^2, the rank-one covariance of g = 1 + t^2 (which has no transform)
+        g = lambda t: 1.0 + np.asarray(t, dtype=float) ** 2
+        m = ProcessModel(Kernel(lambda t, s: g(t) * g(s)))
         rep = validate_model(
             m, meyer, lambda t: 1.5 * np.ones_like(np.asarray(t, dtype=float)), 2.0
         )
@@ -612,7 +638,7 @@ class TestMinkowski:
         assert rhs == pytest.approx(1.0, abs=5e-3)
 
     def test_needs_a_gaussian_model(self):
-        m = ProcessModel(covariance=_ou_cov, det_constant=2.0, tau_phi=_ones, gaussian=False)
+        m = ProcessModel(Kernel(_ou_cov), SubGaussian(_ones, 2.0))
         with pytest.raises(ValidationError, match="assumes a Gaussian model"):
             minkowski_gap(m, 1.0)
 

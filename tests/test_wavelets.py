@@ -20,7 +20,6 @@ from subwave.wavelets import (
     dilated_support,
     envelope_constant,
     eval_dilated,
-    exponential_envelope,
     lattice_constant,
     lattice_tail_constant,
     lipschitz_fit,
@@ -28,6 +27,14 @@ from subwave.wavelets import (
     rational_envelope,
     tail_constant,
 )
+
+
+def exponential_envelope(rate: float = 1.0, amplitude: float = 1.0) -> Envelope:
+    """Envelope A * exp(-rate x), a closed-form fixture of the envelope tests."""
+    return Envelope(
+        big_phi=lambda x: amplitude * np.exp(-rate * np.abs(x)),
+        tail_integral=lambda a: amplitude / rate * math.exp(-rate * max(a, 0.0)),
+    )
 
 
 class TestHaar:
