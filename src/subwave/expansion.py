@@ -13,11 +13,13 @@ product of rows times trapezoid weights with path values, over the union
 of the grid nodes where the rows can be nonzero (``_weighted_rows``,
 ``wavelets.dilated_support``).  ``compute_coefficients`` runs it on one
 path and ``lp_error`` integrates over the [0, T] nodes
-(``interval_window``).  Only ``batch_lp_errors``, which serves nested
-schemes from the rows of the largest that are nonzero on [0, T], walks a
-``SampleBatch``, whose rows are its paths, in fixed-width zero-padded
-blocks, so every per-path error is the same bit for bit whatever the
-number of paths.
+(``interval_window``).  Only ``block_lp_errors``, which serves nested
+schemes from the rows of the largest that are nonzero on [0, T], takes
+many paths: one fixed-width block of the sampler's rows at a time, on one
+BLAS thread, so every per-path error is the same bit for bit whatever the
+number of paths or of threads.  ``batch_lp_errors`` runs it over a
+``SampleBatch``, whose rows are its paths; the experiment runs it in the
+sampler's threads, on each block as it is drawn.
 
 Every second moment of the coefficients comes from one function,
 ``coefficient_moments``: the Gram matrix, the cross moments with X(t) and,
@@ -38,6 +40,7 @@ the Parseval values and the xi bound take the engine's panels of the band.
 """
 
 import math
+from contextlib import contextmanager
 from dataclasses import dataclass
 from functools import lru_cache
 from typing import Tuple
@@ -240,18 +243,53 @@ def _window_integral(values, recon, w, p: float):
     return w @ d
 
 
-def batch_lp_errors(basis: WaveletPair, schemes, paths: SampleBatch, p: float, T: float) -> np.ndarray:
-    """Per-path int_0^T |X(t) - X_n(t)|^p dt [scheme, path] for the batch's
-    paths and each of the ``schemes``, which the last one must contain.
+@contextmanager
+def _one_blas_thread():
+    """Run the enclosed products on one BLAS thread, set for the calling
+    thread only, then restore its setting: OpenBLAS sums a product in an
+    order that follows its thread count, and the path-block pool is the
+    one parallel layer.  Does nothing on a BLAS without
+    ``openblas_set_num_threads_local``."""
+    set_local = _blas_threads_setter()
+    if set_local is None:
+        yield
+        return
+    previous = set_local(1)
+    try:
+        yield
+    finally:
+        set_local(previous)
+
+
+@lru_cache(maxsize=None)
+def _blas_threads_setter():
+    """OpenBLAS's ``openblas_set_num_threads_local`` as numpy loaded it
+    (looked up through numpy's own extension, which links it), or None."""
+    import ctypes  # on first use: its import is ~3 ms of start-up
+
+    try:
+        setter = ctypes.CDLL(np._core._multiarray_umath.__file__).openblas_set_num_threads_local
+    except (AttributeError, OSError):
+        return None
+    setter.argtypes, setter.restype = [ctypes.c_int], ctypes.c_int
+    return setter
+
+
+def block_lp_errors(basis: WaveletPair, schemes, grid, p: float, T: float):
+    """The per-block step of ``batch_lp_errors``: checks the arguments and
+    returns ``expand(block, out)``, which writes into the (scheme, path)
+    array ``out`` the errors of the first ``out.shape[1]`` rows of
+    ``block``, a ``_PATH_BLOCK`` x len(grid) array of paths (rows past
+    those are padding).
 
     Only the rows of the last scheme that are nonzero somewhere in [0, T]
-    take part, as no other row changes an expansion there.  The paths go
-    in the sampler's blocks of ``_PATH_BLOCK`` rows of ``paths.values``,
-    the last block zero-padded to the full width.  Per block, one product
-    gives the coefficients, and each scheme is reconstructed on the nodes
-    in [0, T] only, by zeroing the rows it does not keep in the window's
-    basis matrix.  Every product has the same shape, so path i's errors
-    do not depend on the number of paths.
+    take part, as no other row changes an expansion there.  Per block, one
+    product gives the coefficients, and each scheme is reconstructed on the
+    nodes in [0, T] only, by zeroing the rows it does not keep in the
+    window's basis matrix.  Every product has the same shape and runs on
+    one BLAS thread, so a path's errors depend neither on the other rows
+    of its block nor on the thread counts.  ``expand`` may run in several
+    threads at once.
     """
     if not 1 <= p < math.inf:
         raise ValidationError("p must be >= 1 and finite")
@@ -261,7 +299,6 @@ def batch_lp_errors(basis: WaveletPair, schemes, paths: SampleBatch, p: float, T
     full = schemes[-1]
     if not all(full.contains(s) for s in schemes):
         raise ValidationError(f"every scheme must be contained in the last, {full.spec_string()}")
-    grid, X = paths.grid, paths.values
     check_support_coverage(basis, full, grid)
     window, w = interval_window(grid, T)
     idx = full.indices()
@@ -275,16 +312,37 @@ def batch_lp_errors(basis: WaveletPair, schemes, paths: SampleBatch, p: float, T
         member = set(scheme.indices())
         keep = np.array([i in member for i in rows], dtype=float)
         masked.append((B * keep[:, None]).T)
+
+    def expand(block, out):
+        count = out.shape[1]
+        with _one_blas_thread():
+            coefs = Bw @ block[:, nodes].T
+            values = block[:, window].T
+            for s, M in enumerate(masked):
+                out[s] = _window_integral(values, M @ coefs, w, p)[:count]
+
+    return expand
+
+
+def batch_lp_errors(basis: WaveletPair, schemes, paths: SampleBatch, p: float, T: float) -> np.ndarray:
+    """Per-path int_0^T |X(t) - X_n(t)|^p dt [scheme, path] for the batch's
+    paths and each of the ``schemes``, which the last one must contain.
+
+    The paths go through ``block_lp_errors``' step in the sampler's blocks
+    of ``_PATH_BLOCK`` rows of ``paths.values``, one after another, the
+    last block zero-padded to the full width, so path i's errors do not
+    depend on the number of paths.
+    """
+    schemes = tuple(schemes)
+    expand = block_lp_errors(basis, schemes, paths.grid, p, T)
+    X = paths.values
     errors = np.empty((len(schemes), len(X)))
     for start in range(0, len(X), _PATH_BLOCK):
         block = X[start : start + _PATH_BLOCK]
-        count = len(block)
-        if count < _PATH_BLOCK:
-            block = np.concatenate([block, np.zeros((_PATH_BLOCK - count, len(grid)))])
-        coefs = Bw @ block[:, nodes].T
-        values = block[:, window].T
-        for s, M in enumerate(masked):
-            errors[s, start : start + count] = _window_integral(values, M @ coefs, w, p)[:count]
+        out = errors[:, start : start + len(block)]
+        if len(block) < _PATH_BLOCK:
+            block = np.concatenate([block, np.zeros((_PATH_BLOCK - len(block), X.shape[1]))])
+        expand(block, out)
     return errors
 
 
@@ -594,7 +652,7 @@ def _abs_weight_integral(func, order: float) -> float:
     DivergenceError is raised when the probe does not decay.
     """
     def f(z):
-        return np.abs(np.asarray(func(z), dtype=float)) * np.abs(z) ** order
+        return np.abs(func(z)) * np.abs(z) ** order  # |g_hat|: a complex modulus
 
     v, wv = gauss_nodes(0.0, math.sqrt(8.0), 512)
     inner = float(np.sum(wv * f(v**2) * 2.0 * v))
@@ -662,7 +720,7 @@ def second_moment_xi_bound(model: ProcessModel, basis: WaveletPair) -> float:
         return _parseval_integral(model, basis, "f", 0)
     if isinstance(model.structure, RankOne):
         u, w, ph = _hat_nodes(basis, "f")
-        gh = np.abs(np.asarray(model.structure.g_hat(u), dtype=float))
+        gh = np.abs(model.structure.g_hat(u))  # a complex modulus, not |Re g_hat|
         val = float(np.sum(w * gh * ph)) / (2.0 * math.pi)
         return val * val
     raise ValidationError("scaling-coefficient bound needs spectral data")

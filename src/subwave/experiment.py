@@ -3,14 +3,15 @@ bound-tightness comparison, with CSV/JSON emission.
 
 A run computes the integral-route rate constant and the tail bounds of
 each of a list of nested truncation schemes, simulates Gaussian paths, and
-expands them against every scheme in blocks of the sampler's 256 paths
-(``expansion.batch_lp_errors``), which gives the Lp([0,T]) error integral
-per (scheme, path); it compares empirical exceedance frequencies against
-the bounds.  0 and T must be nodes of the simulation grid; configs where they
-are not are rejected.
+expands each block of the sampler's 256 paths against every scheme in the
+thread that drew it (``expansion.block_lp_errors``), which gives the
+Lp([0,T]) error integral per (scheme, path); it compares empirical
+exceedance frequencies against the bounds.  0 and T must be nodes of the
+simulation grid; configs where they are not are rejected.
 
 All randomness is keyed by the config seed through independent streams,
-one per block of paths, so a config maps to byte-identical outputs, and
+one per block of paths, and the expansion runs on one BLAS thread, so a
+config maps to byte-identical outputs whatever the thread counts, and
 path i's error row is the same for any ``n_paths``.
 """
 
@@ -26,7 +27,7 @@ from .bounds import TailBoundReport, c_n_infty_integral, tail_probability_bound
 from .errors import ValidationError
 from .expansion import (
     TruncationScheme,
-    batch_lp_errors,
+    block_lp_errors,
     check_support_coverage,
     interval_window,
     parse_scheme_spec,
@@ -35,7 +36,7 @@ from .expansion import (
 # traced run (bench/layers.py) wraps it by module attribute.
 from .expansion import basis_matrix  # noqa: F401
 from .orlicz import parse_nfunction_spec
-from .processes import check_seed, parse_model_spec, simulate_paths, simulation_grid
+from .processes import _PATH_BLOCK, check_seed, parse_model_spec, simulate_paths, simulation_grid
 from .wavelets import make_basis
 
 _MIN_PATHS = 100
@@ -230,7 +231,8 @@ def run_experiment(cfg: ExperimentConfig) -> ExperimentResult:
     """Bound, simulate, expand and measure; deterministic given the config.
 
     The rate constants and bounds come first, so a config without a usable
-    bound fails before any path is drawn.
+    bound fails before any path is drawn.  Each block of paths is expanded
+    in the sampler's thread that drew it, into its columns of the errors.
     """
     model = parse_model_spec(cfg.model_spec)
     basis = make_basis(cfg.basis_spec)
@@ -242,8 +244,14 @@ def run_experiment(cfg: ExperimentConfig) -> ExperimentResult:
         for eps in cfg.epsilons:
             bounds[(s_idx, eps)] = tail_probability_bound(nf, c, cfg.p, eps, route="integral")
 
-    paths = simulate_paths(model, cfg.grid_L, cfg.grid_h, cfg.n_paths, cfg.seed)
-    errors = batch_lp_errors(basis, cfg.schemes, paths, cfg.p, cfg.T)
+    grid = simulation_grid(cfg.grid_L, cfg.grid_h)
+    expand = block_lp_errors(basis, cfg.schemes, grid, cfg.p, cfg.T)
+    errors = np.empty((len(cfg.schemes), cfg.n_paths))
+
+    def expand_block(first, block):
+        expand(block, errors[:, first : first + _PATH_BLOCK])
+
+    simulate_paths(model, cfg.grid_L, cfg.grid_h, cfg.n_paths, cfg.seed, on_block=expand_block)
     return ExperimentResult(config=cfg, per_path_errors=errors, theoretical_bound=bounds)
 
 

@@ -23,7 +23,8 @@ from one SFC64 stream per block of 256 paths, seeded by
 SeedSequence(seed, spawn_key=(block,)); each sampler writes whole paths
 into the matrix in place, and the blocks are filled in parallel, one
 thread per usable CPU, so path i depends only on (seed, i), whatever the
-number of paths or of threads.
+number of paths or of threads.  A caller may consume each block in the
+thread that filled it (``simulate_paths``' ``on_block``).
 
 The constructors the model specs call are memoised, so one spec always
 gives the same model object: a process that parses a spec again (a loop
@@ -488,7 +489,7 @@ def _worker_count() -> int:
 
 
 def simulate_paths(
-    model: ProcessModel, L: float, h: float, n_paths: int, seed: int
+    model: ProcessModel, L: float, h: float, n_paths: int, seed: int, *, on_block=None
 ) -> SampleBatch:
     """Exact joint Gaussian samples on the grid [-L, L] with step h.
 
@@ -510,6 +511,14 @@ def simulate_paths(
     release the GIL.  Every sampler maps a row the same way whatever else
     the call holds, so path i is bit for bit a function of (model, grid,
     seed, i) alone, for any n_paths and any thread count.
+
+    The buffer holds whole blocks: its rows past n_paths are zeros, and
+    ``values`` is the view of its first n_paths rows.  ``on_block``, if
+    given, is called as ``on_block(first, rows)`` in the thread that filled
+    the block, once per block as soon as it is filled, with the block's
+    first path index and its ``_PATH_BLOCK`` rows (the last block's pad
+    rows zero), so a caller can consume each block while the others are
+    drawn.
     """
     if not model.gaussian:
         raise ValidationError("only Gaussian models can be simulated")
@@ -522,18 +531,23 @@ def simulate_paths(
     # row, so it goes a slab at a time; the dense map takes the whole block
     # at its padded width, and the rank-one map writes its output directly
     rows = _SLAB if k > len(grid) else _PATH_BLOCK
-    paths = np.empty((n_paths, len(grid)))
     blocks = -(-n_paths // _PATH_BLOCK)
+    # whole blocks of rows, so every block (the last too) is one view
+    paths = np.empty((blocks * _PATH_BLOCK, len(grid)))
+    paths[n_paths:] = 0.0
     workers = min(_worker_count(), blocks)
 
     def fill(worker):
         Z = np.empty((rows, k))
         for block in range(worker, blocks, workers):
             rng = _block_rng(seed, block)
-            stop = min((block + 1) * _PATH_BLOCK, n_paths)
-            for start in range(block * _PATH_BLOCK, stop, rows):
+            first = block * _PATH_BLOCK
+            stop = min(first + _PATH_BLOCK, n_paths)
+            for start in range(first, stop, rows):
                 z = rng.standard_normal(out=Z[: min(rows, stop - start)])
                 sample(z, paths[start : start + len(z)])
+            if on_block is not None:
+                on_block(first, paths[first : first + _PATH_BLOCK])
 
     if workers == 1:
         fill(0)
@@ -544,7 +558,7 @@ def simulate_paths(
 
         with ThreadPoolExecutor(workers) as pool:
             list(pool.map(fill, range(workers)))
-    return SampleBatch(grid=grid, values=paths, seed=seed)
+    return SampleBatch(grid=grid, values=paths[:n_paths], seed=seed)
 
 
 def dump_paths(paths, out_dir) -> list[str]:

@@ -1,5 +1,6 @@
 import math
 import tracemalloc
+import warnings
 
 import numpy as np
 import pytest
@@ -40,6 +41,7 @@ from subwave.processes import (
     SamplePath,
     Stationary,
     make_ou,
+    make_separable,
     parse_model_spec,
     simulate_paths,
     simulation_grid,
@@ -642,6 +644,45 @@ class TestXiBound:
         plain = ProcessModel(Kernel(lambda t, s: np.exp(-np.abs(np.asarray(t) - np.asarray(s)))))
         with pytest.raises(ValidationError):
             second_moment_xi_bound(plain, haar)
+
+
+def _shifted_bump(a):
+    """The unit Gaussian bump moved to t = a: g_hat is the centred bump's
+    times e^{-iaz}, complex, with the same modulus."""
+    root_two_pi = math.sqrt(2.0 * math.pi)
+    return make_separable(
+        g=lambda t: np.exp(-0.5 * (np.asarray(t, dtype=float) - a) ** 2),
+        g_hat=lambda z: root_two_pi * np.exp(-0.5 * np.asarray(z) ** 2 - 1j * a * np.asarray(z)),
+    )
+
+
+class TestComplexGHat:
+    """The rank-one spectral bounds integrate |g_hat|, the complex modulus."""
+
+    @pytest.mark.parametrize("family", ["meyer", "haar", "daubechies:4"])
+    def test_shifted_bump_has_the_centred_bounds(self, gauss_bump, family):
+        basis = make_basis(family)
+        shifted = _shifted_bump(2.0)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")  # a ComplexWarning would mean Re g_hat
+            xi = second_moment_xi_bound(shifted, basis)
+            eta = second_moment_eta_spectral_bound(shifted, basis, 0, 0.5)
+        assert xi == pytest.approx(second_moment_xi_bound(gauss_bump, basis), rel=1e-13)
+        assert eta == pytest.approx(second_moment_eta_spectral_bound(gauss_bump, basis, 0, 0.5), rel=1e-13)
+
+    def test_shifted_bump_bounds_dominate_its_moments(self, meyer):
+        shifted = _shifted_bump(2.0)
+        xi = second_moment_xi_bound(shifted, meyer)
+        assert xi == pytest.approx(0.997, abs=1e-3)  # |Re g_hat| gave 0.404
+        h = 2.0**-8
+        t = np.arange(-52.0, 53.0, h)
+        g = np.exp(-0.5 * (t - 2.0) ** 2)
+        for k in range(-2, 5):
+            assert (np.sum(g * eval_dilated(meyer, "f", 0, k, t)) * h) ** 2 <= xi + 1e-9
+        for j in range(3):
+            bound = second_moment_eta_spectral_bound(shifted, meyer, j, 1.0)
+            for k in range(-4, 9):
+                assert second_moment_eta(shifted, meyer, j, k) <= bound + 1e-9
 
 
 class TestOneBandRule:

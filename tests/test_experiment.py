@@ -11,9 +11,9 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from subwave import cli, experiment
+from subwave import cli, expansion, experiment, processes
 from subwave.errors import SupportCoverageError, ValidationError
-from subwave.expansion import compute_coefficients, lp_error, reconstruct
+from subwave.expansion import batch_lp_errors, compute_coefficients, lp_error, reconstruct
 from subwave.experiment import (
     config_from_dict,
     load_config,
@@ -338,6 +338,66 @@ class TestOnePipeline:
         for module, names in layers.TRACED:
             for name in names:
                 assert callable(getattr(module, name)), f"{module.__name__}.{name}"
+
+
+# CI's determinism configs: OU on Meyer, and the rank-one bump on
+# daubechies:4, whose deep schemes cancel to ~1e-8 of the signal
+FUSED_CONFIGS = {
+    "meyer": {**BASE, "n_paths": 300},
+    "bump": {
+        **BASE,
+        "model_spec": "separable:gauss-bump", "basis_spec": "daubechies:4",
+        "schemes": ["k0'=4;k=4,5,7", "k0'=5;k=5,6,8,11"], "grid_L": 14.0,
+        "grid_h": 0.015625, "n_paths": 300, "epsilons": [5e-8, 6e-8, 1e-7],
+    },
+}
+
+
+class TestFusedExpansion:
+    """``run_experiment`` expands each block in the sampler's threads."""
+
+    @pytest.mark.parametrize("workers", [None, 1, 2])
+    @pytest.mark.parametrize("name", sorted(FUSED_CONFIGS))
+    def test_errors_equal_the_batch_driver(self, name, workers, monkeypatch):
+        if workers is not None:
+            monkeypatch.setattr(processes, "_worker_count", lambda: workers)
+        cfg = config_from_dict(FUSED_CONFIGS[name])
+        paths = simulate_paths(
+            parse_model_spec(cfg.model_spec), cfg.grid_L, cfg.grid_h, cfg.n_paths, cfg.seed
+        )
+        expected = batch_lp_errors(make_basis(cfg.basis_spec), cfg.schemes, paths, cfg.p, cfg.T)
+        got = run_experiment(cfg).per_path_errors
+        assert got.tobytes() == expected.tobytes()
+
+    def test_outputs_do_not_depend_on_blas_threads(self, tmp_path):
+        # BLAS sums a product in an order that follows its thread count;
+        # the expansion's products run on one thread whatever the setting
+        src = Path(experiment.__file__).resolve().parents[1]
+        config = tmp_path / "meyer.json"
+        config.write_text(json.dumps(FUSED_CONFIGS["meyer"]))
+        written = []
+        for threads in ("1", "2"):
+            out = tmp_path / f"blas{threads}"
+            env = {**os.environ, "PYTHONPATH": str(src), "OPENBLAS_NUM_THREADS": threads}
+            subprocess.run(
+                [sys.executable, "-m", "subwave.cli", "experiment", "--config", str(config), "--out", str(out)],
+                env=env, capture_output=True, timeout=120, check=True,
+            )
+            written.append((out / "results.csv").read_bytes())
+        assert written[0] == written[1]
+
+    def test_blas_setting_of_the_caller_is_restored(self, monkeypatch):
+        # one worker: the blocks are drawn and expanded on the calling thread
+        setter = expansion._blas_threads_setter()
+        if setter is None:
+            pytest.skip("numpy's BLAS has no per-thread setting")
+        monkeypatch.setattr(processes, "_worker_count", lambda: 1)
+        before = setter(3)
+        try:
+            run_experiment(config_from_dict(BASE))
+            assert setter(3) == 3  # the run left the caller's value as it was
+        finally:
+            setter(before)
 
 
 class TestTightness:

@@ -360,6 +360,31 @@ class TestSimulation:
             sample(z, out)
             assert np.array_equal(many[i].values, out[0])
 
+    @pytest.mark.parametrize("workers", [1, 2])
+    @pytest.mark.parametrize("name", ["ou1", "gauss_bump", "damped_ou"])
+    def test_block_hook_sees_each_whole_block_once(self, name, workers, request, monkeypatch):
+        # 600 paths: two full blocks and one of 88 paths and 168 pad rows
+        model = _damped_ou() if name == "damped_ou" else request.getfixturevalue(name)
+        monkeypatch.setattr(processes, "_worker_count", lambda: workers)
+        seen = []
+        batch = simulate_paths(
+            model, 2.0, 0.125, 600, seed=8, on_block=lambda first, rows: seen.append((first, rows.copy()))
+        )
+        assert sorted(first for first, _ in seen) == [0, 256, 512]
+        for first, rows in seen:
+            assert rows.shape == (processes._PATH_BLOCK, len(batch.grid))
+            count = min(processes._PATH_BLOCK, 600 - first)
+            assert np.array_equal(rows[:count], batch.values[first : first + count])
+            assert not rows[count:].any()
+        assert np.array_equal(batch.values, simulate_paths(model, 2.0, 0.125, 600, seed=8).values)
+
+    def test_batch_is_a_view_of_whole_blocks(self, ou1):
+        # the last block is filled and read in place, not copied to pad it
+        blocks = []
+        batch = simulate_paths(ou1, 2.0, 0.125, 300, seed=3, on_block=lambda first, rows: blocks.append(rows))
+        assert batch.values.shape == (300, len(batch.grid)) and batch.values.flags.c_contiguous
+        assert all(np.shares_memory(rows, batch.values) for rows in blocks)
+
     def test_sampler_memory_is_bounded(self):
         # beyond the path-major result, each worker holds one slab of normals
         # and one of spectra (32 rows of the 3,393-node grid's 6,912-point
