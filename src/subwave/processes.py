@@ -10,13 +10,16 @@ states both.  Only Gaussian models are simulated; the bounds take any C_X.
 Simulation is exact: the samples on a grid are L z for standard normals z
 and a linear map L with L L^T equal to the covariance matrix K.  L comes
 from the structure the model declares.  A rank-one model has L = g(grid)
-and one normal per path.  A stationary model has a Toeplitz K on the
-uniform grid, which embeds in a circulant matrix (Dietrich & Newsam 1997;
-Wood & Chan 1994) of the shortest fast FFT length (2^a 3^b 5^c) from
-2(n - 1) up whose eigenvalues are nonnegative; a path is one ``irfft`` of
-a spectrum drawn directly from its normals.  Any other model, or a
-stationary one with no nonnegative embedding up to 8 x 2(n - 1), uses the
-dense ``eigh`` factor of K.  One simulation returns one ``SampleBatch``:
+and one normal per path.  A stationary model whose lag row on the grid is
+geometric (OU) is an AR(1) sequence there (Gillespie 1996): its path is
+the exact recursion x_i = rho x_(i-1) + sigma z_i, n normals and no FFT.
+Any other stationary model has a Toeplitz K on the uniform grid, which
+embeds in a circulant matrix (Dietrich & Newsam 1997; Wood & Chan 1994)
+of the shortest fast FFT length m (2^a 3^b 5^c) from 2(n - 1) up whose
+eigenvalues are nonnegative; a path is one ``irfft`` of a spectrum drawn
+directly from its m normals.  Any other model, or a stationary one with no
+nonnegative embedding up to 8 x 2(n - 1), uses the dense ``eigh`` factor
+of K and n normals a path.  One simulation returns one ``SampleBatch``:
 the grid, validated once, and the path x grid matrix of values, whose row
 i is path i; indexing it gives ``SamplePath`` views.  The normals come
 from one SFC64 stream per block of 256 paths, seeded by
@@ -48,7 +51,7 @@ from .wavelets import WaveletPair
 
 _MAX_GRID_POINTS = 10_000
 _PATH_BLOCK = 256  # paths per block of normals and per random stream
-_SLAB = 32  # paths per call of the circulant map: bounds its scratch memory
+_SLAB = 32  # paths per call of the circulant and Markov maps: bounds their scratch
 _SPECTRAL_MASS_RTOL = 1e-6  # a transform's integral against its function at 0
 _EMBEDDING_GROWTH = 8  # circulant length cap, in multiples of the minimal 2(n - 1)
 
@@ -391,33 +394,61 @@ def _embedding_spectrum(model: ProcessModel, grid: np.ndarray):
     return None
 
 
+def _markov_row(model: ProcessModel, grid: np.ndarray):
+    """(c_0, rho) when a stationary model's lag row on the grid is
+    geometric, c_j = c_0 rho^j with c_0 > 0 and rho in [0, 1] up to the
+    floor 1e-10 c_0 of ``_beyond_rounding``; None otherwise.  Such a
+    covariance is an AR(1) sequence on the grid (OU: rho = e^(-lambda h);
+    Gillespie 1996)."""
+    c = np.asarray(model.covariance(grid, grid[0]), dtype=float)
+    c0 = float(c[0])
+    if not c0 > 0:
+        return None
+    rho = float(c[1]) / c0
+    if not 0.0 <= rho <= 1.0:
+        return None
+    if np.max(np.abs(c - c0 * rho ** np.arange(len(c)))) > 1e-10 * c0:
+        return None
+    return c0, rho
+
+
 def _linear_sampler(
     model: ProcessModel, grid: np.ndarray
-) -> tuple[int, Callable[[np.ndarray, np.ndarray], None]]:
+) -> tuple[int, int, Callable[[np.ndarray, np.ndarray], None]]:
     """The exact linear map L (n x k, L L^T = K on the grid) of the model.
 
-    Returns k and a function ``sample(Z, out)`` taking a (B, k) block of
-    standard normals, one row per path, and writing the B paths L z as
-    the rows of the (B, n) array ``out``; it may overwrite Z.
+    Returns k, the rows per call that ``simulate_paths`` passes it, and a
+    function ``sample(Z, out)`` taking a (B, k) block of standard normals,
+    one row per path (B <= ``_PATH_BLOCK``), and writing the B paths L z
+    as the rows of the (B, n) array ``out``; it may overwrite Z.
 
-    * ``RankOne``: k = 1 and L = g(grid).
-    * ``Stationary``: K is the symmetric Toeplitz matrix of the lags of
-      the grid.  It embeds in a circulant matrix C of size m, the shortest
-      fast length m >= 2(n - 1) whose eigenvalues lambda are nonnegative up
-      to the eigenvalue floor (``_embedding_spectrum``).  Then C^(1/2) w =
-      irfft(sqrt(lambda) rfft(w)) for m white normals w, and rfft(w) has
-      q = m/2 + 1 independent parts: entries 0 and q - 1 real N(0, m), the
-      others with real and imaginary parts N(0, m/2).  So k = m and the
-      spectrum is drawn directly: a row's first q normals are the real
-      parts, its other q - 2 the imaginary parts of entries 1..q-2, all
-      scaled by one ``root`` vector, and one irfft per row follows,
-      written back over the spent normals.  Each thread builds its spectra
-      in one buffer of its own, reused from call to call.  The first n
-      rows of that map satisfy L L^T = (C)_{n x n} = K.
+    * ``RankOne``: k = 1 and L = g(grid); the whole block per call.
+    * ``Stationary`` with a geometric lag row c_j = c_0 rho^j
+      (``_markov_row``; OU): K is the covariance of the AR(1) sequence
+      x_0 = sqrt(c_0) z_0, x_i = rho x_(i-1) + sqrt(c_0 (1 - rho^2)) z_i,
+      and this recursion is K's exact Cholesky factor, so k = n.  It runs
+      as a doubling scan, x[d:] += rho^d x[:-d] for d = 1, 2, 4, ... < n,
+      on ``_SLAB`` rows: elementwise only, every multiplier at most 1, so
+      it is stable for every rho (rho^d may underflow to 0) and each row
+      depends on its own normals alone.
+    * Any other ``Stationary``: K is the symmetric Toeplitz matrix of the
+      lags of the grid.  It embeds in a circulant matrix C of size m, the
+      shortest fast length m >= 2(n - 1) whose eigenvalues lambda are
+      nonnegative up to the eigenvalue floor (``_embedding_spectrum``).
+      Then C^(1/2) w = irfft(sqrt(lambda) rfft(w)) for m white normals w,
+      and rfft(w) has q = m/2 + 1 independent parts: entries 0 and q - 1
+      real N(0, m), the others with real and imaginary parts N(0, m/2).
+      So k = m and the spectrum is drawn directly: a row's first q normals
+      are the real parts, its other q - 2 the imaginary parts of entries
+      1..q-2, all scaled by one ``root`` vector, and one irfft per row
+      follows, written back over the spent normals.  It takes ``_SLAB``
+      rows per call, and each thread builds its spectra in one buffer of
+      its own, reused from call to call.  The first n rows of that map
+      satisfy L L^T = (C)_{n x n} = K.
     * ``Kernel``, or a stationary model with no nonnegative embedding
       up to the length cap: k = n and L is the dense ``eigh`` factor of K,
-      applied to the block zero-padded to ``_PATH_BLOCK`` rows
-      (B <= ``_PATH_BLOCK``).
+      applied to the block zero-padded to ``_PATH_BLOCK`` rows; the whole
+      block per call.
     """
     n = len(grid)
     if isinstance(model.structure, RankOne):
@@ -426,8 +457,23 @@ def _linear_sampler(
         def rank_one(Z, out):
             np.multiply(Z[:, :1], g, out=out)
 
-        return 1, rank_one
+        return 1, _PATH_BLOCK, rank_one
     stationary = isinstance(model.structure, Stationary)
+    markov = _markov_row(model, grid) if stationary else None
+    if markov is not None:
+        c0, rho = markov
+        scale = np.full(n, math.sqrt(c0 * (1.0 - rho * rho)))
+        scale[0] = math.sqrt(c0)
+        steps = [(1 << i, rho ** (1 << i)) for i in range((n - 1).bit_length())]
+
+        def ar1(Z, out):
+            np.multiply(Z, scale, out=out)
+            for d, weight in steps:
+                # the spent normals hold rho^d x[:-d] before it is added
+                np.multiply(out[:, :-d], weight, out=Z[:, d:])
+                np.add(out[:, d:], Z[:, d:], out=out[:, d:])
+
+        return n, _SLAB, ar1
     embedding = _embedding_spectrum(model, grid) if stationary else None
     if embedding is not None:
         m, lam = embedding
@@ -449,7 +495,7 @@ def _linear_sampler(
             np.fft.irfft(spectrum, n=m, out=Z)
             out[...] = Z[:, :n]
 
-        return m, circulant
+        return m, _SLAB, circulant
     F = _covariance_factor(model, grid)
 
     def dense(Z, out):
@@ -458,7 +504,7 @@ def _linear_sampler(
         padded[: len(Z)] = Z
         out[...] = (F @ padded.T)[:, : len(Z)].T
 
-    return n, dense
+    return n, _PATH_BLOCK, dense
 
 
 def check_seed(seed: int) -> None:
@@ -494,15 +540,17 @@ def simulate_paths(
     """Exact joint Gaussian samples on the grid [-L, L] with step h.
 
     The samples are L z for the model's exact linear map L (L L^T = K on
-    the grid, see ``_linear_sampler``): g(t) z for a rank-one model,
-    circulant embedding for a stationary one (length m, the shortest fast
-    length >= 2(n - 1) with a nonnegative spectrum), the dense ``eigh``
-    factor otherwise.  The paths are the rows of the batch's N x n
-    ``values``, filled in place.  They come in blocks of ``_PATH_BLOCK``;
-    block b draws its rows of k normals in order from its own stream
-    (``_block_rng(seed, b)``) and maps them into its own rows of
-    ``values``: the circulant map ``_SLAB`` rows at a time, which bounds
-    its scratch memory, the others the whole block at once.  The blocks
+    the grid, see ``_linear_sampler``): g(t) z for a rank-one model, the
+    AR(1) recursion for a stationary one with a geometric lag row (OU),
+    circulant embedding for any other stationary one (length m, the
+    shortest fast length >= 2(n - 1) with a nonnegative spectrum), the
+    dense ``eigh`` factor otherwise.  The paths are the rows of the
+    batch's N x n ``values``, filled in place.  They come in blocks of
+    ``_PATH_BLOCK``; block b draws its rows of k normals in order from its
+    own stream (``_block_rng(seed, b)``) and maps them into its own rows
+    of ``values``, as many rows per call as ``_linear_sampler`` states:
+    the Markov and circulant maps ``_SLAB`` rows, which bounds their
+    scratch memory, the others the whole block at once.  The blocks
     are filled in parallel by ``_worker_count()`` threads, thread w taking
     blocks w, w + workers, ... (one block runs inline).  Each thread draws
     into one buffer of normals for all its blocks, and the circulant map
@@ -526,11 +574,7 @@ def simulate_paths(
         raise ValidationError("n_paths must be >= 1")
     check_seed(seed)
     grid = simulation_grid(L, h)
-    k, sample = _linear_sampler(model, grid)
-    # the circulant map (k = m > n) holds a spectrum and an irfft per
-    # row, so it goes a slab at a time; the dense map takes the whole block
-    # at its padded width, and the rank-one map writes its output directly
-    rows = _SLAB if k > len(grid) else _PATH_BLOCK
+    k, rows, sample = _linear_sampler(model, grid)
     blocks = -(-n_paths // _PATH_BLOCK)
     # whole blocks of rows, so every block (the last too) is one view
     paths = np.empty((blocks * _PATH_BLOCK, len(grid)))

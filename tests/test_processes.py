@@ -133,8 +133,8 @@ class TestModelType:
     def test_kernel_takes_dense_sampler_and_tensor_engine(self, meyer):
         model = _damped_ou()
         grid = simulation_grid(2.0, 0.125)
-        k, _ = _linear_sampler(model, grid)
-        assert k == len(grid)
+        k, rows, _ = _linear_sampler(model, grid)
+        assert (k, rows) == (len(grid), processes._PATH_BLOCK)
         assert not _frequency_side(model, meyer)
 
 
@@ -214,6 +214,12 @@ class TestModelValidation:
         assert make_ou(1.0) is not make_ou(2.0)
         bump = parse_model_spec("separable:gauss-bump")
         assert bump is parse_model_spec("separable:gauss-bump") is make_gauss_bump()
+
+
+def _model(name, request):
+    # the helpers below by name, or a conftest fixture
+    made = {"damped_ou": _damped_ou, "matern32": _matern32}
+    return made[name]() if name in made else request.getfixturevalue(name)
 
 
 class TestSimulation:
@@ -316,16 +322,16 @@ class TestSimulation:
             assert batch.values.flags.c_contiguous and batch.values.dtype == float
             assert batch.grid.dtype == float and batch[1].values.shape == (9,)
 
-    @pytest.mark.parametrize("name", ["ou1", "gauss_bump", "damped_ou"])
+    @pytest.mark.parametrize("name", ["ou1", "gauss_bump", "damped_ou", "matern32"])
     def test_path_does_not_depend_on_path_count(self, name, request):
-        # rank-one, circulant and dense samplers
-        model = _damped_ou() if name == "damped_ou" else request.getfixturevalue(name)
+        # Markov, rank-one, dense and circulant samplers
+        model = _model(name, request)
         batches = [simulate_paths(model, 2.0, 0.125, n, seed=4) for n in (3, 10, 300, 600)]
         for few, many in zip(batches[:-1], batches[1:]):
             assert np.array_equal(few.values, many.values[: len(few)])
         # path i is L z_i, z_i row i mod 256 of the stream of block i // 256
         paths = batches[2]
-        k, sample = _linear_sampler(model, paths.grid)
+        k, _, sample = _linear_sampler(model, paths.grid)
         for i in (0, 9, 255, 256, 299):
             rows = _block_rng(4, i // 256).standard_normal((i % 256 + 1, k))
             out = np.empty((len(rows), len(paths.grid)))
@@ -333,9 +339,9 @@ class TestSimulation:
             assert np.array_equal(paths[i].values, out[-1])
 
     @pytest.mark.parametrize("n_paths", [600, 1000])
-    @pytest.mark.parametrize("name", ["ou1", "gauss_bump", "damped_ou"])
+    @pytest.mark.parametrize("name", ["ou1", "gauss_bump", "damped_ou", "matern32"])
     def test_paths_do_not_depend_on_thread_count(self, name, n_paths, request, monkeypatch):
-        model = _damped_ou() if name == "damped_ou" else request.getfixturevalue(name)
+        model = _model(name, request)
         batches = []
         for workers in (1, 3):
             monkeypatch.setattr(processes, "_worker_count", lambda: workers)
@@ -345,26 +351,28 @@ class TestSimulation:
     @pytest.mark.parametrize("workers", [1, 2])
     def test_reused_scratch_matches_a_fresh_run(self, ou1, workers, monkeypatch):
         # 33 paths leave a partial slab, 257 a partial block, 700 both; each
-        # worker's normals and spectrum carry over from slab to slab and
-        # from block to block, so nothing of one slab may leak into the next
+        # worker's normals (and the circulant map's spectrum) carry over from
+        # slab to slab and from block to block, so nothing of one slab may
+        # leak into the next; OU takes the Markov map, Matern the circulant
         monkeypatch.setattr(processes, "_worker_count", lambda: workers)
-        many = simulate_paths(ou1, 8.0, 1 / 16, 2000, seed=21)
-        for n in (33, 257, 700):
-            few = simulate_paths(ou1, 8.0, 1 / 16, n, seed=21)
-            assert np.array_equal(few.values, many.values[:n])
-        # and each path is its own rows mapped by a sampler made for them alone
-        for i in (31, 32, 255, 256, 699, 1999):
-            k, sample = _linear_sampler(ou1, many.grid)
-            z = _block_rng(21, i // 256).standard_normal((i % 256 + 1, k))[-1:]
-            out = np.empty((1, len(many.grid)))
-            sample(z, out)
-            assert np.array_equal(many[i].values, out[0])
+        for model in (ou1, _matern32()):
+            many = simulate_paths(model, 8.0, 1 / 16, 2000, seed=21)
+            for n in (33, 257, 700):
+                few = simulate_paths(model, 8.0, 1 / 16, n, seed=21)
+                assert np.array_equal(few.values, many.values[:n])
+            # and each path is its own rows mapped by a sampler made for them alone
+            for i in (31, 32, 255, 256, 699, 1999):
+                k, _, sample = _linear_sampler(model, many.grid)
+                z = _block_rng(21, i // 256).standard_normal((i % 256 + 1, k))[-1:]
+                out = np.empty((1, len(many.grid)))
+                sample(z, out)
+                assert np.array_equal(many[i].values, out[0])
 
     @pytest.mark.parametrize("workers", [1, 2])
-    @pytest.mark.parametrize("name", ["ou1", "gauss_bump", "damped_ou"])
+    @pytest.mark.parametrize("name", ["ou1", "gauss_bump", "damped_ou", "matern32"])
     def test_block_hook_sees_each_whole_block_once(self, name, workers, request, monkeypatch):
         # 600 paths: two full blocks and one of 88 paths and 168 pad rows
-        model = _damped_ou() if name == "damped_ou" else request.getfixturevalue(name)
+        model = _model(name, request)
         monkeypatch.setattr(processes, "_worker_count", lambda: workers)
         seen = []
         batch = simulate_paths(
@@ -386,19 +394,21 @@ class TestSimulation:
         assert all(np.shares_memory(rows, batch.values) for rows in blocks)
 
     def test_sampler_memory_is_bounded(self):
-        # beyond the path-major result, each worker holds one slab of normals
-        # and one of spectra (32 rows of the 3,393-node grid's 6,912-point
-        # embedding and of its 3,457-entry spectra, ~1.8 MB each)
-        args = (make_ou(1.0), 53.0, 1 / 32, 2000, 6)
-        simulate_paths(*args)  # warm: FFT plans and generator set-up
-        tracemalloc.start()
-        try:
-            X = simulate_paths(*args).values
-            peak = tracemalloc.get_traced_memory()[1]
-        finally:
-            tracemalloc.stop()
+        # beyond the path-major result, each worker holds one slab of 32 rows:
+        # OU's Markov map 3,393 normals a row (~0.9 MB), Matern's circulant
+        # map the 6,912 normals of its embedding and a 3,457-entry spectrum
+        # a row (~1.8 MB each), on the criterion-8 grid of 3,393 nodes
         workers = min(processes._worker_count(), -(-2000 // 256))
-        assert peak <= X.nbytes + 8e6 * workers
+        for model in (make_ou(1.0), _matern32()):
+            args = (model, 53.0, 1 / 32, 2000, 6)
+            simulate_paths(*args)  # warm: FFT plans and generator set-up
+            tracemalloc.start()
+            try:
+                X = simulate_paths(*args).values
+                peak = tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+            assert peak <= X.nbytes + 8e6 * workers
 
     def test_needs_a_path(self, ou1):
         with pytest.raises(ValidationError, match="n_paths must be >= 1"):
@@ -489,6 +499,30 @@ def _cauchy(ell):
     )
 
 
+def _matern32():
+    # R = (1 + a |tau|) exp(-a |tau|), R_hat = 4 a^3 / (a^2 + z^2)^2, a = sqrt 3:
+    # not Markov, so it takes the circulant map
+    a = math.sqrt(3.0)
+    return ProcessModel(
+        Stationary(
+            r=lambda tau: (1.0 + a * np.abs(tau)) * np.exp(-a * np.abs(tau)),
+            r_hat=lambda z: 4.0 * a**3 / (a**2 + np.asarray(z, dtype=float) ** 2) ** 2,
+        )
+    )
+
+
+def _mixture():
+    # 0.5 OU + 0.5 squared exponential: half OU, yet not geometric
+    root_two_pi = math.sqrt(2.0 * math.pi)
+    return ProcessModel(
+        Stationary(
+            r=lambda tau: 0.5 * np.exp(-np.abs(tau)) + 0.5 * np.exp(-0.5 * tau**2),
+            r_hat=lambda z: 1.0 / (1.0 + np.asarray(z, dtype=float) ** 2)
+            + 0.5 * root_two_pi * np.exp(-0.5 * np.asarray(z, dtype=float) ** 2),
+        )
+    )
+
+
 def _damped_ou():
     # neither stationary nor rank-one
     return ProcessModel(
@@ -506,24 +540,26 @@ class TestLinearSampler:
     GRID = simulation_grid(2.0, 0.125)  # n = 33, minimal circulant size 2(n - 1) = 64
 
     @pytest.mark.parametrize(
-        "make, k",
+        "make, k, dense",
         [
-            (lambda: make_ou(0.5), 64),
-            (lambda: make_ou(1.0), 64),
-            (lambda: make_ou(3.0), 64),
-            (make_gauss_bump, 1),
+            # the Markov map: k = n
+            (lambda: make_ou(0.5), 33, False),
+            (lambda: make_ou(1.0), 33, False),
+            (lambda: make_ou(3.0), 33, False),
+            (make_gauss_bump, 1, False),
+            (_matern32, 64, False),
             # its minimal embedding has min/max eigenvalue -2.1e-5: grown to 108
-            (_squared_exponential, 108),
+            (_squared_exponential, 108, False),
             # minimal embedding indefinite: grown to 120
-            (lambda: _cauchy(0.5), 120),
-            (_damped_ou, 33),
+            (lambda: _cauchy(0.5), 120, False),
+            (_damped_ou, 33, True),
         ],
-        ids=["ou0.5", "ou1", "ou3", "gauss-bump", "squared-exponential", "cauchy0.5", "damped-ou"],
+        ids=["ou0.5", "ou1", "ou3", "gauss-bump", "matern32", "squared-exponential", "cauchy0.5", "damped-ou"],
     )
-    def test_map_reproduces_covariance(self, make, k):
+    def test_map_reproduces_covariance(self, make, k, dense):
         model = make()
         grid = self.GRID
-        width, sample = _linear_sampler(model, grid)
+        width, _, sample = _linear_sampler(model, grid)
         assert width == k
         rows = np.full((k, len(grid)), np.nan)
         sample(np.eye(k), rows)  # row i is L e_i
@@ -533,7 +569,7 @@ class TestLinearSampler:
         F = _covariance_factor(model, grid)  # the dense eigh oracle
         assert np.max(np.abs(L @ L.T - K)) <= 1e-10
         assert np.max(np.abs(L @ L.T - F @ F.T)) <= 1e-10
-        if k == len(grid):
+        if dense:
             assert np.array_equal(L, F)
 
     def test_fast_lengths_are_the_even_five_smooth_numbers(self):
@@ -551,10 +587,11 @@ class TestLinearSampler:
     @pytest.mark.parametrize("L, h, m", [(2.0, 0.125, 64), (6.625, 0.125, 216), (53.0, 1 / 32, 6912)])
     def test_width_is_the_smallest_fast_length(self, L, h, m):
         # 2(n - 1) = 64 is already fast; 212 = 2^2 53 pads to 216 = 2^3 3^3,
-        # and the criterion-8 grid's 6,784 = 2^7 53 to 6,912 = 2^8 3^3
+        # and the criterion-8 grid's 6,784 = 2^7 53 to 6,912 = 2^8 3^3;
+        # Matern-3/2's embedding is nonnegative at each of these lengths
         grid = simulation_grid(L, h)
         assert m == min(processes._fast_lengths(2 * (len(grid) - 1), 10**5))
-        assert _linear_sampler(make_ou(1.0), grid)[0] == m
+        assert _linear_sampler(_matern32(), grid)[:2] == (m, processes._SLAB)
 
     @pytest.mark.parametrize("make, k", [(_squared_exponential, 108), (lambda: _cauchy(0.5), 120)])
     def test_growth_past_an_indefinite_embedding(self, make, k):
@@ -585,26 +622,70 @@ class TestLinearSampler:
         if growth is not None:
             monkeypatch.setattr(processes, "_EMBEDDING_GROWTH", growth)
         model, grid = make(), self.GRID
-        width, sample = _linear_sampler(model, grid)
-        assert width == len(grid)
+        width, rows, sample = _linear_sampler(model, grid)
+        assert (width, rows) == (len(grid), processes._PATH_BLOCK)
         L = np.empty((width, len(grid)))
         sample(np.eye(width), L)
         assert np.array_equal(L.T, _covariance_factor(model, grid))
 
     def test_rows_of_the_criterion_8_map(self):
-        # six full rows of L L^T on the 3,393-node grid (m = 6,912), whose
-        # lag row runs past the grid's end; L is read off in column blocks
-        model, grid = make_ou(1.0), simulation_grid(53.0, 1 / 32)
-        k, sample = _linear_sampler(model, grid)
-        assert k == 6912
+        # six full rows of L L^T on the 3,393-node grid: Matern-3/2's
+        # circulant map (m = 6,912), whose lag row runs past the grid's end,
+        # and OU's Markov map (k = n); L is read off in column blocks
+        grid = simulation_grid(53.0, 1 / 32)
         rows = np.array([0, 1, 1234, 1696, 3391, 3392])
-        LLt = np.zeros((len(rows), len(grid)))
-        for start in range(0, k, 256):
-            cols = np.empty((min(256, k - start), len(grid)))
-            sample(np.eye(len(cols), k, start), cols)  # row j is L e_(start + j)
-            LLt += cols[:, rows].T @ cols
-        K = model.covariance(grid[rows, None], grid[None, :])
-        assert np.max(np.abs(LLt - K)) <= 1e-14
+        for model, width in ((_matern32(), 6912), (make_ou(1.0), len(grid))):
+            k, _, sample = _linear_sampler(model, grid)
+            assert k == width
+            LLt = np.zeros((len(rows), len(grid)))
+            for start in range(0, k, 256):
+                cols = np.empty((min(256, k - start), len(grid)))
+                sample(np.eye(len(cols), k, start), cols)  # row j is L e_(start + j)
+                LLt += cols[:, rows].T @ cols
+            K = model.covariance(grid[rows, None], grid[None, :])
+            assert np.max(np.abs(LLt - K)) <= 1e-14
+
+    @pytest.mark.parametrize(
+        "model, L, h",
+        [(make_ou(0.5), 2.0, 0.125), (make_ou(1.0), 2.0, 0.125), (make_ou(3.0), 2.0, 0.125),
+         (make_ou(1.0), 53.0, 1 / 32)],
+        ids=["ou0.5", "ou1", "ou3", "ou1-criterion-8"],
+    )
+    def test_geometric_lag_row_takes_the_markov_map(self, model, L, h):
+        grid = simulation_grid(L, h)
+        assert _linear_sampler(model, grid)[:2] == (len(grid), processes._SLAB)
+
+    @pytest.mark.parametrize(
+        "make, k",
+        [(_matern32, 64), (_squared_exponential, 108), (_mixture, 64)],
+        ids=["matern32", "squared-exponential", "mixture"],
+    )
+    def test_other_stationary_models_take_the_circulant_map(self, make, k):
+        # half of the mixture is OU, yet its lag row departs from the
+        # geometric row of its own rho by 0.22 c_0 on this grid
+        assert _linear_sampler(make(), self.GRID)[:2] == (k, processes._SLAB)
+
+    def test_markov_map_of_an_underflowed_rho_is_the_scaled_normals(self):
+        # rho = exp(-1e4 / 8) underflows to 0: each node is its own normal
+        model, grid = make_ou(1e4), self.GRID
+        assert model.covariance(grid[1], grid[0]) == 0.0
+        k, _, sample = _linear_sampler(model, grid)
+        Z = _block_rng(3, 0).standard_normal((32, k))
+        out = np.empty((32, len(grid)))
+        sample(Z.copy(), out)
+        assert np.array_equal(out, math.sqrt(model.covariance(0.0, 0.0)) * Z)
+
+    @pytest.mark.parametrize("make", [lambda: make_ou(1.0), _matern32], ids=["ou1", "matern32"])
+    def test_a_row_maps_alone_as_in_a_slab(self, make):
+        model, grid = make(), simulation_grid(8.0, 1 / 16)
+        k, rows, sample = _linear_sampler(model, grid)
+        Z = _block_rng(5, 0).standard_normal((rows, k))
+        slab = np.empty((rows, len(grid)))
+        sample(Z.copy(), slab)
+        for i in (0, 17, rows - 1):
+            alone = np.empty((1, len(grid)))
+            sample(Z[i : i + 1].copy(), alone)
+            assert np.array_equal(alone[0], slab[i])
 
 
 class TestValidateModel:
