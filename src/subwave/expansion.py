@@ -40,7 +40,6 @@ the Parseval values and the xi bound take the engine's panels of the band.
 """
 
 import math
-from contextlib import contextmanager
 from dataclasses import dataclass
 from functools import lru_cache
 from typing import Tuple
@@ -55,6 +54,7 @@ from .errors import (
     ValidationError,
 )
 from .processes import _PATH_BLOCK, ProcessModel, RankOne, SampleBatch, SamplePath, Stationary
+from .processes import _blas_threads_setter, _one_blas_thread  # noqa: F401 (one pin with the sampler)
 from .quad import gauss_legendre, gauss_nodes, piecewise_simpson_nodes, trapezoid_weights
 from .wavelets import WaveletPair, band_breaks, dilated_support, eval_dilated, lipschitz_fit
 
@@ -241,38 +241,6 @@ def _window_integral(values, recon, w, p: float):
     np.abs(d, out=d)
     d **= p
     return w @ d
-
-
-@contextmanager
-def _one_blas_thread():
-    """Run the enclosed products on one BLAS thread, set for the calling
-    thread only, then restore its setting: OpenBLAS sums a product in an
-    order that follows its thread count, and the path-block pool is the
-    one parallel layer.  Does nothing on a BLAS without
-    ``openblas_set_num_threads_local``."""
-    set_local = _blas_threads_setter()
-    if set_local is None:
-        yield
-        return
-    previous = set_local(1)
-    try:
-        yield
-    finally:
-        set_local(previous)
-
-
-@lru_cache(maxsize=None)
-def _blas_threads_setter():
-    """OpenBLAS's ``openblas_set_num_threads_local`` as numpy loaded it
-    (looked up through numpy's own extension, which links it), or None."""
-    import ctypes  # on first use: its import is ~3 ms of start-up
-
-    try:
-        setter = ctypes.CDLL(np._core._multiarray_umath.__file__).openblas_set_num_threads_local
-    except (AttributeError, OSError):
-        return None
-    setter.argtypes, setter.restype = [ctypes.c_int], ctypes.c_int
-    return setter
 
 
 def block_lp_errors(basis: WaveletPair, schemes, grid, p: float, T: float):

@@ -12,7 +12,9 @@ and a linear map L with L L^T equal to the covariance matrix K.  L comes
 from the structure the model declares.  A rank-one model has L = g(grid)
 and one normal per path.  A stationary model whose lag row on the grid is
 geometric (OU) is an AR(1) sequence there (Gillespie 1996): its path is
-the exact recursion x_i = rho x_(i-1) + sigma z_i, n normals and no FFT.
+the exact recursion x_i = rho x_(i-1) + sigma z_i, n normals and no FFT,
+applied as matrix products over chunks of 32 nodes joined by a pass over
+the chunks' carries.
 Any other stationary model has a Toeplitz K on the uniform grid, which
 embeds in a circulant matrix (Dietrich & Newsam 1997; Wood & Chan 1994)
 of the shortest fast FFT length m (2^a 3^b 5^c) from 2(n - 1) up whose
@@ -38,6 +40,7 @@ import csv
 import math
 import os
 import threading
+from contextlib import contextmanager
 from dataclasses import dataclass
 from functools import lru_cache
 from pathlib import Path
@@ -52,6 +55,7 @@ from .wavelets import WaveletPair
 _MAX_GRID_POINTS = 10_000
 _PATH_BLOCK = 256  # paths per block of normals and per random stream
 _SLAB = 32  # paths per call of the circulant and Markov maps: bounds their scratch
+_CHUNK = 32  # nodes per chunk of the Markov map's products
 _SPECTRAL_MASS_RTOL = 1e-6  # a transform's integral against its function at 0
 _EMBEDDING_GROWTH = 8  # circulant length cap, in multiples of the minimal 2(n - 1)
 
@@ -412,6 +416,84 @@ def _markov_row(model: ProcessModel, grid: np.ndarray):
     return c0, rho
 
 
+@contextmanager
+def _one_blas_thread():
+    """Run the enclosed products on one BLAS thread, set for the calling
+    thread only, then restore its setting: OpenBLAS sums a product in an
+    order that follows its thread count, and the path-block pool is the
+    one parallel layer.  Does nothing on a BLAS without
+    ``openblas_set_num_threads_local``."""
+    set_local = _blas_threads_setter()
+    if set_local is None:
+        yield
+        return
+    previous = set_local(1)
+    try:
+        yield
+    finally:
+        set_local(previous)
+
+
+@lru_cache(maxsize=None)
+def _blas_threads_setter():
+    """OpenBLAS's ``openblas_set_num_threads_local`` as numpy loaded it
+    (looked up through numpy's own extension, which links it), or None."""
+    import ctypes  # on first use: its import is ~3 ms of start-up
+
+    try:
+        setter = ctypes.CDLL(np._core._multiarray_umath.__file__).openblas_set_num_threads_local
+    except (AttributeError, OSError):
+        return None
+    setter.argtypes, setter.restype = [ctypes.c_int], ctypes.c_int
+    return setter
+
+
+def _markov_map(n: int, c0: float, rho: float) -> Callable[[np.ndarray, np.ndarray], None]:
+    """``sample(Z, out)`` for the AR(1) sequence of n nodes x_0 = sqrt(c_0)
+    z_0, x_i = rho x_(i-1) + sigma z_i, sigma = sqrt(c_0 (1 - rho^2)),
+    rho in [0, 1]: K's exact Cholesky factor, n normals a path.  Z and out
+    have unit-stride rows; Z is overwritten.
+
+    Nodes 1..n-1 fall in chunks of b = ``_CHUNK``, the last maybe partial.
+    A chunk's carry is the value at the node before it (x_0 for the
+    first), so its first node is sigma z + rho carry, and the chunk is
+    [that node, its other normals] @ W, with W the lower-triangular block
+    sigma rho^(i - j) whose first row is rho^i.  Per path, a GEMV of the
+    chunks' normals with sigma rho^(b - 1 - j) gives each chunk's last
+    node from its own normals; a doubling scan over the chunks, weight
+    rho^(b d) <= 1 at step d, turns those into the carries; the first
+    nodes go over their spent normals, and a GEMM (one more for a partial
+    chunk) writes every node into ``out``.  Nothing divides by sigma, so
+    rho = 0 (each node its scaled normal) and rho = 1 (sigma = 0, every
+    node x_0) are exact.  Every product has one shape per path and runs
+    on one BLAS thread, so a row's bits depend on its own normals alone.
+    """
+    b = _CHUNK
+    full, tail = divmod(n - 1, b)  # whole chunks, and the nodes of a partial one
+    chunks = full + (tail > 0)
+    sigma = math.sqrt(c0 * (1.0 - rho * rho))
+    powers = rho ** np.arange(b)
+    lag = np.arange(b) - np.arange(b)[:, None]  # i - j at row j, column i
+    W = np.triu(sigma * powers[np.abs(lag)])
+    W[0] = powers  # row 0 takes the chunk's first node, not its normal
+    steps = [(1 << i, rho ** (b << i)) for i in range((chunks - 1).bit_length())]
+
+    def markov(Z, out):
+        m, body = len(Z), slice(1, 1 + full * b)
+        chunked = Z[:, body].reshape(m, full, b)
+        carries = np.empty((m, chunks))
+        with _one_blas_thread():
+            carries[:, 0] = out[:, 0] = math.sqrt(c0) * Z[:, 0]
+            carries[:, 1:] = (chunked @ (sigma * powers[::-1]))[:, : chunks - 1]
+            for d, weight in steps:
+                carries[:, d:] += weight * carries[:, :-d]
+            Z[:, 1::b] = sigma * Z[:, 1::b] + rho * carries  # each chunk's first node
+            np.matmul(chunked, W, out=out[:, body].reshape(m, full, b))
+            np.matmul(Z[:, None, body.stop :], W[:tail, :tail], out=out[:, None, body.stop :])
+
+    return markov
+
+
 def _linear_sampler(
     model: ProcessModel, grid: np.ndarray
 ) -> tuple[int, int, Callable[[np.ndarray, np.ndarray], None]]:
@@ -427,10 +509,7 @@ def _linear_sampler(
       (``_markov_row``; OU): K is the covariance of the AR(1) sequence
       x_0 = sqrt(c_0) z_0, x_i = rho x_(i-1) + sqrt(c_0 (1 - rho^2)) z_i,
       and this recursion is K's exact Cholesky factor, so k = n.  It runs
-      as a doubling scan, x[d:] += rho^d x[:-d] for d = 1, 2, 4, ... < n,
-      on ``_SLAB`` rows: elementwise only, every multiplier at most 1, so
-      it is stable for every rho (rho^d may underflow to 0) and each row
-      depends on its own normals alone.
+      as chunked BLAS products (``_markov_map``), ``_SLAB`` rows per call.
     * Any other ``Stationary``: K is the symmetric Toeplitz matrix of the
       lags of the grid.  It embeds in a circulant matrix C of size m, the
       shortest fast length m >= 2(n - 1) whose eigenvalues lambda are
@@ -461,19 +540,7 @@ def _linear_sampler(
     stationary = isinstance(model.structure, Stationary)
     markov = _markov_row(model, grid) if stationary else None
     if markov is not None:
-        c0, rho = markov
-        scale = np.full(n, math.sqrt(c0 * (1.0 - rho * rho)))
-        scale[0] = math.sqrt(c0)
-        steps = [(1 << i, rho ** (1 << i)) for i in range((n - 1).bit_length())]
-
-        def ar1(Z, out):
-            np.multiply(Z, scale, out=out)
-            for d, weight in steps:
-                # the spent normals hold rho^d x[:-d] before it is added
-                np.multiply(out[:, :-d], weight, out=Z[:, d:])
-                np.add(out[:, d:], Z[:, d:], out=out[:, d:])
-
-        return n, _SLAB, ar1
+        return n, _SLAB, _markov_map(n, *markov)
     embedding = _embedding_spectrum(model, grid) if stationary else None
     if embedding is not None:
         m, lam = embedding
@@ -541,14 +608,15 @@ def simulate_paths(
 
     The samples are L z for the model's exact linear map L (L L^T = K on
     the grid, see ``_linear_sampler``): g(t) z for a rank-one model, the
-    AR(1) recursion for a stationary one with a geometric lag row (OU),
-    circulant embedding for any other stationary one (length m, the
-    shortest fast length >= 2(n - 1) with a nonnegative spectrum), the
-    dense ``eigh`` factor otherwise.  The paths are the rows of the
-    batch's N x n ``values``, filled in place.  They come in blocks of
-    ``_PATH_BLOCK``; block b draws its rows of k normals in order from its
-    own stream (``_block_rng(seed, b)``) and maps them into its own rows
-    of ``values``, as many rows per call as ``_linear_sampler`` states:
+    AR(1) recursion, as chunked matrix products, for a stationary one
+    with a geometric lag row (OU), circulant embedding for any other
+    stationary one (length m, the shortest fast length >= 2(n - 1) with a
+    nonnegative spectrum), the dense ``eigh`` factor otherwise.  The paths
+    are the rows of the batch's N x n ``values``, filled in place.  They
+    come in blocks of ``_PATH_BLOCK``; block b draws its rows of k normals
+    in order from its own stream (``_block_rng(seed, b)``) and maps them
+    into its own rows of ``values``, as many rows per call as
+    ``_linear_sampler`` states:
     the Markov and circulant maps ``_SLAB`` rows, which bounds their
     scratch memory, the others the whole block at once.  The blocks
     are filled in parallel by ``_worker_count()`` threads, thread w taking
@@ -556,9 +624,10 @@ def simulate_paths(
     into one buffer of normals for all its blocks, and the circulant map
     keeps one spectrum per thread: fresh scratch for every slab costs more
     in page faults than the map itself.  numpy's generator, FFT and BLAS
-    release the GIL.  Every sampler maps a row the same way whatever else
-    the call holds, so path i is bit for bit a function of (model, grid,
-    seed, i) alone, for any n_paths and any thread count.
+    release the GIL; the Markov map's products run on one BLAS thread.
+    Every sampler maps a row the same way whatever else the call holds, so
+    path i is bit for bit a function of (model, grid, seed, i) alone, for
+    any n_paths and any thread count.
 
     The buffer holds whole blocks: its rows past n_paths are zeros, and
     ``values`` is the view of its first n_paths rows.  ``on_block``, if

@@ -675,6 +675,32 @@ class TestLinearSampler:
         sample(Z.copy(), out)
         assert np.array_equal(out, math.sqrt(model.covariance(0.0, 0.0)) * Z)
 
+    def test_markov_map_of_a_constant_lag_row_repeats_the_first_node(self):
+        # rho = 1: sigma = 0, so every node is x_0 = sqrt(c_0) z_0
+        Z = _block_rng(3, 0).standard_normal((20, 107))
+        out = np.empty_like(Z)
+        processes._markov_map(107, 2.5, 1.0)(Z.copy(), out)
+        assert np.array_equal(out, np.repeat(math.sqrt(2.5) * Z[:, :1], 107, axis=1))
+
+    @pytest.mark.parametrize("rho", [math.exp(-1 / 32), math.exp(-1e-6 / 8), math.exp(-8)])
+    @pytest.mark.parametrize("n", [2, 32, 33, 65, 107, 3393])
+    def test_markov_map_is_the_sequential_recursion(self, n, rho):
+        # n below, at and off a chunk boundary
+        c0, sigma = 2.5, math.sqrt(2.5 * (1.0 - rho * rho))
+        Z = _block_rng(7, n).standard_normal((20, n))
+        x = np.empty_like(Z)
+        x[:, 0] = math.sqrt(c0) * Z[:, 0]
+        for i in range(1, n):
+            x[:, i] = rho * x[:, i - 1] + sigma * Z[:, i]
+        out = np.empty_like(Z)
+        sample = processes._markov_map(n, c0, rho)
+        sample(Z.copy(), out)
+        assert np.max(np.abs(out - x)) <= 1e-13 * np.max(np.abs(x))
+        for i in (0, 19):  # each product has one shape per path, the partial chunk's too
+            alone = np.empty((1, n))
+            sample(Z[i : i + 1].copy(), alone)
+            assert np.array_equal(alone[0], out[i])
+
     @pytest.mark.parametrize("make", [lambda: make_ou(1.0), _matern32], ids=["ou1", "matern32"])
     def test_a_row_maps_alone_as_in_a_slab(self, make):
         model, grid = make(), simulation_grid(8.0, 1 / 16)
