@@ -72,7 +72,6 @@ from .bounds import (
     c_n_infty_uniform,
     epsilon_threshold,
     plan_truncation,
-    pointwise_ms_error,
     series_condition_check,
     tail_probability_bound,
 )

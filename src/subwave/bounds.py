@@ -191,21 +191,6 @@ def _ms_error_curve(model, basis, scheme, t):
     return r_tt - 2.0 * np.sum(M * B, axis=0) + np.sum((G @ B) * B, axis=0)
 
 
-def pointwise_ms_error(
-    model: ProcessModel, basis: WaveletPair, scheme: TruncationScheme, t: float
-) -> float:
-    """Mean-square reconstruction error at one point, from covariances:
-
-        R(t,t) - 2 sum_c E[coef_c X(t)] b_c(t) + sum_cc' E[coef coef'] b b'
-
-    Feasible for schemes up to 200 coefficients.
-    """
-    val = float(_ms_error_curve(model, basis, scheme, np.array([t]))[0])
-    if val < -1e-8:
-        raise NumericError(f"mean-square error quadrature came out negative ({val:.3e})")
-    return max(val, 0.0)
-
-
 def c_n_infty_integral(
     model: ProcessModel, basis: WaveletPair, scheme: TruncationScheme, p: float, T: float
 ) -> float:

@@ -15,11 +15,13 @@ of the grid nodes where the rows can be nonzero (``_weighted_rows``,
 path and ``lp_error`` integrates over the [0, T] nodes
 (``interval_window``).  Only ``block_lp_errors``, which serves nested
 schemes from the rows of the largest that are nonzero on [0, T], takes
-many paths: one fixed-width block of the sampler's rows at a time, on one
-BLAS thread, so every per-path error is the same bit for bit whatever the
-number of paths or of threads.  ``batch_lp_errors`` runs it over a
-``SampleBatch``, whose rows are its paths; the experiment runs it in the
-sampler's threads, on each block as it is drawn.
+many paths: one fixed-width block of the sampler's rows at a time, with
+one product for the coefficients, one for the reconstructions of every
+scheme and one for all their window integrals, on one BLAS thread, so
+every per-path error is the same bit for bit whatever the number of paths
+or of threads.  ``batch_lp_errors`` runs it over a ``SampleBatch``, whose
+rows are its paths; the experiment runs it in the sampler's threads, on
+each block as it is drawn.
 
 Every second moment of the coefficients comes from one function,
 ``coefficient_moments``: the Gram matrix, the cross moments with X(t) and,
@@ -53,8 +55,7 @@ from .errors import (
     SupportCoverageError,
     ValidationError,
 )
-from .processes import _PATH_BLOCK, ProcessModel, RankOne, SampleBatch, SamplePath, Stationary
-from .processes import _blas_threads_setter, _one_blas_thread  # noqa: F401 (one pin with the sampler)
+from .processes import _PATH_BLOCK, ProcessModel, RankOne, SampleBatch, SamplePath, Stationary, _one_blas_thread
 from .quad import gauss_legendre, gauss_nodes, piecewise_simpson_nodes, trapezoid_weights
 from .wavelets import WaveletPair, band_breaks, dilated_support, eval_dilated, lipschitz_fit
 
@@ -235,29 +236,23 @@ def _weighted_rows(basis: WaveletPair, idx, spans, grid):
     return _rows(basis, idx, grid[nodes]) * trapezoid_weights(grid)[nodes], nodes
 
 
-def _window_integral(values, recon, w, p: float):
-    """w @ |values - recon|^p: the Lp error integral over a node window."""
-    d = np.subtract(values, recon)
-    np.abs(d, out=d)
-    d **= p
-    return w @ d
-
-
 def block_lp_errors(basis: WaveletPair, schemes, grid, p: float, T: float):
     """The per-block step of ``batch_lp_errors``: checks the arguments and
     returns ``expand(block, out)``, which writes into the (scheme, path)
     array ``out`` the errors of the first ``out.shape[1]`` rows of
-    ``block``, a ``_PATH_BLOCK`` x len(grid) array of paths (rows past
-    those are padding).
+    ``block``, a fixed-width array of paths on ``grid`` (rows past those
+    are padding).
 
     Only the rows of the last scheme that are nonzero somewhere in [0, T]
-    take part, as no other row changes an expansion there.  Per block, one
-    product gives the coefficients, and each scheme is reconstructed on the
-    nodes in [0, T] only, by zeroing the rows it does not keep in the
-    window's basis matrix.  Every product has the same shape and runs on
-    one BLAS thread, so a path's errors depend neither on the other rows
-    of its block nor on the thread counts.  ``expand`` may run in several
-    threads at once.
+    take part, as no other row changes an expansion there.  Each scheme
+    reconstructs on the nodes in [0, T] only, from the window's basis
+    matrix with the rows it does not keep zeroed; the schemes' matrices
+    are stacked into one.  Per block, one product gives the coefficients,
+    one more every scheme's reconstruction, and one the window integrals
+    of all schemes.  Every product has the same shape and runs on one BLAS
+    thread, so a path's errors depend neither on the other rows of its
+    block nor on the thread counts.  ``expand`` may run in several threads
+    at once.
     """
     if not 1 <= p < math.inf:
         raise ValidationError("p must be >= 1 and finite")
@@ -275,19 +270,18 @@ def block_lp_errors(basis: WaveletPair, schemes, grid, p: float, T: float):
     rows = [idx[r] for r in kept]
     Bw, nodes = _weighted_rows(basis, rows, (starts[kept], stops[kept]), grid)
     B = _rows(basis, rows, grid[window])
-    masked = []  # per scheme: B.T with the rows it does not keep zeroed
-    for scheme in schemes:
-        member = set(scheme.indices())
-        keep = np.array([i in member for i in rows], dtype=float)
-        masked.append((B * keep[:, None]).T)
+    members = [set(scheme.indices()) for scheme in schemes]
+    # (scheme, node) x row: each scheme's B.T, the rows it does not keep zeroed
+    masked = np.concatenate([B * np.array([i in m for i in rows], dtype=float)[:, None] for m in members], 1).T
 
     def expand(block, out):
-        count = out.shape[1]
         with _one_blas_thread():
-            coefs = Bw @ block[:, nodes].T
-            values = block[:, window].T
-            for s, M in enumerate(masked):
-                out[s] = _window_integral(values, M @ coefs, w, p)[:count]
+            d = masked @ (Bw @ block[:, nodes].T)
+            per_scheme = d.reshape(len(schemes), -1, len(block))
+            np.subtract(per_scheme, block[:, window].T, out=per_scheme)
+            np.abs(d, out=d)
+            d **= p
+            out[...] = (w @ per_scheme)[:, : out.shape[1]]
 
     return expand
 
@@ -345,7 +339,7 @@ def lp_error(path: SamplePath, recon, p: float, T: float) -> float:
     if np.shape(recon) != np.shape(path.values):
         raise ValidationError(f"recon has shape {np.shape(recon)}, the path {np.shape(path.values)}")
     window, w = interval_window(path.grid, T)
-    return float(_window_integral(path.values[window], np.asarray(recon)[window], w, p))
+    return float(w @ np.abs(path.values[window] - np.asarray(recon)[window]) ** p)
 
 
 # ---------------------------------------------------------------------------

@@ -3,7 +3,7 @@ bound-tightness comparison, with CSV/JSON emission.
 
 A run computes the integral-route rate constant and the tail bounds of
 each of a list of nested truncation schemes, simulates Gaussian paths, and
-expands each block of the sampler's 256 paths against every scheme in the
+expands each block of the sampler's paths against every scheme in the
 thread that drew it (``expansion.block_lp_errors``), which gives the
 Lp([0,T]) error integral per (scheme, path); it compares empirical
 exceedance frequencies against the bounds.  0 and T must be nodes of the
@@ -36,7 +36,7 @@ from .expansion import (
 # traced run (bench/layers.py) wraps it by module attribute.
 from .expansion import basis_matrix  # noqa: F401
 from .orlicz import parse_nfunction_spec
-from .processes import _PATH_BLOCK, check_seed, parse_model_spec, simulate_paths, simulation_grid
+from .processes import check_seed, parse_model_spec, simulate_paths, simulation_grid
 from .wavelets import make_basis
 
 _MIN_PATHS = 100
@@ -249,7 +249,7 @@ def run_experiment(cfg: ExperimentConfig) -> ExperimentResult:
     errors = np.empty((len(cfg.schemes), cfg.n_paths))
 
     def expand_block(first, block):
-        expand(block, errors[:, first : first + _PATH_BLOCK])
+        expand(block, errors[:, first : first + len(block)])
 
     simulate_paths(model, cfg.grid_L, cfg.grid_h, cfg.n_paths, cfg.seed, on_block=expand_block)
     return ExperimentResult(config=cfg, per_path_errors=errors, theoretical_bound=bounds)

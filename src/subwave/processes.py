@@ -534,7 +534,7 @@ def _linear_sampler(
         g = np.asarray(model.structure.g(grid), dtype=float)
 
         def rank_one(Z, out):
-            np.multiply(Z[:, :1], g, out=out)
+            np.einsum("i,j->ij", Z[:, 0], g, out=out)
 
         return 1, _PATH_BLOCK, rank_one
     stationary = isinstance(model.structure, Stationary)

@@ -23,6 +23,7 @@ from subwave.processes import Kernel, ProcessModel, parse_model_spec
 from subwave.wavelets import make_basis
 from subwave.bounds import (
     _lattice_scheme,
+    _ms_error_curve,
     _level_series,
     _numeric_threshold,
     c_n_infty_integral,
@@ -30,7 +31,6 @@ from subwave.bounds import (
     epsilon_threshold,
     level_cutoff,
     plan_truncation,
-    pointwise_ms_error,
     series_condition_check,
     tail_probability_bound,
 )
@@ -182,13 +182,15 @@ class TestTailProbabilityBound:
 
 
 class TestPointwiseMsError:
+    """E (X_n(t) - X(t))^2 at single points, from ``_ms_error_curve``."""
+
     def test_empty_scheme_gives_variance(self, ou1, meyer):
         empty = TruncationScheme(k0_prime=-1, levels=())
-        assert pointwise_ms_error(ou1, meyer, empty, 0.3) == pytest.approx(1.0)
+        assert _ms_error_curve(ou1, meyer, empty, [0.3])[0] == pytest.approx(1.0)
 
     def test_separable_near_complete(self, gauss_bump, meyer):
         scheme = TruncationScheme(6, (6, 10))
-        assert pointwise_ms_error(gauss_bump, meyer, scheme, 0.0) <= 1e-5
+        assert _ms_error_curve(gauss_bump, meyer, scheme, [0.0])[0] <= 1e-5
 
     def test_nested_monotonicity(self, gauss_bump, meyer):
         schemes = [
@@ -197,12 +199,12 @@ class TestPointwiseMsError:
             TruncationScheme(4, (4, 6)),
         ]
         for t in (0.0, 0.25, 0.7, 1.0):
-            vals = [pointwise_ms_error(gauss_bump, meyer, s, t) for s in schemes]
+            vals = [_ms_error_curve(gauss_bump, meyer, s, [t])[0] for s in schemes]
             assert all(b <= a + 1e-8 for a, b in zip(vals[:-1], vals[1:]))
 
     def test_scheme_size_limit(self, ou1, meyer):
         with pytest.raises(ResourceLimitError):
-            pointwise_ms_error(ou1, meyer, TruncationScheme(40, (80,)), 0.0)
+            _ms_error_curve(ou1, meyer, TruncationScheme(40, (80,)), [0.0])
 
 
 class TestCnInftyIntegral:

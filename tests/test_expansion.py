@@ -1,6 +1,7 @@
 import math
 import tracemalloc
 import warnings
+from functools import lru_cache
 
 import numpy as np
 import pytest
@@ -35,11 +36,13 @@ from subwave.expansion import (
     second_moment_xi_bound,
 )
 from subwave.processes import (
+    _PATH_BLOCK,
     Kernel,
     ProcessModel,
     SampleBatch,
     SamplePath,
     Stationary,
+    _one_blas_thread,
     make_ou,
     make_separable,
     parse_model_spec,
@@ -332,6 +335,44 @@ def dense_lp_errors(basis, schemes, grid, X, p, T, dtype=float):
     return np.array(out)
 
 
+def per_scheme_lp_errors(basis, schemes, grid, X, p, T):
+    """The oracle of the stacked block step: the same restricted rows and
+    window, but one masked window matrix, reconstruction product and window
+    integral per scheme, on the path x grid matrix X in zero-padded blocks
+    of ``_PATH_BLOCK`` rows."""
+    window, w = interval_window(grid, T)
+    idx = schemes[-1].indices()
+    starts, stops = _node_spans(basis, idx, grid)
+    kept = np.flatnonzero((starts < window.stop) & (stops > window.start))
+    rows = [idx[r] for r in kept]
+    Bw, nodes = expansion._weighted_rows(basis, rows, (starts[kept], stops[kept]), grid)
+    B = expansion._rows(basis, rows, grid[window])
+    masked = []
+    for scheme in schemes:
+        member = set(scheme.indices())
+        keep = np.array([i in member for i in rows], dtype=float)
+        masked.append((B * keep[:, None]).T)
+    errors = np.empty((len(schemes), len(X)))
+    for start in range(0, len(X), _PATH_BLOCK):
+        count = min(_PATH_BLOCK, len(X) - start)
+        block = np.zeros((_PATH_BLOCK, X.shape[1]))
+        block[:count] = X[start : start + count]
+        with _one_blas_thread():
+            coefs = Bw @ block[:, nodes].T
+            values = block[:, window].T
+            for s, M in enumerate(masked):
+                d = np.subtract(values, M @ coefs)
+                np.abs(d, out=d)
+                d **= p
+                errors[s, start : start + count] = (w @ d)[:count]
+    return errors
+
+
+@lru_cache(maxsize=None)
+def _oracle_paths(model_spec, L, h):
+    return simulate_paths(parse_model_spec(model_spec), L, h, 300, 5)
+
+
 # The deepest compact scheme keeps level 4 out to |k| = 21, so many of its
 # rows are 0 on [0, 1] (on daubechies:4, those with k < -7 or k > 16).
 COMPACT_SCHEMES = ("k0'=2;k=2,3", "k0'=3;k=3,4,6", "k0'=4;k=4,5,7,13,21")
@@ -369,6 +410,31 @@ class TestNestedLpErrors:
         off_dense = np.max(np.abs(dense - ref) / ref, axis=1).astype(float)
         assert np.all(off_got <= 4.0 * off_dense + 1e-14), (off_got, off_dense)
 
+    @pytest.mark.parametrize("nested", [2, 3], ids=["two-schemes", "three-schemes"])
+    @pytest.mark.parametrize("p", [1.0, 2.0, 3.0])
+    @pytest.mark.parametrize(
+        "model_spec, family, L, h, specs",
+        [
+            ("ou:1", "meyer", 52.0, 1 / 8, ("k0'=0;k=", "k0'=1;k=1", "k0'=2;k=2,3")),
+            ("ou:1", "daubechies:4", 14.0, 1 / 64, COMPACT_SCHEMES),
+            ("separable:gauss-bump", "daubechies:4", 14.0, 1 / 64,
+             ("k0'=4;k=4,5,7", "k0'=5;k=5,6,8,11", "k0'=6;k=6,7,9,13,21")),
+            ("ou:1", "haar", 4.0, 1 / 8, ("k0'=0;k=", "k0'=1;k=1", "k0'=2;k=2,3")),
+        ],
+        ids=["ou-meyer", "ou-db4", "bump-db4", "ou-haar"],
+    )
+    def test_stacked_step_is_the_per_scheme_loop(self, model_spec, family, L, h, specs, p, nested):
+        # one reconstruction product and one window integral for all the
+        # schemes round every error as a product and an integral per scheme
+        # would, bit for bit; 300 paths leave a last block of 44
+        basis = make_basis(family)
+        schemes = [parse_scheme_spec(s) for s in specs[-nested:]]
+        paths = _oracle_paths(model_spec, L, h)
+        got = batch_lp_errors(basis, schemes, paths, p, 1.0)
+        want = per_scheme_lp_errors(basis, schemes, paths.grid, paths.values, p, 1.0)
+        assert got.shape == (nested, 300)
+        assert got.tobytes() == want.tobytes()
+
     @pytest.mark.parametrize("counts", [(300, 600), (100, 2000), (257, 1000)])
     @pytest.mark.parametrize(
         "model_spec, family",
@@ -400,6 +466,15 @@ class TestNestedLpErrors:
         batch = SampleBatch(paths.grid, X.T, paths.seed)
         got = batch_lp_errors(basis, schemes, batch, 2.0, 1.0)
         assert np.array_equal(got, batch_lp_errors(basis, schemes, paths, 2.0, 1.0))
+
+    def test_schemes_without_rows_leave_the_path_integral(self, haar):
+        # no row of an empty scheme takes part: every error is int |X|^p
+        paths = simulate_paths(make_ou(1.0), 4.0, 0.125, 300, 1)
+        empty = TruncationScheme(-1, ())
+        got = batch_lp_errors(haar, [empty, empty], paths, 2.0, 1.0)
+        window, w = interval_window(paths.grid, 1.0)
+        want = w @ np.abs(paths.values[:, window].T) ** 2
+        np.testing.assert_allclose(got, [want, want], rtol=1e-13)
 
     def test_schemes_must_fit_in_the_last(self, db3):
         paths = simulate_paths(make_ou(1.0), 8.0, 2.0**-5, 2, 5)

@@ -11,7 +11,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from subwave import cli, expansion, experiment, processes
+from subwave import cli, experiment, processes
 from subwave.errors import SupportCoverageError, ValidationError
 from subwave.expansion import batch_lp_errors, compute_coefficients, lp_error, reconstruct
 from subwave.experiment import (
@@ -388,7 +388,7 @@ class TestFusedExpansion:
 
     def test_blas_setting_of_the_caller_is_restored(self, monkeypatch):
         # one worker: the blocks are drawn and expanded on the calling thread
-        setter = expansion._blas_threads_setter()
+        setter = processes._blas_threads_setter()
         if setter is None:
             pytest.skip("numpy's BLAS has no per-thread setting")
         monkeypatch.setattr(processes, "_worker_count", lambda: 1)

@@ -713,6 +713,19 @@ class TestLinearSampler:
             sample(Z[i : i + 1].copy(), alone)
             assert np.array_equal(alone[0], slab[i])
 
+    @pytest.mark.parametrize("count", [processes._PATH_BLOCK, 88], ids=["full-block", "partial-block"])
+    def test_rank_one_map_is_the_outer_product(self, gauss_bump, count):
+        # every entry is the one product z_i g(t_j), bit for bit, whether
+        # the block is whole or the last one's 88 rows
+        grid = simulation_grid(14.0, 1 / 64)
+        k, rows, sample = _linear_sampler(gauss_bump, grid)
+        assert (k, rows) == (1, processes._PATH_BLOCK)
+        z = _block_rng(11, 0).standard_normal(count)
+        out = np.empty((rows, len(grid)))
+        sample(z[:, None].copy(), out[:count])
+        g = np.asarray(gauss_bump.structure.g(grid), dtype=float)
+        assert out[:count].tobytes() == np.multiply(z[:, None], g).tobytes()
+
 
 class TestValidateModel:
     def test_ou_with_constant_bound(self, ou1, meyer):
