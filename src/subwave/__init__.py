@@ -52,7 +52,6 @@ from .processes import (
     minkowski_gap,
     parse_model_spec,
     simulate_paths,
-    validate_model,
 )
 from .expansion import (
     CoefficientSet,
@@ -72,7 +71,6 @@ from .bounds import (
     c_n_infty_uniform,
     epsilon_threshold,
     plan_truncation,
-    series_condition_check,
     tail_probability_bound,
 )
 from .experiment import (

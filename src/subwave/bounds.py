@@ -158,8 +158,8 @@ def tail_probability_bound(
         raise ValidationError("bound needs a finite c > 0")
     if not 1 <= p < math.inf:
         raise ValidationError("bound needs a finite p >= 1")
-    if not epsilon > 0:
-        raise ValidationError("bound needs epsilon > 0")
+    if not 0 < epsilon < math.inf:
+        raise ValidationError("bound needs a finite epsilon > 0")
     thr = epsilon_threshold(nf, c, p)
     return TailBoundReport(
         c_constant=c,
@@ -220,51 +220,53 @@ _CONVERGENCE_TOL = 1e-9  # the level series converges iff its ratio q < 1 - _CON
 
 
 class _LevelSeries:
-    """Level factors of the uniform-route series for one (model, basis, alpha):
-    the one place that reads the route, ``q`` and ``convergent`` off the model.
+    """Level factors of the uniform-route series for one (model, basis, alpha),
+    the values ``c_n_infty_uniform`` sums; the one place that checks alpha
+    and the series' convergence.
 
     ``terms[j]`` = sqrt(sup_k E eta_j^2) 2^{j/2} for j <= _MAX_LEVEL, with the
     moment the route evaluates at explicit levels: the exact Parseval value
     for stationary models on a band-limited basis, the spectral bound
-    otherwise.  ``bound_term(j)`` is the same factor built from the spectral
-    bound; it decays exactly by ``q`` per level, so
-    sum_{i>=j} bound_term(i) = bound_term(j) / (1 - q).
+    otherwise.  The same factor built from the spectral bound, b_j, decays
+    exactly by the ratio ``q`` per level, so sum_{i>=j} b_i = b_j / (1 - q).
 
     ``suffix[j]`` = C_psi (sum_{j<=i<=_MAX_LEVEL} terms[i] + sum_{i>_MAX_LEVEL}
-    bound_term(i)), the level series from j on with the lattice constant ``c_psi``;
-    ``suffix[_MAX_LEVEL + 1]`` is the closed-form closure alone (inf if divergent).
+    b_i), the level series from j on with the lattice constant C_psi;
+    ``suffix[_MAX_LEVEL + 1]`` is the closed-form closure alone.  A ratio
+    q >= 1 - _CONVERGENCE_TOL raises DivergenceError.
     """
 
     def __init__(self, model: ProcessModel, basis: WaveletPair, alpha: float):
-        if isinstance(model.structure, Stationary):
-            self.route, self.q = "stationary", 2.0 ** (-alpha / 2.0)
+        if not math.isfinite(alpha):
+            raise ValidationError("alpha must be finite")
+        stationary = isinstance(model.structure, Stationary)
+        if stationary:
+            q = 2.0 ** (-alpha / 2.0)
         elif isinstance(model.structure, RankOne):
-            self.route, self.q = "rank-one", 2.0 ** (-alpha)
+            q = 2.0 ** (-alpha)
         else:
             raise ValidationError(
                 "uniform-route constants need a stationary spectral density "
                 "or a rank-one g_hat"
             )
-        self.convergent = self.q < 1.0 - _CONVERGENCE_TOL
         self.xi_moment = second_moment_xi_bound(model, basis)
-        self._bound0 = math.sqrt(second_moment_eta_spectral_bound(model, basis, 0, alpha))
+        # before the convergence test, so that alpha <= 0 raises the spectral
+        # bound's ValidationError, not DivergenceError
+        bound0 = math.sqrt(second_moment_eta_spectral_bound(model, basis, 0, alpha))
+        if not q < 1.0 - _CONVERGENCE_TOL:
+            raise DivergenceError(f"level series does not converge (ratio {q!r})")
         levels = range(_MAX_LEVEL + 1)
-        if self.route == "stationary" and band_limited(basis):
+        if stationary and band_limited(basis):
             self.terms = [
                 math.sqrt(second_moment_eta_parseval(model, basis, j)) * 2.0 ** (j / 2.0)
                 for j in levels
             ]
         else:
-            self.terms = [self.bound_term(j) for j in levels]
-        self.c_psi = lattice_constant(basis, "m")
-        closure = math.inf
-        if self.convergent:
-            closure = self.bound_term(_MAX_LEVEL + 1) * self.c_psi / (1.0 - self.q)
-        weighted = [term * self.c_psi for term in self.terms] + [closure]
+            self.terms = [bound0 * q**j for j in levels]
+        c_psi = lattice_constant(basis, "m")
+        closure = bound0 * q ** (_MAX_LEVEL + 1) * c_psi / (1.0 - q)
+        weighted = [term * c_psi for term in self.terms] + [closure]
         self.suffix = list(accumulate(reversed(weighted)))[::-1]
-
-    def bound_term(self, j: int) -> float:
-        return self._bound0 * self.q**j
 
 
 _level_series = lru_cache(maxsize=None)(_LevelSeries)
@@ -324,8 +326,6 @@ def c_n_infty_uniform(
     if scheme.k0_prime < T + 1:
         raise ValidationError("C_phi(T, k0') needs k0' >= T + 1")
     series = _level_series(model, basis, alpha)
-    if not series.convergent:
-        raise DivergenceError(f"level series does not converge (ratio {series.q!r})")
     J = level_cutoff(scheme, T)
     if J > _MAX_LEVEL:
         raise ResourceLimitError(f"level cutoff {J} exceeds {_MAX_LEVEL} levels")
@@ -338,37 +338,6 @@ def c_n_infty_uniform(
         )
     total += series.suffix[J]
     return model.det_constant**p * T * total**p
-
-
-def series_condition_check(
-    model: ProcessModel, basis: WaveletPair, alpha: float, j_probe: int
-) -> dict:
-    """Partial sums and term ratios of the spectral-bound level series.
-
-    The series sqrt(sup E xi^2) C_phi + sum_j sqrt(b_j) 2^{j/2} C_psi, with
-    b_j the spectral moment bound and the direct lattice-sum constants,
-    has the exact ratio q = 2^(-alpha/2) (stationary) or 2^(-alpha)
-    (rank-one); its tail closes the uniform-route constant.  The verdict is
-    the series' single convergence test, the one ``c_n_infty_uniform``
-    raises on; ``ratios`` are the numeric term ratios up to j_probe >= 0.
-    """
-    if j_probe < 0:
-        raise ValidationError("j_probe must be >= 0")
-    series = _level_series(model, basis, alpha)
-    xi_term = math.sqrt(series.xi_moment) * lattice_constant(basis, "f")
-    terms = [series.bound_term(j) * series.c_psi for j in range(j_probe + 1)]
-    ratios = [b / a for a, b in zip(terms[:-1], terms[1:])]
-    tail = terms[-1] * series.q / (1.0 - series.q) if series.convergent else math.inf
-    return {
-        "route": series.route,
-        "xi_term": xi_term,
-        "terms": terms,
-        "ratios": ratios,
-        "limit_ratio": series.q,
-        "verdict": "convergent" if series.convergent else "divergent",
-        "partial_sum": xi_term + sum(terms),
-        "geometric_tail": tail,
-    }
 
 
 # ---------------------------------------------------------------------------
@@ -407,12 +376,10 @@ def plan_truncation(
     """
     if not (0.0 < delta < 1.0):
         raise ValidationError("delta must be in (0, 1)")
-    if not epsilon > 0:
-        raise ValidationError("epsilon must be positive")
+    if not 0 < epsilon < math.inf:
+        raise ValidationError("epsilon must be finite and positive")
     if not 0 < T < math.inf:
         raise ValidationError("T must be finite and > 0")
-    if not math.isfinite(alpha):
-        raise ValidationError("alpha must be finite")
     best = best_valid = None
     for n in range(1, n_max + 1):
         for m in range(0, m_max + 1):

@@ -50,7 +50,6 @@ import numpy as np
 
 from .errors import NumericError, ValidationError
 from .quad import gauss_nodes, simpson_nodes
-from .wavelets import WaveletPair
 
 _MAX_GRID_POINTS = 10_000
 _PATH_BLOCK = 256  # paths per block of normals and per random stream
@@ -639,6 +638,8 @@ def simulate_paths(
     """
     if not model.gaussian:
         raise ValidationError("only Gaussian models can be simulated")
+    if isinstance(n_paths, bool) or not isinstance(n_paths, (int, np.integer)):
+        raise ValidationError(f"n_paths must be an integer, got {n_paths!r}")
     if n_paths < 1:
         raise ValidationError("n_paths must be >= 1")
     check_seed(seed)
@@ -689,73 +690,6 @@ def dump_paths(paths, out_dir) -> list[str]:
                 w.writerow([repr(float(t)), repr(float(x))])
         written.append(str(fname))
     return written
-
-
-def validate_model(
-    model: ProcessModel,
-    basis: WaveletPair,
-    c_bound: Callable[[np.ndarray], np.ndarray],
-    T_check: float,
-) -> dict:
-    """Check the mean-square convergence hypotheses on a finite grid.
-
-    ``c_bound`` must be even, nondecreasing on [0, inf) and exceed 1 at the
-    origin.  Checks: tau(t) <= c_bound(t) on [-T_check, T_check]; finiteness
-    of int c(x) Phi(|x|) dx for both envelopes (numeric convergence between
-    a window and its doubling); the growth condition c(a x) <= c(x) A(a) for
-    a in {2, 4} with A estimated as the max grid ratio.  Report-style: never
-    raises on a failed check, only on violated preconditions.
-    """
-    x = np.linspace(0.0, max(T_check, 1.0) * 4.0, 201)
-    cb = np.asarray(c_bound(x), dtype=float)
-    if not c_bound(0.0) > 1.0:
-        raise ValidationError("c_bound(0) must exceed 1")
-    if np.any(np.abs(np.asarray(c_bound(-x)) - cb) > 1e-10 * (1.0 + np.abs(cb))):
-        raise ValidationError("c_bound must be even")
-    if np.any(np.diff(cb) < -1e-10):
-        raise ValidationError("c_bound must be nondecreasing on [0, inf)")
-
-    report = {}
-    t = np.linspace(-T_check, T_check, 401)
-    tau = np.asarray(model.tau_phi(t), dtype=float)
-    dom = np.asarray(c_bound(t), dtype=float)
-    worst = float(np.max(tau - dom))
-    report["tau_dominated"] = {"passed": bool(worst <= 1e-12), "max_excess": worst}
-
-    for name, env in (("f", basis.envelope_f), ("m", basis.envelope_m)):
-        s = env.effective_support()
-
-        def integral(a, b, panels=2048):
-            nodes, wts = simpson_nodes(a, b, panels)
-            return float(
-                np.sum(wts * np.asarray(c_bound(nodes)) * env.big_phi(np.abs(nodes)))
-            )
-
-        # peaked near 0: integrate the core with its own nodes; bound the
-        # doubling-window increment by the analytic envelope tail mass
-        core = integral(-1.0, 1.0) + integral(-s, -1.0) + integral(1.0, s)
-        cb_max = float(np.max(np.asarray(c_bound(np.linspace(s, 2.0 * s, 65)))))
-        inc = 2.0 * (env.tail_integral(s) - env.tail_integral(2.0 * s)) * cb_max
-        converged = inc <= max(1e-5 * abs(core), 1e-8)
-        report[f"envelope_integral_{name}"] = {
-            "passed": bool(converged and np.isfinite(core + inc)),
-            "value": core + inc,
-            "window_increment": inc,
-        }
-
-    xg = np.linspace(0.25, max(T_check, 1.0) * 4.0, 400)
-    growth = {}
-    ok = True
-    for a in (2.0, 4.0):
-        ratio = np.asarray(c_bound(a * xg), dtype=float) / np.asarray(
-            c_bound(xg), dtype=float
-        )
-        A = float(np.max(ratio))
-        growth[a] = A
-        ok = ok and np.isfinite(A)
-    report["growth_condition"] = {"passed": bool(ok), "A_estimates": growth}
-    report["passed"] = all(v["passed"] for v in report.values() if isinstance(v, dict))
-    return report
 
 
 def minkowski_gap(model: ProcessModel, T: float) -> tuple[float, float]:

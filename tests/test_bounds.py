@@ -31,7 +31,6 @@ from subwave.bounds import (
     epsilon_threshold,
     level_cutoff,
     plan_truncation,
-    series_condition_check,
     tail_probability_bound,
 )
 
@@ -322,11 +321,9 @@ class TestCnInftyUniform:
             c_n_infty_uniform(bare, meyer, scheme, 2.0, 1.0, 0.5)
 
     def test_ratio_near_one_diverges(self, ou1, meyer):
-        # q = 2^(-1e-10) is within 1e-9 of 1: the constant and the diagnostic
-        # both read the one convergence test of the level series
+        # q = 2^(-1e-10) is within 1e-9 of 1: the level series does not converge
         with pytest.raises(DivergenceError):
             c_n_infty_uniform(ou1, meyer, TruncationScheme(2, (2,)), 2.0, 1.0, 2e-10)
-        assert series_condition_check(ou1, meyer, 2e-10, 4)["verdict"] == "divergent"
 
 
 class TestUniformMoments:
@@ -375,34 +372,6 @@ class TestUniformMoments:
             for p in (1.0, 2.0, 3.0):
                 uniform = c_n_infty_uniform(model, basis, scheme, p, T, 0.5)
                 assert uniform >= c_n_infty_integral(model, basis, scheme, p, T), (n, m, T, p)
-
-
-class TestSeriesCondition:
-    def test_ou_ratio(self, ou1, meyer):
-        rep = series_condition_check(ou1, meyer, 0.5, 8)
-        assert rep["verdict"] == "convergent"
-        assert rep["limit_ratio"] == pytest.approx(2.0 ** -0.25, rel=1e-12)
-        for r in rep["ratios"]:
-            assert r == pytest.approx(2.0 ** -0.25, rel=1e-9)
-
-    def test_separable_ratio(self, gauss_bump, meyer):
-        rep = series_condition_check(gauss_bump, meyer, 1.0, 6)
-        assert rep["verdict"] == "convergent"
-        assert rep["limit_ratio"] == pytest.approx(0.5, rel=1e-12)
-        for r in rep["ratios"]:
-            assert r == pytest.approx(0.5, rel=1e-9)
-
-    def test_partial_sum_and_tail_finite(self, ou1, meyer):
-        rep = series_condition_check(ou1, meyer, 0.5, 5)
-        assert np.isfinite(rep["partial_sum"]) and np.isfinite(rep["geometric_tail"])
-
-    def test_single_term_probe(self, ou1, meyer):
-        # no numeric ratio at j_probe = 0; the verdict is the series' own
-        rep = series_condition_check(ou1, meyer, 0.5, 0)
-        assert rep["verdict"] == "convergent" and rep["ratios"] == []
-        assert np.isfinite(rep["geometric_tail"])
-        with pytest.raises(ValidationError):
-            series_condition_check(ou1, meyer, 0.5, -1)
 
 
 class TestPlanner:
@@ -496,6 +465,13 @@ class TestNonFiniteInput:
         with pytest.raises(ValidationError, match="bound needs a " + message):
             tail_probability_bound(make_power_family(1.5), c, p, 3.0)
 
+    @pytest.mark.parametrize("epsilon", [math.inf, math.nan])
+    def test_bound_and_planner_need_finite_epsilon(self, ou1, haar, epsilon):
+        with pytest.raises(ValidationError, match="bound needs a finite epsilon > 0"):
+            tail_probability_bound(make_gaussian(), 1.0, 2.0, epsilon)
+        with pytest.raises(ValidationError, match="epsilon must be finite and positive"):
+            plan_truncation(ou1, haar, make_gaussian(), 2.0, 1.0, epsilon, 0.9, 0.5)
+
     @pytest.mark.parametrize("p", [math.inf, math.nan])
     def test_rate_constants_need_finite_p(self, ou1, haar, p):
         scheme = parse_scheme_spec("k0'=3;k=3,4")
@@ -520,6 +496,14 @@ class TestNonFiniteInput:
     def test_planner(self, ou1, haar, T, alpha, message):
         with pytest.raises(ValidationError, match=message):
             plan_truncation(ou1, haar, make_gaussian(), 2.0, T, 1e9, 0.9, alpha)
+
+    @pytest.mark.parametrize("alpha", [math.nan, math.inf])
+    def test_uniform_constant_needs_finite_alpha(self, ou1, haar, alpha):
+        # checked where the level series is built, before the Lipschitz fit
+        # could warn on an infinite order (the suite turns warnings into errors)
+        scheme = parse_scheme_spec("k0'=3;k=3,4")
+        with pytest.raises(ValidationError, match="alpha must be finite"):
+            c_n_infty_uniform(ou1, haar, scheme, 2.0, 1.0, alpha)
 
 
 def test_level_cutoff_past_the_explicit_levels(ou1, haar):

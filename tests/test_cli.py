@@ -255,6 +255,8 @@ _CONFIG = {
         ("basis-info", "--basis", "meyer", "--T", "nan"),
         ("bound", "--phi", "power:1.5", "--c", "1", "--p", "inf", "--eps", "3"),
         ("threshold", "--phi", "gaussian", "--c", "inf", "--p", "2"),
+        ("bound", "--phi", "gaussian", "--c", "1", "--p", "2", "--eps", "inf"),
+        _PLAN[:7] + ("--eps", "inf", "--delta", "0.9", "--p", "2", "--T", "1", "--alpha", "0.5"),
         {"p": math.inf},
         {"p": math.nan},
         {"epsilons": [math.nan]},

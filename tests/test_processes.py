@@ -29,7 +29,6 @@ from subwave.processes import (
     parse_model_spec,
     simulate_paths,
     simulation_grid,
-    validate_model,
 )
 
 
@@ -414,6 +413,16 @@ class TestSimulation:
         with pytest.raises(ValidationError, match="n_paths must be >= 1"):
             simulate_paths(ou1, 1.0, 0.5, 0, seed=0)
 
+    @pytest.mark.parametrize("n_paths", [2.5, 2.0, True, "2", None])
+    def test_non_integer_path_count_rejected(self, ou1, n_paths):
+        # a float would reach range()'s TypeError, and True would draw one path
+        with pytest.raises(ValidationError, match="n_paths must be an integer"):
+            simulate_paths(ou1, 1.0, 0.5, n_paths, seed=0)
+
+    def test_numpy_integer_path_count(self, ou1):
+        batch = simulate_paths(ou1, 1.0, 0.5, np.int64(3), seed=0)
+        assert batch.values.tobytes() == simulate_paths(ou1, 1.0, 0.5, 3, seed=0).values.tobytes()
+
     @pytest.mark.parametrize("seed", [-1, -5, 2**64, 5 + 2**64])
     def test_seed_outside_64_bits_rejected(self, ou1, seed):
         # the seed range is [0, 2^64): a negative seed raises ValidationError,
@@ -725,40 +734,6 @@ class TestLinearSampler:
         sample(z[:, None].copy(), out[:count])
         g = np.asarray(gauss_bump.structure.g(grid), dtype=float)
         assert out[:count].tobytes() == np.multiply(z[:, None], g).tobytes()
-
-
-class TestValidateModel:
-    def test_ou_with_constant_bound(self, ou1, meyer):
-        rep = validate_model(ou1, meyer, lambda t: 2.0 * np.ones_like(np.asarray(t, dtype=float)), 2.0)
-        assert rep["passed"]
-        assert rep["growth_condition"]["A_estimates"][2.0] == pytest.approx(1.0)
-
-    def test_separable_passes(self, gauss_bump, db3):
-        rep = validate_model(
-            gauss_bump, db3, lambda t: 2.0 * np.ones_like(np.asarray(t, dtype=float)), 2.0
-        )
-        assert rep["passed"]
-
-    def test_c_bound_preconditions(self, ou1, meyer):
-        ones = lambda t: 0.5 * np.ones_like(np.asarray(t, dtype=float))
-        with pytest.raises(ValidationError):
-            validate_model(ou1, meyer, ones, 1.0)  # c(0) <= 1
-        with pytest.raises(ValidationError):
-            validate_model(ou1, meyer, lambda t: 2.0 + np.asarray(t, dtype=float), 1.0)  # odd
-        with pytest.raises(ValidationError):
-            validate_model(
-                ou1, meyer, lambda t: 2.0 / (1.0 + np.abs(np.asarray(t))), 1.0
-            )  # decreasing
-
-    def test_failed_domination_reported(self, meyer):
-        # tau = 1 + t^2, the rank-one covariance of g = 1 + t^2 (which has no transform)
-        g = lambda t: 1.0 + np.asarray(t, dtype=float) ** 2
-        m = ProcessModel(Kernel(lambda t, s: g(t) * g(s)))
-        rep = validate_model(
-            m, meyer, lambda t: 1.5 * np.ones_like(np.asarray(t, dtype=float)), 2.0
-        )
-        assert not rep["tau_dominated"]["passed"]
-        assert not rep["passed"]
 
 
 class TestMinkowski:
