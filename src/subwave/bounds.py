@@ -380,6 +380,9 @@ def plan_truncation(
         raise ValidationError("epsilon must be finite and positive")
     if not 0 < T < math.inf:
         raise ValidationError("T must be finite and > 0")
+    for name, value, least in (("n_max", n_max, 1), ("m_max", m_max, 0)):
+        if isinstance(value, bool) or not isinstance(value, (int, np.integer)) or value < least:
+            raise ValidationError(f"{name} must be an integer >= {least}, got {value!r}")
     best = best_valid = None
     for n in range(1, n_max + 1):
         for m in range(0, m_max + 1):

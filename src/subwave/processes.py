@@ -25,10 +25,12 @@ of K and n normals a path.  One simulation returns one ``SampleBatch``:
 the grid, validated once, and the path x grid matrix of values, whose row
 i is path i; indexing it gives ``SamplePath`` views.  The normals come
 from one SFC64 stream per block of 256 paths, seeded by
-SeedSequence(seed, spawn_key=(block,)); each sampler writes whole paths
-into the matrix in place, and the blocks are filled in parallel, one
-thread per usable CPU, so path i depends only on (seed, i), whatever the
-number of paths or of threads.  A caller may consume each block in the
+SeedSequence(seed, spawn_key=(block,)).  Every sampler is a pure function
+of at most 32 rows of normals that writes whole paths into the matrix in
+place; ``simulate_paths`` alone cuts the blocks into such slabs and fills
+the blocks in parallel, one thread per usable CPU, each on one BLAS
+thread, so path i depends only on (seed, i), whatever the number of paths,
+of threads or of BLAS threads.  A caller may consume each block in the
 thread that filled it (``simulate_paths``' ``on_block``).
 
 The constructors the model specs call are memoised, so one spec always
@@ -53,7 +55,7 @@ from .quad import gauss_nodes, simpson_nodes
 
 _MAX_GRID_POINTS = 10_000
 _PATH_BLOCK = 256  # paths per block of normals and per random stream
-_SLAB = 32  # paths per call of the circulant and Markov maps: bounds their scratch
+_SLAB = 32  # most paths per call of a sampler map: bounds its scratch
 _CHUNK = 32  # nodes per chunk of the Markov map's products
 _SPECTRAL_MASS_RTOL = 1e-6  # a transform's integral against its function at 0
 _EMBEDDING_GROWTH = 8  # circulant length cap, in multiples of the minimal 2(n - 1)
@@ -114,7 +116,6 @@ class ProcessModel:
 
     The covariance comes from the structure, and tau and C_X from the law
     (a Gaussian model's tau is sqrt(R(t,t))), so no field restates another.
-    Each layer that depends on the structure tests its type in one place.
     Structures and laws are hashable values, so a model keys the moment
     caches.
     """
@@ -353,7 +354,8 @@ def _covariance_factor(model: ProcessModel, grid: np.ndarray) -> np.ndarray:
     error.
     """
     K = model.covariance(grid[:, None], grid[None, :])
-    w, V = np.linalg.eigh(K)
+    with _one_blas_thread():  # eigh, too, rounds by the BLAS thread count
+        w, V = np.linalg.eigh(K)
     if _beyond_rounding(w):
         raise NumericError(
             f"covariance matrix indefinite beyond tolerance (min eig {w.min():.3e})"
@@ -464,8 +466,8 @@ def _markov_map(n: int, c0: float, rho: float) -> Callable[[np.ndarray, np.ndarr
     nodes go over their spent normals, and a GEMM (one more for a partial
     chunk) writes every node into ``out``.  Nothing divides by sigma, so
     rho = 0 (each node its scaled normal) and rho = 1 (sigma = 0, every
-    node x_0) are exact.  Every product has one shape per path and runs
-    on one BLAS thread, so a row's bits depend on its own normals alone.
+    node x_0) are exact.  Every product has one shape per path, so on one
+    BLAS thread a row's bits depend on its own normals alone.
     """
     b = _CHUNK
     full, tail = divmod(n - 1, b)  # whole chunks, and the nodes of a partial one
@@ -481,34 +483,32 @@ def _markov_map(n: int, c0: float, rho: float) -> Callable[[np.ndarray, np.ndarr
         m, body = len(Z), slice(1, 1 + full * b)
         chunked = Z[:, body].reshape(m, full, b)
         carries = np.empty((m, chunks))
-        with _one_blas_thread():
-            carries[:, 0] = out[:, 0] = math.sqrt(c0) * Z[:, 0]
-            carries[:, 1:] = (chunked @ (sigma * powers[::-1]))[:, : chunks - 1]
-            for d, weight in steps:
-                carries[:, d:] += weight * carries[:, :-d]
-            Z[:, 1::b] = sigma * Z[:, 1::b] + rho * carries  # each chunk's first node
-            np.matmul(chunked, W, out=out[:, body].reshape(m, full, b))
-            np.matmul(Z[:, None, body.stop :], W[:tail, :tail], out=out[:, None, body.stop :])
+        carries[:, 0] = out[:, 0] = math.sqrt(c0) * Z[:, 0]
+        carries[:, 1:] = (chunked @ (sigma * powers[::-1]))[:, : chunks - 1]
+        for d, weight in steps:
+            carries[:, d:] += weight * carries[:, :-d]
+        Z[:, 1::b] = sigma * Z[:, 1::b] + rho * carries  # each chunk's first node
+        np.matmul(chunked, W, out=out[:, body].reshape(m, full, b))
+        np.matmul(Z[:, None, body.stop :], W[:tail, :tail], out=out[:, None, body.stop :])
 
     return markov
 
 
-def _linear_sampler(
-    model: ProcessModel, grid: np.ndarray
-) -> tuple[int, int, Callable[[np.ndarray, np.ndarray], None]]:
+def _linear_sampler(model: ProcessModel, grid: np.ndarray) -> tuple[int, Callable[[np.ndarray, np.ndarray], None]]:
     """The exact linear map L (n x k, L L^T = K on the grid) of the model.
 
-    Returns k, the rows per call that ``simulate_paths`` passes it, and a
-    function ``sample(Z, out)`` taking a (B, k) block of standard normals,
-    one row per path (B <= ``_PATH_BLOCK``), and writing the B paths L z
-    as the rows of the (B, n) array ``out``; it may overwrite Z.
+    Returns k and a function ``sample(Z, out)`` taking a (B, k) slab of
+    standard normals, one row per path, B <= ``_SLAB``, and writing the B
+    paths L z as the rows of the (B, n) array ``out``; it may overwrite Z.
+    On one BLAS thread, a row's path depends on that row alone, bit for
+    bit, whatever else the slab holds.
 
-    * ``RankOne``: k = 1 and L = g(grid); the whole block per call.
+    * ``RankOne``: k = 1 and L = g(grid).
     * ``Stationary`` with a geometric lag row c_j = c_0 rho^j
       (``_markov_row``; OU): K is the covariance of the AR(1) sequence
       x_0 = sqrt(c_0) z_0, x_i = rho x_(i-1) + sqrt(c_0 (1 - rho^2)) z_i,
       and this recursion is K's exact Cholesky factor, so k = n.  It runs
-      as chunked BLAS products (``_markov_map``), ``_SLAB`` rows per call.
+      as chunked BLAS products (``_markov_map``).
     * Any other ``Stationary``: K is the symmetric Toeplitz matrix of the
       lags of the grid.  It embeds in a circulant matrix C of size m, the
       shortest fast length m >= 2(n - 1) whose eigenvalues lambda are
@@ -519,14 +519,12 @@ def _linear_sampler(
       So k = m and the spectrum is drawn directly: a row's first q normals
       are the real parts, its other q - 2 the imaginary parts of entries
       1..q-2, all scaled by one ``root`` vector, and one irfft per row
-      follows, written back over the spent normals.  It takes ``_SLAB``
-      rows per call, and each thread builds its spectra in one buffer of
-      its own, reused from call to call.  The first n rows of that map
-      satisfy L L^T = (C)_{n x n} = K.
+      follows, written back over the spent normals.  Each thread builds
+      its spectra in one buffer of its own, reused from call to call.  The
+      first n rows of that map satisfy L L^T = (C)_{n x n} = K.
     * ``Kernel``, or a stationary model with no nonnegative embedding
       up to the length cap: k = n and L is the dense ``eigh`` factor of K,
-      applied to the block zero-padded to ``_PATH_BLOCK`` rows; the whole
-      block per call.
+      applied to the slab zero-padded to ``_SLAB`` rows.
     """
     n = len(grid)
     if isinstance(model.structure, RankOne):
@@ -535,11 +533,11 @@ def _linear_sampler(
         def rank_one(Z, out):
             np.einsum("i,j->ij", Z[:, 0], g, out=out)
 
-        return 1, _PATH_BLOCK, rank_one
+        return 1, rank_one
     stationary = isinstance(model.structure, Stationary)
     markov = _markov_row(model, grid) if stationary else None
     if markov is not None:
-        return n, _SLAB, _markov_map(n, *markov)
+        return n, _markov_map(n, *markov)
     embedding = _embedding_spectrum(model, grid) if stationary else None
     if embedding is not None:
         m, lam = embedding
@@ -552,25 +550,24 @@ def _linear_sampler(
 
         def circulant(Z, out):
             # imaginary parts 0 and q - 1 stay at the buffer's zeros
-            spectrum = getattr(scratch, "spectrum", None)
-            if spectrum is None or len(spectrum) < len(Z):
-                spectrum = scratch.spectrum = np.zeros((len(Z), q), dtype=complex)
-            spectrum = spectrum[: len(Z)]
+            if not hasattr(scratch, "spectrum"):
+                scratch.spectrum = np.zeros((_SLAB, q), dtype=complex)
+            spectrum = scratch.spectrum[: len(Z)]
             np.multiply(Z[:, :q], root, out=spectrum.real)
             np.multiply(Z[:, q:], root[1:-1], out=spectrum.imag[:, 1:-1])
             np.fft.irfft(spectrum, n=m, out=Z)
             out[...] = Z[:, :n]
 
-        return m, _SLAB, circulant
+        return m, circulant
     F = _covariance_factor(model, grid)
 
     def dense(Z, out):
         # a product of one fixed width rounds each column the same way
-        padded = np.zeros((_PATH_BLOCK, n))
+        padded = np.zeros((_SLAB, n))
         padded[: len(Z)] = Z
         out[...] = (F @ padded.T)[:, : len(Z)].T
 
-    return n, _PATH_BLOCK, dense
+    return n, dense
 
 
 def check_seed(seed: int) -> None:
@@ -614,19 +611,18 @@ def simulate_paths(
     are the rows of the batch's N x n ``values``, filled in place.  They
     come in blocks of ``_PATH_BLOCK``; block b draws its rows of k normals
     in order from its own stream (``_block_rng(seed, b)``) and maps them
-    into its own rows of ``values``, as many rows per call as
-    ``_linear_sampler`` states:
-    the Markov and circulant maps ``_SLAB`` rows, which bounds their
-    scratch memory, the others the whole block at once.  The blocks
-    are filled in parallel by ``_worker_count()`` threads, thread w taking
-    blocks w, w + workers, ... (one block runs inline).  Each thread draws
+    into its own rows of ``values`` in slabs of ``_SLAB`` rows (the last
+    one maybe partial), the map's contract.  The blocks are filled in
+    parallel by ``_worker_count()`` threads, thread w taking blocks w,
+    w + workers, ... (a single worker runs inline), each on one BLAS
+    thread for all its work, ``on_block`` included.  Each thread draws
     into one buffer of normals for all its blocks, and the circulant map
     keeps one spectrum per thread: fresh scratch for every slab costs more
     in page faults than the map itself.  numpy's generator, FFT and BLAS
-    release the GIL; the Markov map's products run on one BLAS thread.
-    Every sampler maps a row the same way whatever else the call holds, so
-    path i is bit for bit a function of (model, grid, seed, i) alone, for
-    any n_paths and any thread count.
+    release the GIL.  Every map sends a row to the same path whatever
+    else its slab holds, so path i is bit for bit a function of (model,
+    grid, seed, i) alone, for any n_paths and any count of threads or of
+    BLAS threads.
 
     The buffer holds whole blocks: its rows past n_paths are zeros, and
     ``values`` is the view of its first n_paths rows.  ``on_block``, if
@@ -644,7 +640,7 @@ def simulate_paths(
         raise ValidationError("n_paths must be >= 1")
     check_seed(seed)
     grid = simulation_grid(L, h)
-    k, rows, sample = _linear_sampler(model, grid)
+    k, sample = _linear_sampler(model, grid)
     blocks = -(-n_paths // _PATH_BLOCK)
     # whole blocks of rows, so every block (the last too) is one view
     paths = np.empty((blocks * _PATH_BLOCK, len(grid)))
@@ -652,16 +648,17 @@ def simulate_paths(
     workers = min(_worker_count(), blocks)
 
     def fill(worker):
-        Z = np.empty((rows, k))
-        for block in range(worker, blocks, workers):
-            rng = _block_rng(seed, block)
-            first = block * _PATH_BLOCK
-            stop = min(first + _PATH_BLOCK, n_paths)
-            for start in range(first, stop, rows):
-                z = rng.standard_normal(out=Z[: min(rows, stop - start)])
-                sample(z, paths[start : start + len(z)])
-            if on_block is not None:
-                on_block(first, paths[first : first + _PATH_BLOCK])
+        Z = np.empty((_SLAB, k))
+        with _one_blas_thread():
+            for block in range(worker, blocks, workers):
+                rng = _block_rng(seed, block)
+                first = block * _PATH_BLOCK
+                stop = min(first + _PATH_BLOCK, n_paths)
+                for start in range(first, stop, _SLAB):
+                    z = rng.standard_normal(out=Z[: min(_SLAB, stop - start)])
+                    sample(z, paths[start : start + len(z)])
+                if on_block is not None:
+                    on_block(first, paths[first : first + _PATH_BLOCK])
 
     if workers == 1:
         fill(0)

@@ -21,6 +21,7 @@ from subwave.expansion import (
 from subwave.orlicz import make_gaussian, make_power_family
 from subwave.processes import Kernel, ProcessModel, parse_model_spec
 from subwave.wavelets import make_basis
+from subwave import bounds as bounds_module
 from subwave.bounds import (
     _lattice_scheme,
     _ms_error_curve,
@@ -451,6 +452,22 @@ class TestPlanner:
             plan_truncation(ou1, meyer, nf, 2.0, 1.0, 0.5, delta=1.5, alpha=0.5)
         with pytest.raises(ValidationError):
             plan_truncation(ou1, meyer, nf, 2.0, 1.0, -1.0, delta=0.1, alpha=0.5)
+
+    @pytest.mark.parametrize(
+        "lattice, message",
+        [({"n_max": 0}, "n_max must be an integer >= 1"), ({"m_max": -1}, "m_max must be an integer >= 0"),
+         ({"n_max": 2.0}, "n_max must be an integer"), ({"m_max": True}, "m_max must be an integer"),
+         ({"n_max": "3"}, "n_max must be an integer")],
+    )
+    def test_lattice_bounds_checked_first(self, ou1, haar, lattice, message, monkeypatch):
+        # an empty lattice would reach a bare TypeError after the loops;
+        # every bound is rejected before a constant is computed
+        def no_constant(*args):
+            raise AssertionError("a constant was computed")
+
+        monkeypatch.setattr(bounds_module, "c_n_infty_uniform", no_constant)
+        with pytest.raises(ValidationError, match=message):
+            plan_truncation(ou1, haar, make_gaussian(), 2.0, 1.0, 1e9, 0.9, 0.5, **lattice)
 
 
 class TestNonFiniteInput:

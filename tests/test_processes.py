@@ -1,5 +1,10 @@
 import dataclasses
+import hashlib
+import inspect
 import math
+import os
+import subprocess
+import sys
 import tracemalloc
 from pathlib import Path
 
@@ -38,6 +43,15 @@ def _ou_cov(t, s):
 
 def _ones(t):
     return np.ones_like(np.asarray(t, dtype=float))
+
+
+def _map_slabs(sample, Z, n):
+    """The paths of the rows of Z, fed to ``sample`` in slabs of at most
+    ``_SLAB`` rows, as ``simulate_paths`` feeds a map."""
+    out = np.full((len(Z), n), np.nan)
+    for start in range(0, len(Z), processes._SLAB):
+        sample(Z[start : start + processes._SLAB], out[start : start + processes._SLAB])
+    return out
 
 
 class TestOU:
@@ -132,8 +146,8 @@ class TestModelType:
     def test_kernel_takes_dense_sampler_and_tensor_engine(self, meyer):
         model = _damped_ou()
         grid = simulation_grid(2.0, 0.125)
-        k, rows, _ = _linear_sampler(model, grid)
-        assert (k, rows) == (len(grid), processes._PATH_BLOCK)
+        k, sample = _linear_sampler(model, grid)
+        assert (k, sample.__name__) == (len(grid), "dense")
         assert not _frequency_side(model, meyer)
 
 
@@ -328,13 +342,16 @@ class TestSimulation:
         batches = [simulate_paths(model, 2.0, 0.125, n, seed=4) for n in (3, 10, 300, 600)]
         for few, many in zip(batches[:-1], batches[1:]):
             assert np.array_equal(few.values, many.values[: len(few)])
-        # path i is L z_i, z_i row i mod 256 of the stream of block i // 256
+        # path i is L z_i, z_i row i mod 256 of the stream of block i // 256,
+        # mapped in its slab of the block's rows
         paths = batches[2]
-        k, _, sample = _linear_sampler(model, paths.grid)
+        k, sample = _linear_sampler(model, paths.grid)
         for i in (0, 9, 255, 256, 299):
             rows = _block_rng(4, i // 256).standard_normal((i % 256 + 1, k))
-            out = np.empty((len(rows), len(paths.grid)))
-            sample(rows, out)
+            slab = rows[i % 256 // processes._SLAB * processes._SLAB :]
+            out = np.empty((len(slab), len(paths.grid)))
+            with processes._one_blas_thread():
+                sample(slab, out)
             assert np.array_equal(paths[i].values, out[-1])
 
     @pytest.mark.parametrize("n_paths", [600, 1000])
@@ -346,6 +363,26 @@ class TestSimulation:
             monkeypatch.setattr(processes, "_worker_count", lambda: workers)
             batches.append(simulate_paths(model, 2.0, 0.125, n_paths, seed=8))
         assert np.array_equal(batches[0].values, batches[1].values)
+
+    def test_kernel_paths_do_not_depend_on_blas_threads(self):
+        # the dense map's eigh factor and its product round by the BLAS
+        # thread count; both run on one BLAS thread whatever the setting
+        src = Path(processes.__file__).resolve().parents[1]
+        script = inspect.getsource(_damped_ou) + (
+            "import hashlib\nimport numpy as np\n"
+            "from subwave.processes import Kernel, ProcessModel, simulate_paths\n"
+            "values = simulate_paths(_damped_ou(), 2.0, 1 / 64, 300, seed=3).values\n"
+            "print(hashlib.sha1(values.tobytes()).hexdigest())\n"
+        )
+        digests = []
+        for threads in ("1", "2"):
+            env = {**os.environ, "PYTHONPATH": str(src), "OPENBLAS_NUM_THREADS": threads}
+            run = subprocess.run(
+                [sys.executable, "-c", script], env=env, capture_output=True, text=True, timeout=120, check=True
+            )
+            digests.append(run.stdout)
+        values = simulate_paths(_damped_ou(), 2.0, 1 / 64, 300, seed=3).values
+        assert digests == [hashlib.sha1(values.tobytes()).hexdigest() + "\n"] * 2
 
     @pytest.mark.parametrize("workers", [1, 2])
     def test_reused_scratch_matches_a_fresh_run(self, ou1, workers, monkeypatch):
@@ -361,7 +398,7 @@ class TestSimulation:
                 assert np.array_equal(few.values, many.values[:n])
             # and each path is its own rows mapped by a sampler made for them alone
             for i in (31, 32, 255, 256, 699, 1999):
-                k, _, sample = _linear_sampler(model, many.grid)
+                k, sample = _linear_sampler(model, many.grid)
                 z = _block_rng(21, i // 256).standard_normal((i % 256 + 1, k))[-1:]
                 out = np.empty((1, len(many.grid)))
                 sample(z, out)
@@ -384,6 +421,25 @@ class TestSimulation:
             assert np.array_equal(rows[:count], batch.values[first : first + count])
             assert not rows[count:].any()
         assert np.array_equal(batch.values, simulate_paths(model, 2.0, 0.125, 600, seed=8).values)
+
+    @pytest.mark.parametrize("name", ["ou1", "gauss_bump", "damped_ou", "matern32"])
+    def test_every_map_is_fed_slabs(self, name, request, monkeypatch):
+        # 600 paths: two blocks of eight full slabs, then 88 paths in two
+        # full slabs and a partial one of 24
+        made, sizes = processes._linear_sampler, []
+
+        def counting(model, grid):
+            k, sample = made(model, grid)
+
+            def counted(Z, out):
+                sizes.append(len(Z))
+                sample(Z, out)
+
+            return k, counted
+
+        monkeypatch.setattr(processes, "_linear_sampler", counting)
+        simulate_paths(_model(name, request), 2.0, 0.125, 600, seed=8)
+        assert sorted(sizes) == [24] + [processes._SLAB] * 18
 
     def test_batch_is_a_view_of_whole_blocks(self, ou1):
         # the last block is filled and read in place, not copied to pad it
@@ -568,11 +624,9 @@ class TestLinearSampler:
     def test_map_reproduces_covariance(self, make, k, dense):
         model = make()
         grid = self.GRID
-        width, _, sample = _linear_sampler(model, grid)
+        width, sample = _linear_sampler(model, grid)
         assert width == k
-        rows = np.full((k, len(grid)), np.nan)
-        sample(np.eye(k), rows)  # row i is L e_i
-        L = rows.T
+        L = _map_slabs(sample, np.eye(k), len(grid)).T  # row i of the paths is L e_i
         assert L.shape == (len(grid), k)
         K = model.covariance(grid[:, None], grid[None, :])
         F = _covariance_factor(model, grid)  # the dense eigh oracle
@@ -600,7 +654,7 @@ class TestLinearSampler:
         # Matern-3/2's embedding is nonnegative at each of these lengths
         grid = simulation_grid(L, h)
         assert m == min(processes._fast_lengths(2 * (len(grid) - 1), 10**5))
-        assert _linear_sampler(_matern32(), grid)[:2] == (m, processes._SLAB)
+        assert _linear_sampler(_matern32(), grid)[0] == m
 
     @pytest.mark.parametrize("make, k", [(_squared_exponential, 108), (lambda: _cauchy(0.5), 120)])
     def test_growth_past_an_indefinite_embedding(self, make, k):
@@ -631,24 +685,23 @@ class TestLinearSampler:
         if growth is not None:
             monkeypatch.setattr(processes, "_EMBEDDING_GROWTH", growth)
         model, grid = make(), self.GRID
-        width, rows, sample = _linear_sampler(model, grid)
-        assert (width, rows) == (len(grid), processes._PATH_BLOCK)
-        L = np.empty((width, len(grid)))
-        sample(np.eye(width), L)
+        width, sample = _linear_sampler(model, grid)
+        assert (width, sample.__name__) == (len(grid), "dense")
+        L = _map_slabs(sample, np.eye(width), len(grid))
         assert np.array_equal(L.T, _covariance_factor(model, grid))
 
     def test_rows_of_the_criterion_8_map(self):
         # six full rows of L L^T on the 3,393-node grid: Matern-3/2's
         # circulant map (m = 6,912), whose lag row runs past the grid's end,
-        # and OU's Markov map (k = n); L is read off in column blocks
+        # and OU's Markov map (k = n); L is read off in column slabs
         grid = simulation_grid(53.0, 1 / 32)
         rows = np.array([0, 1, 1234, 1696, 3391, 3392])
         for model, width in ((_matern32(), 6912), (make_ou(1.0), len(grid))):
-            k, _, sample = _linear_sampler(model, grid)
+            k, sample = _linear_sampler(model, grid)
             assert k == width
             LLt = np.zeros((len(rows), len(grid)))
-            for start in range(0, k, 256):
-                cols = np.empty((min(256, k - start), len(grid)))
+            for start in range(0, k, processes._SLAB):
+                cols = np.empty((min(processes._SLAB, k - start), len(grid)))
                 sample(np.eye(len(cols), k, start), cols)  # row j is L e_(start + j)
                 LLt += cols[:, rows].T @ cols
             K = model.covariance(grid[rows, None], grid[None, :])
@@ -662,7 +715,8 @@ class TestLinearSampler:
     )
     def test_geometric_lag_row_takes_the_markov_map(self, model, L, h):
         grid = simulation_grid(L, h)
-        assert _linear_sampler(model, grid)[:2] == (len(grid), processes._SLAB)
+        k, sample = _linear_sampler(model, grid)
+        assert (k, sample.__name__) == (len(grid), "markov")
 
     @pytest.mark.parametrize(
         "make, k",
@@ -672,13 +726,14 @@ class TestLinearSampler:
     def test_other_stationary_models_take_the_circulant_map(self, make, k):
         # half of the mixture is OU, yet its lag row departs from the
         # geometric row of its own rho by 0.22 c_0 on this grid
-        assert _linear_sampler(make(), self.GRID)[:2] == (k, processes._SLAB)
+        width, sample = _linear_sampler(make(), self.GRID)
+        assert (width, sample.__name__) == (k, "circulant")
 
     def test_markov_map_of_an_underflowed_rho_is_the_scaled_normals(self):
         # rho = exp(-1e4 / 8) underflows to 0: each node is its own normal
         model, grid = make_ou(1e4), self.GRID
         assert model.covariance(grid[1], grid[0]) == 0.0
-        k, _, sample = _linear_sampler(model, grid)
+        k, sample = _linear_sampler(model, grid)
         Z = _block_rng(3, 0).standard_normal((32, k))
         out = np.empty((32, len(grid)))
         sample(Z.copy(), out)
@@ -710,14 +765,19 @@ class TestLinearSampler:
             sample(Z[i : i + 1].copy(), alone)
             assert np.array_equal(alone[0], out[i])
 
-    @pytest.mark.parametrize("make", [lambda: make_ou(1.0), _matern32], ids=["ou1", "matern32"])
+    @pytest.mark.parametrize(
+        "make",
+        [lambda: make_ou(1.0), _matern32, make_gauss_bump, _damped_ou],
+        ids=["ou1", "matern32", "gauss-bump", "damped-ou"],
+    )
     def test_a_row_maps_alone_as_in_a_slab(self, make):
+        # the Markov, circulant, rank-one and dense maps, each fed a full slab
         model, grid = make(), simulation_grid(8.0, 1 / 16)
-        k, rows, sample = _linear_sampler(model, grid)
-        Z = _block_rng(5, 0).standard_normal((rows, k))
-        slab = np.empty((rows, len(grid)))
+        k, sample = _linear_sampler(model, grid)
+        Z = _block_rng(5, 0).standard_normal((processes._SLAB, k))
+        slab = np.empty((processes._SLAB, len(grid)))
         sample(Z.copy(), slab)
-        for i in (0, 17, rows - 1):
+        for i in (0, 17, processes._SLAB - 1):
             alone = np.empty((1, len(grid)))
             sample(Z[i : i + 1].copy(), alone)
             assert np.array_equal(alone[0], slab[i])
@@ -725,15 +785,14 @@ class TestLinearSampler:
     @pytest.mark.parametrize("count", [processes._PATH_BLOCK, 88], ids=["full-block", "partial-block"])
     def test_rank_one_map_is_the_outer_product(self, gauss_bump, count):
         # every entry is the one product z_i g(t_j), bit for bit, whether
-        # the block is whole or the last one's 88 rows
+        # the block is whole or the last one's 88 rows (a partial last slab)
         grid = simulation_grid(14.0, 1 / 64)
-        k, rows, sample = _linear_sampler(gauss_bump, grid)
-        assert (k, rows) == (1, processes._PATH_BLOCK)
+        k, sample = _linear_sampler(gauss_bump, grid)
+        assert (k, sample.__name__) == (1, "rank_one")
         z = _block_rng(11, 0).standard_normal(count)
-        out = np.empty((rows, len(grid)))
-        sample(z[:, None].copy(), out[:count])
+        out = _map_slabs(sample, z[:, None].copy(), len(grid))
         g = np.asarray(gauss_bump.structure.g(grid), dtype=float)
-        assert out[:count].tobytes() == np.multiply(z[:, None], g).tobytes()
+        assert out.tobytes() == np.multiply(z[:, None], g).tobytes()
 
 
 class TestMinkowski:
