@@ -13,7 +13,7 @@ from .bounds import epsilon_threshold, plan_truncation, tail_probability_bound
 from .errors import SubwaveError, ValidationError
 from .experiment import load_config, run_experiment, strict_json, write_outputs
 from .orlicz import parse_nfunction_spec
-from .processes import check_seed, dump_paths, parse_model_spec, simulate_paths, simulation_grid
+from .processes import check_path_memory, check_seed, dump_paths, parse_model_spec, simulate_paths, simulation_grid
 from .wavelets import (
     envelope_constant,
     lattice_constant,
@@ -84,11 +84,13 @@ def _make_out_dir(path) -> None:
 
 def _cmd_simulate(args) -> int:
     model = parse_model_spec(args.model)
-    # a bad grid, path count or seed exits 2 before --out is made
-    simulation_grid(args.L, args.h)
+    # a bad grid, path count or seed exits 2, and paths past memory exit 1,
+    # before --out is made
+    grid = simulation_grid(args.L, args.h)
     if args.paths < 1:
         raise ValidationError("--paths must be >= 1")
     check_seed(args.seed)
+    check_path_memory(args.paths, len(grid))
     _make_out_dir(args.out)
     paths = simulate_paths(model, args.L, args.h, args.paths, args.seed)
     written = dump_paths(paths, args.out)

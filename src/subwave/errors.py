@@ -34,7 +34,7 @@ class DivergenceError(NumericError):
 
 
 class ResourceLimitError(SubwaveError, RuntimeError):
-    """Requested computation exceeds the configured desk-scale limits."""
+    """Requested computation exceeds the desk-scale limits or the machine's memory."""
 
 
 class InfeasiblePlanError(SubwaveError, RuntimeError):

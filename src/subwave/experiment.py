@@ -36,7 +36,7 @@ from .expansion import (
 # traced run (bench/layers.py) wraps it by module attribute.
 from .expansion import basis_matrix  # noqa: F401
 from .orlicz import parse_nfunction_spec
-from .processes import check_seed, parse_model_spec, simulate_paths, simulation_grid
+from .processes import _allocate, check_path_memory, check_seed, parse_model_spec, simulate_paths, simulation_grid
 from .wavelets import make_basis
 
 _MIN_PATHS = 100
@@ -94,6 +94,8 @@ class ExperimentConfig:
         grid = simulation_grid(self.grid_L, self.grid_h)
         interval_window(grid, self.T)
         check_support_coverage(basis, self.schemes[-1], grid)
+        # the path buffer and a float error per (scheme, path)
+        check_path_memory(self.n_paths, len(grid), 8 * len(self.schemes))
 
     def to_json_dict(self) -> dict:
         return {f.name: _to_json(getattr(self, f.name)) for f in fields(self)}
@@ -246,7 +248,7 @@ def run_experiment(cfg: ExperimentConfig) -> ExperimentResult:
 
     grid = simulation_grid(cfg.grid_L, cfg.grid_h)
     expand = block_lp_errors(basis, cfg.schemes, grid, cfg.p, cfg.T)
-    errors = np.empty((len(cfg.schemes), cfg.n_paths))
+    errors = _allocate((len(cfg.schemes), cfg.n_paths))
 
     def expand_block(first, block):
         expand(block, errors[:, first : first + len(block)])

@@ -15,12 +15,14 @@ Built-in families:
   family at alpha = 2 under its own name.
 
 Custom evaluators are accepted and validated structurally on a fixed grid at
-construction time.
+construction time, condition Q (lim inf phi(x)/x^2 > 0 at the origin) among
+the axioms: the bounds read phi only through its density, its conjugate and
+that condition.
 """
 
 import math
 import re
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, replace
 from typing import Callable, Optional
 
 import numpy as np
@@ -42,18 +44,14 @@ _GOLDEN_REL_TOL = 1e-12
 
 @dataclass(frozen=True)
 class NFunction:
-    """An Orlicz N-function with density, conjugate and quadratic-origin data.
-
-    ``q_constant`` is lim_{x->0} phi(x)/x^2, stored as an extended real
-    (``math.inf`` allowed); it is only ever checked for positivity.
-    """
+    """An Orlicz N-function with its density and, where known, its
+    conjugate in closed form."""
 
     family: str
     params: tuple
     phi: Callable[[float], float]
     density_f: Callable[[float], float]
     conjugate_closed_form: Optional[Callable[[float], float]] = None
-    q_constant: float = field(default=math.inf)
 
     def __post_init__(self):
         _validate_structure(self)
@@ -65,7 +63,15 @@ class NFunction:
 
 
 def _validate_structure(nf: NFunction) -> None:
-    """Grid-level checks of the N-function axioms; raises ValidationError."""
+    """Grid-level checks of the N-function axioms; raises ValidationError.
+
+    Condition Q, lim inf phi(x)/x^2 > 0 at 0, is checked as phi(x)/x^2 not
+    falling toward the origin: its value at the smallest grid point, 1e-6,
+    must be at least half its value at 1e-3.  A ratio that falls like x^b
+    drops by 1000^b over that span, so the factor-2 margin rejects every
+    b above log 2 / log 1000 ~ 0.1 (|x|^2.5, |x|^3) and leaves rounding at
+    1e-6 (~1e-4 relative for cosh x - 1) far inside.
+    """
     phi = nf.phi
     if abs(phi(0.0)) > 1e-12:
         raise ValidationError("phi(0) must be 0")
@@ -97,8 +103,11 @@ def _validate_structure(nf: NFunction) -> None:
     vals = [f(x) for x in pos]
     if any(b < a - 1e-12 * (1 + abs(a)) for a, b in zip(vals[:-1], vals[1:])):
         raise ValidationError("density must be nondecreasing")
-    if not nf.q_constant > 0:
-        raise ValidationError("q_constant (lim phi(x)/x^2 at 0) must be positive")
+    q_origin, q_mid = (phi(x) / (x * x) for x in (pos[0], 1e-3))
+    if not q_origin >= 0.5 * q_mid:
+        raise ValidationError(
+            f"phi fails condition Q: phi(x)/x^2 falls toward 0 ({q_mid:.3g} at 1e-3, {q_origin:.3g} at 1e-6)"
+        )
 
 
 def make_gaussian() -> NFunction:
@@ -110,8 +119,7 @@ def make_power_family(alpha: float) -> NFunction:
     """phi(x) = |x|^alpha / alpha for 1 < alpha <= 2.
 
     Density f(x) = x^(alpha-1); conjugate |x|^beta / beta with
-    1/alpha + 1/beta = 1.  The quadratic-origin constant is 1/2 at alpha = 2
-    and +inf for alpha < 2 (|x|^(alpha-2)/alpha blows up at the origin).
+    1/alpha + 1/beta = 1.
     """
     if not (1.0 < alpha <= 2.0):
         raise ValidationError(f"power family needs alpha in (1, 2], got {alpha}")
@@ -122,7 +130,6 @@ def make_power_family(alpha: float) -> NFunction:
         phi=lambda x: abs(x) ** alpha / alpha,
         density_f=lambda x: x ** (alpha - 1.0),
         conjugate_closed_form=lambda x: abs(x) ** beta / beta,
-        q_constant=0.5 if alpha == 2.0 else math.inf,
     )
 
 
@@ -130,30 +137,22 @@ def make_custom(
     phi: Callable[[float], float],
     density: Optional[Callable[[float], float]] = None,
     conjugate_closed_form: Optional[Callable[[float], float]] = None,
-    q_constant: Optional[float] = None,
 ) -> NFunction:
     """Wrap user evaluators as an NFunction, validating the axioms on a grid.
 
     When ``density`` is omitted a forward finite difference of ``phi`` is
-    used (relative step 1e-6).  When ``q_constant`` is omitted it is
-    estimated from phi(x)/x^2 at the smallest grid point and mapped to +inf
-    when that ratio exceeds 1e6.
+    used (relative step 1e-6).
     """
     if density is None:
         def density(x, _phi=phi):
             h = 1e-6 * (1.0 + x)
             return (_phi(x + h) - _phi(x)) / h
-    if q_constant is None:
-        x0 = 1e-6
-        ratio = phi(x0) / (x0 * x0)
-        q_constant = math.inf if ratio > 1e6 else ratio
     return NFunction(
         family="custom",
         params=(),
         phi=phi,
         density_f=density,
         conjugate_closed_form=conjugate_closed_form,
-        q_constant=q_constant,
     )
 
 

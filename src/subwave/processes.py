@@ -3,9 +3,10 @@
 A model is ``ProcessModel(structure, law)``.  The structure gives the
 covariance R(t,s): ``Stationary(r, r_hat)`` (R = r(t - s)), ``RankOne(g,
 g_hat)`` (X(t) = g(t) Z) or ``Kernel(covariance)`` (no spectral data).  The
-law gives tau(t) and the determinative constant C_X: ``Gaussian()`` has
-tau = sqrt(R(t,t)) and C_X = 1, ``SubGaussian(tau_phi, det_constant)``
-states both.  Only Gaussian models are simulated; the bounds take any C_X.
+law gives the determinative constant C_X, the one property of a law that
+the bounds read: ``Gaussian()`` has C_X = 1, and
+``SubGaussian(det_constant)`` states it.  Only Gaussian models are
+simulated; the bounds take any C_X.
 
 Simulation is exact: the samples on a grid are L z for standard normals z
 and a linear map L with L L^T equal to the covariance matrix K.  L comes
@@ -50,7 +51,7 @@ from typing import Callable, ClassVar, Union
 
 import numpy as np
 
-from .errors import NumericError, ValidationError
+from .errors import NumericError, ResourceLimitError, ValidationError
 from .quad import gauss_nodes, simpson_nodes
 
 _MAX_GRID_POINTS = 10_000
@@ -92,17 +93,16 @@ class Kernel:
 
 @dataclass(frozen=True)
 class Gaussian:
-    """Gaussian law: tau(t) = sqrt(R(t,t)) and C_X = 1; the law that is simulated."""
+    """Gaussian law: C_X = 1; the law that is simulated."""
 
     det_constant: ClassVar[float] = 1.0
 
 
 @dataclass(frozen=True)
 class SubGaussian:
-    """A phi-sub-Gaussian law given by its tau-norm function and determinative
-    constant C_X; its models are bounded, not simulated."""
+    """A phi-sub-Gaussian law given by its determinative constant C_X;
+    its models are bounded, not simulated."""
 
-    tau_phi: Callable[[np.ndarray], np.ndarray]
     det_constant: float
 
     def __post_init__(self):
@@ -114,10 +114,9 @@ class SubGaussian:
 class ProcessModel:
     """A zero-mean process: its covariance structure and its law.
 
-    The covariance comes from the structure, and tau and C_X from the law
-    (a Gaussian model's tau is sqrt(R(t,t))), so no field restates another.
-    Structures and laws are hashable values, so a model keys the moment
-    caches.
+    The covariance comes from the structure and C_X from the law, so no
+    field restates another.  Structures and laws are hashable values, so a
+    model keys the moment caches.
     """
 
     structure: Union[Stationary, RankOne, Kernel]
@@ -141,12 +140,6 @@ class ProcessModel:
     @property
     def det_constant(self) -> float:
         return self.law.det_constant
-
-    @property
-    def tau_phi(self) -> Callable[[np.ndarray], np.ndarray]:
-        if self.gaussian:
-            return lambda t: np.sqrt(np.maximum(self.covariance(t, t), 0.0))
-        return self.law.tau_phi
 
     @property
     def spectral_density(self):
@@ -230,7 +223,6 @@ class SamplePath:
 
     grid: np.ndarray
     values: np.ndarray
-    seed: int
     path_index: int
 
     def __post_init__(self):
@@ -250,7 +242,6 @@ class SampleBatch:
 
     grid: np.ndarray
     values: np.ndarray
-    seed: int
 
     def __post_init__(self):
         if np.ndim(self.values) != 2:
@@ -266,7 +257,7 @@ class SampleBatch:
         i = range(len(self))[i]
         if isinstance(i, range):
             return [self[j] for j in i]
-        return SamplePath(self.grid, self.values[i], self.seed, i)
+        return SamplePath(self.grid, self.values[i], i)
 
     def __iter__(self):
         return (self[i] for i in range(len(self)))
@@ -597,6 +588,37 @@ def _worker_count() -> int:
         return os.cpu_count() or 1
 
 
+def _physical_memory() -> float:
+    """Bytes of physical memory on this machine (``os.sysconf``), or inf
+    where the platform does not report it."""
+    try:
+        return os.sysconf("SC_PAGE_SIZE") * os.sysconf("SC_PHYS_PAGES")
+    except (AttributeError, OSError, ValueError):
+        return math.inf
+
+
+def check_path_memory(n_paths: int, n_nodes: int, per_path: int = 0) -> None:
+    """Raise ResourceLimitError, before anything is allocated, when the
+    buffer of ``n_paths`` paths of ``n_nodes`` nodes (whole blocks of float
+    rows, as ``simulate_paths`` holds them) plus ``per_path`` bytes a path
+    would not fit in this machine's physical memory."""
+    need = -(-n_paths // _PATH_BLOCK) * _PATH_BLOCK * n_nodes * 8 + n_paths * per_path
+    have = _physical_memory()
+    if need > have:
+        raise ResourceLimitError(
+            f"{n_paths} paths of {n_nodes} nodes need {need / 2**30:.3g} GiB, "
+            f"more than this machine's {have / 2**30:.3g} GiB of memory"
+        )
+
+
+def _allocate(shape: tuple) -> np.ndarray:
+    """``np.empty(shape)`` of floats, a MemoryError raised as ResourceLimitError."""
+    try:
+        return np.empty(shape)
+    except MemoryError:
+        raise ResourceLimitError(f"cannot allocate a {' x '.join(map(str, shape))} float array") from None
+
+
 def simulate_paths(
     model: ProcessModel, L: float, h: float, n_paths: int, seed: int, *, on_block=None
 ) -> SampleBatch:
@@ -625,12 +647,13 @@ def simulate_paths(
     BLAS threads.
 
     The buffer holds whole blocks: its rows past n_paths are zeros, and
-    ``values`` is the view of its first n_paths rows.  ``on_block``, if
-    given, is called as ``on_block(first, rows)`` in the thread that filled
-    the block, once per block as soon as it is filled, with the block's
-    first path index and its ``_PATH_BLOCK`` rows (the last block's pad
-    rows zero), so a caller can consume each block while the others are
-    drawn.
+    ``values`` is the view of its first n_paths rows.  A buffer past
+    physical memory is refused with ResourceLimitError before anything is
+    allocated (``check_path_memory``).  ``on_block``, if given, is called
+    as ``on_block(first, rows)`` in the thread that filled the block, once
+    per block as soon as it is filled, with the block's first path index
+    and its ``_PATH_BLOCK`` rows (the last block's pad rows zero), so a
+    caller can consume each block while the others are drawn.
     """
     if not model.gaussian:
         raise ValidationError("only Gaussian models can be simulated")
@@ -640,10 +663,11 @@ def simulate_paths(
         raise ValidationError("n_paths must be >= 1")
     check_seed(seed)
     grid = simulation_grid(L, h)
+    check_path_memory(n_paths, len(grid))
     k, sample = _linear_sampler(model, grid)
     blocks = -(-n_paths // _PATH_BLOCK)
     # whole blocks of rows, so every block (the last too) is one view
-    paths = np.empty((blocks * _PATH_BLOCK, len(grid)))
+    paths = _allocate((blocks * _PATH_BLOCK, len(grid)))
     paths[n_paths:] = 0.0
     workers = min(_worker_count(), blocks)
 
@@ -669,7 +693,7 @@ def simulate_paths(
 
         with ThreadPoolExecutor(workers) as pool:
             list(pool.map(fill, range(workers)))
-    return SampleBatch(grid=grid, values=paths[:n_paths], seed=seed)
+    return SampleBatch(grid=grid, values=paths[:n_paths])
 
 
 def dump_paths(paths, out_dir) -> list[str]:

@@ -1,5 +1,9 @@
+import math
+
+import numpy as np
 import pytest
 
+from subwave import processes
 from subwave.processes import make_gauss_bump, make_ou
 from subwave.wavelets import make_basis
 
@@ -32,3 +36,19 @@ def ou1():
 @pytest.fixture(scope="session")
 def gauss_bump():
     return make_gauss_bump()
+
+
+@pytest.fixture
+def unchecked_memory(monkeypatch):
+    """No physical-memory check, and a MemoryError from every ``np.empty``
+    of more than 2^30 elements: the path of an allocation the machine
+    refuses, with nothing allocated."""
+    real = np.empty
+
+    def empty(shape, *args, **kwargs):
+        if math.prod(shape if isinstance(shape, tuple) else (shape,)) > 2**30:
+            raise MemoryError("refused by the test")
+        return real(shape, *args, **kwargs)
+
+    monkeypatch.setattr(processes, "_physical_memory", lambda: math.inf)
+    monkeypatch.setattr(np, "empty", empty)

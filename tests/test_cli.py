@@ -343,3 +343,23 @@ def test_experiment_out_checked_before_simulation(tmp_path, monkeypatch):
     (tmp_path / "afile").write_text("")
     argv = ["experiment", "--config", _experiment_config(tmp_path), "--out", str(tmp_path / "afile")]
     assert cli.main(argv) == 2
+
+
+@pytest.mark.parametrize(
+    "make_call",
+    [
+        lambda tmp: ("simulate", "--model", "ou:1", "--L", "1", "--h", "0.5", "--paths", str(10**16),
+                     "--seed", "1", "--out", str(tmp / "out")),
+        lambda tmp: ("experiment", "--config", _experiment_config(tmp, n_paths=10**16),
+                     "--out", str(tmp / "out")),
+    ],
+    ids=["simulate", "experiment"],
+)
+def test_paths_past_memory_exit_1_before_out(make_call, tmp_path):
+    # 10^16 paths need more bytes than any machine has: refused before
+    # anything is allocated or --out is made
+    r = run_cli(*make_call(tmp_path))
+    assert r.returncode == 1, r.stderr
+    assert r.stderr.startswith("numeric failure: ") and r.stderr.count("\n") == 1
+    assert "Traceback" not in r.stderr
+    assert not (tmp_path / "out").exists()

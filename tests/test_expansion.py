@@ -54,7 +54,7 @@ from subwave.wavelets import band_breaks, eval_dilated, make_basis
 
 
 def make_path(grid, values):
-    return SamplePath(grid=grid, values=values, seed=0, path_index=0)
+    return SamplePath(grid=grid, values=values, path_index=0)
 
 
 class TestTruncationScheme:
@@ -220,7 +220,7 @@ class TestLpError:
     @pytest.mark.parametrize("p", [math.inf, math.nan])
     def test_rejects_non_finite_p(self, haar, p):
         path = self._path()
-        batch = SampleBatch(path.grid, np.zeros((2, path.grid.size)), 0)
+        batch = SampleBatch(path.grid, np.zeros((2, path.grid.size)))
         with pytest.raises(ValidationError, match="p must be >= 1 and finite"):
             lp_error(path, path.values + 1.0, p, 1.0)
         with pytest.raises(ValidationError, match="p must be >= 1 and finite"):
@@ -229,7 +229,7 @@ class TestLpError:
     @pytest.mark.parametrize("T", [math.inf, math.nan])
     def test_rejects_non_finite_T(self, haar, T):
         path = self._path()
-        batch = SampleBatch(path.grid, np.zeros((2, path.grid.size)), 0)
+        batch = SampleBatch(path.grid, np.zeros((2, path.grid.size)))
         with pytest.raises(ValidationError, match="nonempty interval inside the path grid"):
             lp_error(path, path.values + 1.0, 2.0, T)
         with pytest.raises(ValidationError, match="nonempty interval inside the path grid"):
@@ -463,7 +463,7 @@ class TestNestedLpErrors:
         schemes = [parse_scheme_spec(s) for s in COMPACT_SCHEMES]
         paths = simulate_paths(parse_model_spec(model_spec), 14.0, 1 / 64, 300, 2)
         X = np.ascontiguousarray(paths.values.T)
-        batch = SampleBatch(paths.grid, X.T, paths.seed)
+        batch = SampleBatch(paths.grid, X.T)
         got = batch_lp_errors(basis, schemes, batch, 2.0, 1.0)
         assert np.array_equal(got, batch_lp_errors(basis, schemes, paths, 2.0, 1.0))
 

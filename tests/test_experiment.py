@@ -12,7 +12,7 @@ import numpy as np
 import pytest
 
 from subwave import cli, experiment, processes
-from subwave.errors import SupportCoverageError, ValidationError
+from subwave.errors import ResourceLimitError, SupportCoverageError, ValidationError
 from subwave.expansion import batch_lp_errors, compute_coefficients, lp_error, reconstruct
 from subwave.experiment import (
     config_from_dict,
@@ -74,6 +74,16 @@ class TestConfigValidation:
     def test_non_nested_schemes_rejected(self):
         with pytest.raises(ValidationError, match="nested"):
             cfg_with(schemes=["k0'=3;k=3", "k0'=2;k=2,3"])
+
+    def test_paths_past_memory_rejected(self):
+        # the path buffer and the errors of 10^16 paths: no machine holds them
+        with pytest.raises(ResourceLimitError, match="10000000000000000 paths of 833 nodes need"):
+            cfg_with(n_paths=10**16)
+
+    def test_memory_error_at_allocation_is_a_resource_limit(self, unchecked_memory):
+        cfg = cfg_with(n_paths=10**16)
+        with pytest.raises(ResourceLimitError, match="cannot allocate a 2 x 10000000000000000 float array"):
+            run_experiment(cfg)
 
     def test_minimum_paths(self):
         with pytest.raises(ValidationError):

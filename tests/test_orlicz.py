@@ -29,7 +29,6 @@ class TestBuiltinFamilies:
         assert g.phi(1.0) == 0.5
         assert conjugate(g, 2.0) == 2.0
         assert density(g, 3.0) == 3.0
-        assert g.q_constant == 0.5
 
     @pytest.mark.parametrize("alpha", [0.5, 1.0, 2.5, 3.0])
     def test_power_domain_rejected(self, alpha):
@@ -40,7 +39,6 @@ class TestBuiltinFamilies:
         p2 = make_power_family(2.0)
         assert p2.phi(1.0) == 0.5
         assert conjugate(p2, 1.0) == 0.5
-        assert p2.q_constant == 0.5
 
     def test_power_15_closed_forms(self):
         p = make_power_family(1.5)
@@ -48,7 +46,6 @@ class TestBuiltinFamilies:
         assert rel_err(conjugate(p, 2.0), 8.0 / 3.0) < 1e-14
         assert rel_err(conjugate(p, 1.0), 1.0 / 3.0) < 1e-14
         assert density(p, 4.0) == 2.0
-        assert p.q_constant == math.inf
 
     @pytest.mark.parametrize("family", ["gaussian", "power:1.5"])
     def test_conjugate_past_float_range_is_inf(self, family):
@@ -132,7 +129,6 @@ class TestCustomValidation:
     def test_valid_custom_accepted(self):
         nf = make_custom(phi=lambda x: x * x)
         assert nf.family == "custom"
-        assert nf.q_constant == pytest.approx(1.0)
 
     def test_odd_phi_rejected(self):
         with pytest.raises(ValidationError):
@@ -157,12 +153,34 @@ class TestCustomValidation:
             ({"phi": lambda x: 0.5 * x * x, "density": lambda x: x + 1.0}, "density must vanish at 0"),
             ({"phi": lambda x: 0.5 * x * x, "density": lambda x: x if x < 5.0 else 0.0},
              "density must be nondecreasing"),
-            ({"phi": lambda x: 0.5 * x * x, "q_constant": 0.0}, "q_constant"),
+            # phi(x)/x^2 = x/3, x^2/4 and x^0.5/2.5 fall to 0 at the origin
+            ({"phi": lambda x: abs(x) ** 3 / 3.0}, "condition Q"),
+            ({"phi": lambda x: abs(x) ** 4 / 4.0}, "condition Q"),
+            ({"phi": lambda x: abs(x) ** 2.5 / 2.5}, "condition Q"),
         ],
     )
     def test_axiom_checks(self, kw, message):
         with pytest.raises(ValidationError, match=message):
             make_custom(**kw)
+
+    @pytest.mark.parametrize(
+        "make",
+        [
+            # phi(x)/x^2 stays near its limit at 0: 1/2, 1, 1/20, 1/2, 1
+            lambda: make_custom(phi=lambda x: 0.5 * x * x),
+            lambda: make_custom(phi=lambda x: x * x),
+            lambda: make_custom(phi=lambda x: x * x / 20.0),
+            lambda: make_custom(phi=lambda x: math.cosh(x) - 1.0),
+            lambda: make_custom(phi=lambda x: math.exp(x * x) - 1.0),
+            # x^(alpha - 2)/alpha grows toward 0 below alpha = 2
+            lambda: make_power_family(1.2),
+            lambda: make_power_family(1.5),
+            lambda: make_power_family(2.0),
+        ],
+        ids=["half-square", "square", "square-over-20", "cosh", "exp-square", "power1.2", "power1.5", "power2"],
+    )
+    def test_condition_q_holds(self, make):
+        assert make().phi(1e-6) > 0.0
 
 
 class TestSpecStrings:

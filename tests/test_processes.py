@@ -12,7 +12,7 @@ import numpy as np
 import pytest
 
 from subwave import processes
-from subwave.errors import ValidationError
+from subwave.errors import ResourceLimitError, ValidationError
 from subwave.expansion import _frequency_side
 from subwave.processes import (
     Gaussian,
@@ -72,7 +72,7 @@ class TestOU:
     def test_unit_tau(self):
         m = make_ou(2.0)
         t = np.linspace(-3, 3, 7)
-        assert np.allclose(m.tau_phi(t), 1.0)
+        assert np.allclose(np.sqrt(m.covariance(t, t)), 1.0)
 
     def test_rejects_nonpositive_rate(self):
         with pytest.raises(ValidationError):
@@ -119,27 +119,25 @@ class TestModelType:
         t, s = self.GRID[:, None], self.GRID[None, :]
         # bit for bit the covariance OU stated before it was derived from r
         assert np.array_equal(ou1.covariance(t, s), np.exp(-1.0 * np.abs(np.asarray(t) - np.asarray(s))))
-        assert np.array_equal(ou1.tau_phi(self.GRID), np.ones(len(self.GRID)))
+        assert np.array_equal(np.sqrt(ou1.covariance(self.GRID, self.GRID)), np.ones(len(self.GRID)))
         assert ou1.det_constant == 1.0 and ou1.gaussian and ou1.law == Gaussian()
 
     def test_bump_values(self, gauss_bump):
         g = gauss_bump.structure.g
         t, s = self.GRID[:, None], self.GRID[None, :]
         assert np.array_equal(gauss_bump.covariance(t, s), np.asarray(g(t)) * np.asarray(g(s)))
-        assert np.array_equal(gauss_bump.tau_phi(self.GRID), np.abs(g(self.GRID)))
+        assert np.array_equal(np.sqrt(gauss_bump.covariance(self.GRID, self.GRID)), np.abs(g(self.GRID)))
         assert gauss_bump.det_constant == 1.0 and gauss_bump.gaussian
 
     def test_kernel_values(self):
         model = _damped_ou()
         t = self.GRID
         assert np.array_equal(model.covariance(t, t), model.structure.covariance(t, t))
-        assert np.allclose(model.tau_phi(t), np.exp(-0.1 * t**2), rtol=1e-15, atol=0.0)
+        assert np.allclose(np.sqrt(model.covariance(t, t)), np.exp(-0.1 * t**2), rtol=1e-15, atol=0.0)
         assert model.det_constant == 1.0 and model.gaussian
 
     def test_sub_gaussian_values(self):
-        law = SubGaussian(lambda t: 2.0 * _ones(t), 2.0)
-        model = ProcessModel(Kernel(_ou_cov), law)
-        assert model.tau_phi is law.tau_phi and np.array_equal(model.tau_phi(self.GRID), 2.0 * _ones(self.GRID))
+        model = ProcessModel(Kernel(_ou_cov), SubGaussian(2.0))
         assert model.det_constant == 2.0 and not model.gaussian
         assert model.covariance is _ou_cov
 
@@ -156,7 +154,7 @@ class TestModelValidation:
         with pytest.raises(ValidationError):
             ProcessModel(
                 Kernel(lambda t, s: np.asarray(t) - np.asarray(s)),
-                SubGaussian(lambda t: np.zeros_like(np.asarray(t, dtype=float)), 1.0),
+                SubGaussian(1.0),
             )
 
     def test_takes_no_derived_argument(self, gauss_bump):
@@ -207,9 +205,10 @@ class TestModelValidation:
         ],
     )
     def test_model_axioms(self, cov, det, tau, gaussian, message):
-        # a Gaussian law derives tau and C_X; any other states them
+        # a Gaussian law has C_X = 1, any other states it; tau is no part of
+        # a law, and its column only keeps these cases' ids
         with pytest.raises(ValidationError, match=message):
-            ProcessModel(Kernel(cov), Gaussian() if gaussian else SubGaussian(tau, det))
+            ProcessModel(Kernel(cov), Gaussian() if gaussian else SubGaussian(det))
 
     def test_spec_strings(self):
         ou = parse_model_spec("ou:1.5")
@@ -244,15 +243,13 @@ class TestSimulation:
 
     def test_sample_path_invariants(self):
         with pytest.raises(ValidationError):
-            SamplePath(grid=np.array([0.0, 1.0]), values=np.zeros(3), seed=0, path_index=0)
+            SamplePath(grid=np.array([0.0, 1.0]), values=np.zeros(3), path_index=0)
         with pytest.raises(ValidationError):
-            SamplePath(
-                grid=np.array([0.0, 1.0, 3.0]), values=np.zeros(3), seed=0, path_index=0
-            )
+            SamplePath(grid=np.array([0.0, 1.0, 3.0]), values=np.zeros(3), path_index=0)
         with pytest.raises(ValidationError, match="increasing"):
-            SamplePath(grid=np.linspace(2.0, -2.0, 33), values=np.zeros(33), seed=0, path_index=0)
+            SamplePath(grid=np.linspace(2.0, -2.0, 33), values=np.zeros(33), path_index=0)
         with pytest.raises(ValidationError, match="two nodes"):
-            SamplePath(grid=np.array([0.0]), values=np.zeros(1), seed=0, path_index=0)
+            SamplePath(grid=np.array([0.0]), values=np.zeros(1), path_index=0)
 
     def test_determinism(self, ou1):
         a = simulate_paths(ou1, 2.0, 0.125, 3, seed=42)
@@ -292,7 +289,7 @@ class TestSimulation:
             assert paths.values.shape == (5, 17) and len(paths) == 5
             for i, p in enumerate(paths):
                 assert np.shares_memory(p.values, paths.values)
-                assert p.grid is paths.grid and p.seed == 2 and p.path_index == i
+                assert p.grid is paths.grid and p.path_index == i
                 assert np.array_equal(p.values, paths.values[i])
 
     @pytest.mark.parametrize("name", ["ou1", "gauss_bump", "damped_ou"])
@@ -321,17 +318,17 @@ class TestSimulation:
     def test_batch_invariants(self):
         grid = np.linspace(-1.0, 1.0, 9)
         with pytest.raises(ValidationError, match="path x grid"):
-            SampleBatch(grid=grid, values=np.zeros(9), seed=0)
+            SampleBatch(grid=grid, values=np.zeros(9))
         with pytest.raises(ValidationError, match="equal length"):
-            SampleBatch(grid=grid, values=np.zeros((9, 2)), seed=0)
+            SampleBatch(grid=grid, values=np.zeros((9, 2)))
         with pytest.raises(ValidationError, match="uniform"):
-            SampleBatch(grid=grid**3, values=np.zeros((2, 9)), seed=0)
+            SampleBatch(grid=grid**3, values=np.zeros((2, 9)))
         # a C-contiguous float matrix is kept as it is; any other is copied
         # into one, so every batch's paths are contiguous rows
         values = np.zeros((2, 9))
-        assert SampleBatch(grid=grid, values=values, seed=0).values is values
+        assert SampleBatch(grid=grid, values=values).values is values
         for other in (np.zeros((9, 2)).T, np.zeros((2, 9), dtype=int)):
-            batch = SampleBatch(grid=list(grid), values=other, seed=0)
+            batch = SampleBatch(grid=list(grid), values=other)
             assert batch.values.flags.c_contiguous and batch.values.dtype == float
             assert batch.grid.dtype == float and batch[1].values.shape == (9,)
 
@@ -469,6 +466,26 @@ class TestSimulation:
         with pytest.raises(ValidationError, match="n_paths must be >= 1"):
             simulate_paths(ou1, 1.0, 0.5, 0, seed=0)
 
+    def test_paths_past_memory_refused_before_allocation(self, ou1):
+        # 10^16 paths of 5 nodes need 4e17 bytes, past any machine's memory
+        # (and past its address space, so an unchecked run fails to allocate)
+        with pytest.raises(ResourceLimitError, match="10000000000000000 paths of 5 nodes need"):
+            simulate_paths(ou1, 1.0, 0.5, 10**16, seed=1)
+
+    def test_memory_limit_is_the_whole_block_buffer(self, monkeypatch):
+        # a block of 256 rows of 5 float nodes is 10,240 bytes, the paths
+        # past n_paths included
+        monkeypatch.setattr(processes, "_physical_memory", lambda: 256 * 5 * 8)
+        processes.check_path_memory(1, 5)
+        processes.check_path_memory(256, 5)
+        for n_paths, per_path in ((257, 0), (256, 1)):
+            with pytest.raises(ResourceLimitError, match="more than this machine's"):
+                processes.check_path_memory(n_paths, 5, per_path)
+
+    def test_memory_error_at_allocation_is_a_resource_limit(self, ou1, unchecked_memory):
+        with pytest.raises(ResourceLimitError, match="cannot allocate a 10000000000000000 x 5 float array"):
+            simulate_paths(ou1, 1.0, 0.5, 10**16, seed=1)
+
     @pytest.mark.parametrize("n_paths", [2.5, 2.0, True, "2", None])
     def test_non_integer_path_count_rejected(self, ou1, n_paths):
         # a float would reach range()'s TypeError, and True would draw one path
@@ -519,7 +536,7 @@ class TestSimulation:
     def test_non_gaussian_not_simulatable(self):
         m = ProcessModel(
             Kernel(lambda t, s: np.exp(-np.abs(np.asarray(t) - np.asarray(s)))),
-            SubGaussian(lambda t: 2.0 * np.ones_like(np.asarray(t, dtype=float)), 2.0),
+            SubGaussian(2.0),
         )
         with pytest.raises(ValidationError):
             simulate_paths(m, 1.0, 0.5, 1, seed=0)
@@ -588,6 +605,19 @@ def _mixture():
     )
 
 
+def _oscillating():
+    # R = exp(-tau^2/2) cos 3 tau, R_hat = sqrt(pi/2) (exp(-(z-3)^2/2) + exp(-(z+3)^2/2)):
+    # at h = 1 its lag-1 correlation is -0.60, so it has no AR(1) map
+    c = math.sqrt(math.pi / 2.0)
+    return ProcessModel(
+        Stationary(
+            r=lambda tau: np.exp(-0.5 * tau**2) * np.cos(3.0 * tau),
+            r_hat=lambda z: c * (np.exp(-0.5 * (np.asarray(z, dtype=float) - 3.0) ** 2)
+                                 + np.exp(-0.5 * (np.asarray(z, dtype=float) + 3.0) ** 2)),
+        )
+    )
+
+
 def _damped_ou():
     # neither stationary nor rank-one
     return ProcessModel(
@@ -603,27 +633,30 @@ class TestLinearSampler:
     """Each sampler's linear map L, read off identity normals, has L L^T = K."""
 
     GRID = simulation_grid(2.0, 0.125)  # n = 33, minimal circulant size 2(n - 1) = 64
+    COARSE = simulation_grid(8.0, 1.0)  # n = 17, minimal circulant size 32
 
     @pytest.mark.parametrize(
-        "make, k, dense",
+        "make, k, dense, grid",
         [
             # the Markov map: k = n
-            (lambda: make_ou(0.5), 33, False),
-            (lambda: make_ou(1.0), 33, False),
-            (lambda: make_ou(3.0), 33, False),
-            (make_gauss_bump, 1, False),
-            (_matern32, 64, False),
+            (lambda: make_ou(0.5), 33, False, GRID),
+            (lambda: make_ou(1.0), 33, False, GRID),
+            (lambda: make_ou(3.0), 33, False, GRID),
+            (make_gauss_bump, 1, False, GRID),
+            (_matern32, 64, False, GRID),
             # its minimal embedding has min/max eigenvalue -2.1e-5: grown to 108
-            (_squared_exponential, 108, False),
+            (_squared_exponential, 108, False, GRID),
             # minimal embedding indefinite: grown to 120
-            (lambda: _cauchy(0.5), 120, False),
-            (_damped_ou, 33, True),
+            (lambda: _cauchy(0.5), 120, False, GRID),
+            (_damped_ou, 33, True, GRID),
+            # a negative lag-1 correlation: the circulant map, not the Markov one
+            (_oscillating, 32, False, COARSE),
         ],
-        ids=["ou0.5", "ou1", "ou3", "gauss-bump", "matern32", "squared-exponential", "cauchy0.5", "damped-ou"],
+        ids=["ou0.5", "ou1", "ou3", "gauss-bump", "matern32", "squared-exponential", "cauchy0.5", "damped-ou",
+             "oscillating"],
     )
-    def test_map_reproduces_covariance(self, make, k, dense):
+    def test_map_reproduces_covariance(self, make, k, dense, grid):
         model = make()
-        grid = self.GRID
         width, sample = _linear_sampler(model, grid)
         assert width == k
         L = _map_slabs(sample, np.eye(k), len(grid)).T  # row i of the paths is L e_i
@@ -719,14 +752,16 @@ class TestLinearSampler:
         assert (k, sample.__name__) == (len(grid), "markov")
 
     @pytest.mark.parametrize(
-        "make, k",
-        [(_matern32, 64), (_squared_exponential, 108), (_mixture, 64)],
-        ids=["matern32", "squared-exponential", "mixture"],
+        "make, k, grid",
+        [(_matern32, 64, GRID), (_squared_exponential, 108, GRID), (_mixture, 64, GRID),
+         (_oscillating, 32, COARSE)],
+        ids=["matern32", "squared-exponential", "mixture", "oscillating"],
     )
-    def test_other_stationary_models_take_the_circulant_map(self, make, k):
+    def test_other_stationary_models_take_the_circulant_map(self, make, k, grid):
         # half of the mixture is OU, yet its lag row departs from the
-        # geometric row of its own rho by 0.22 c_0 on this grid
-        width, sample = _linear_sampler(make(), self.GRID)
+        # geometric row of its own rho by 0.22 c_0 on this grid; the
+        # oscillating lag row's rho = r(1)/r(0) is -0.60, outside [0, 1]
+        width, sample = _linear_sampler(make(), grid)
         assert (width, sample.__name__) == (k, "circulant")
 
     def test_markov_map_of_an_underflowed_rho_is_the_scaled_normals(self):
@@ -817,7 +852,7 @@ class TestMinkowski:
         assert rhs == pytest.approx(1.0, abs=5e-3)
 
     def test_needs_a_gaussian_model(self):
-        m = ProcessModel(Kernel(_ou_cov), SubGaussian(_ones, 2.0))
+        m = ProcessModel(Kernel(_ou_cov), SubGaussian(2.0))
         with pytest.raises(ValidationError, match="assumes a Gaussian model"):
             minkowski_gap(m, 1.0)
 
